@@ -220,6 +220,10 @@ def beta_check(exp: AlphaExpansion) -> BetaCheckReport:
     return BetaCheckReport(lemma1, sandwich, all_ok)
 
 
+_GOLDEN = Surd(-1, 1, 2, 5)   # (sqrt(5)-1)/2
+_SILVER = Surd(-1, 1, 1, 2)   # sqrt(2)-1
+
+
 def rho_alpha(alpha) -> RealValue:
     """Geometric decay rate of beta_n, by regime of alpha."""
     alpha = Fraction(alpha)
@@ -228,12 +232,10 @@ def rho_alpha(alpha) -> RealValue:
                           "(indifferent fixed point)")
     if alpha > 1:
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
-    g = Surd(-1, 1, 2, 5)       # (sqrt(5)-1)/2
-    gamma = Surd(-1, 1, 1, 2)   # sqrt(2)-1
-    if g < alpha:
-        return g
-    if gamma <= alpha:
-        return gamma
+    if _GOLDEN < alpha:
+        return _GOLDEN
+    if _SILVER <= alpha:
+        return _SILVER
     return Surd.sqrt_of(1 - 2 * alpha)
 
 

@@ -43,7 +43,7 @@ class SingularityU:
 
     M1..M3 are suprema used by the truncation diagnostics: M1 of u on
     (delta/(1+delta), 1), M2 of x*u(x) on (0, delta), M3 of |x^2 u'(x)|
-    on (0, delta).  M4(cut) is the sup of u on [cut, 1].
+    on (0, delta).
     """
 
     name: str
@@ -53,9 +53,6 @@ class SingularityU:
     M1: float = field(default=0.0)
     M2: float = field(default=0.0)
     M3: float = field(default=0.0)
-
-    def M4(self, cut: float) -> float:
-        return _grid_sup(self.eval, cut, 1.0)
 
 
 def _grid_sup(f: Callable[[float], float], lo: float, hi: float,
@@ -121,6 +118,58 @@ class BrjunoResult:
     istar_sum: Optional[float] = None  # by-excess only: sum over the 2-digit indices
 
 
+def _rational_orbit(x: Fraction, alpha: Fraction, max_digits: int):
+    """The A_alpha orbit of a rational x on integer state.
+
+    Returns (xs, digits, q_seq, terminated) with the values and errors of
+    alpha_expand(x, alpha, max_digits): x_0 .. x_k as floats up to the
+    first zero remainder, the digits a_1 .. a_D and q_0 .. q_D.
+    """
+    if max_digits < 0:
+        raise ValueError("max_digits must be >= 0")
+    if not 0 <= alpha <= 1:
+        raise DomainError(f"alpha must be in [0,1], got {alpha}")
+    r, s = alpha.numerator, alpha.denominator
+    p, q = x.numerator, x.denominator
+    n0 = (s * p + (s - r) * q) // (s * q)
+    num, den = abs(p - n0 * q), q
+    xs: list[float] = []
+    digits: list[int] = []
+    q_seq = [1]
+    q_prev, eps_prev = 0, 1
+    while num:
+        xs.append(num / den)  # the same correctly rounded float(Fraction)
+        if len(digits) == max_digits:
+            return xs, digits, q_seq, False
+        # step rule: num/den -> |den - a*num| / num with
+        # a = floor(den/num + 1 - alpha); gcd(num, den) never changes
+        a = (s * den + (s - r) * num) // (s * num)
+        rem = den - a * num
+        digits.append(a)
+        q_cur = q_seq[-1]
+        q_seq.append(a * q_cur + eps_prev * q_prev)
+        q_prev = q_cur
+        eps_prev = -1 if rem < 0 else 1  # +1 on the terminating step
+        num, den = abs(rem), num
+    return xs, digits, q_seq, True
+
+
+def _orbit(x: RealValue, alpha, max_digits: int):
+    """(xs, digits, q_seq, terminated) of x for any carrier.
+
+    Rationals run on integer state; other carriers go through alpha_expand,
+    with the exact zero that ends a terminating orbit left out of xs.
+    """
+    if isinstance(x, (int, Fraction)):
+        return _rational_orbit(x, alpha, max_digits)
+    exp = alpha_expand(x, alpha, max_digits)
+    rems = exp.remainders
+    if exp.terminated and is_exact(rems[-1]):
+        rems = rems[:-1]
+    return ([to_float(r) for r in rems], [d.a for d in exp.digits],
+            exp.q_seq, exp.terminated)
+
+
 def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
                keep_terms: bool = True) -> BrjunoResult:
     """Truncated B_{alpha,u}(x), alpha in (0, 1].
@@ -132,32 +181,28 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
     if alpha == 0:
         raise DomainError("alpha = 0 has no (alpha,u)-sum here; "
                           "use semi_brjuno for the log weight")
-    exp = alpha_expand(x, alpha, n_max)
+    xs, _digits, _q_seq, terminated = _orbit(x, alpha, n_max)
     beta_prev = 1.0
     value = 0.0
     terms = []
-    u_recent: list[float] = []
+    uvals = []
     last_term = math.inf
-    for n, xn in enumerate(exp.remainders):
-        if is_exact(xn) and sign_val(xn) == 0:
-            last_term = 0.0
-            break
-        xf = to_float(xn)
+    for n, xf in enumerate(xs):
         uval = u.eval(xf)
         term = beta_prev * uval
         value += term
         last_term = term
-        u_recent = (u_recent + [uval])[-5:]
+        uvals.append(uval)
         if keep_terms:
             terms.append((n, beta_prev, xf, term))
         beta_prev *= xf
+    if terminated:
+        return BrjunoResult(value, n_max, terms, 0.0, True)
     rho = to_float(rho_alpha(alpha))
     abar = float(alpha_bar(alpha))
-    scale = max(u_recent, default=0.0)
+    scale = max(uvals[-5:], default=0.0)
     tail = abar * rho ** n_max / (1.0 - rho) * max(scale, u.M1)
-    if exp.terminated:
-        tail = 0.0
-    converged = exp.terminated or (last_term < 1e-12 and tail < 1e-6)
+    converged = last_term < 1e-12 and tail < 1e-6
     return BrjunoResult(value, n_max, terms, tail, converged)
 
 
@@ -166,19 +211,18 @@ def q_series(x: RealValue, alpha, u: SingularityU, n_max: int) -> float:
     alpha = Fraction(alpha)
     if alpha == 0:
         raise DomainError("alpha = 0: use b0_qseries")
-    exp = alpha_expand(x, alpha, n_max + 1)  # term n uses digit a_{n+1}
+    # term n uses digit a_{n+1}
+    _xs, digits, q_seq, _terminated = _orbit(x, alpha, n_max + 1)
     total = 0.0
-    for n, digit in enumerate(exp.digits):
-        if n > n_max:
-            break
-        total += u.eval(1.0 / digit.a) * _inv(exp.q_seq[n])
+    for n, a in enumerate(digits):
+        total += u.eval(1.0 / a) * _inv(q_seq[n])
     return total
 
 
 # -- by-excess sums --------------------------------------------------------
 
 def _b0_orbit_rational(num: int, den: int, n_max: int, keep_terms: bool):
-    """Integer-only by-excess orbit of num/den in (0, 1]."""
+    """Integer-only by-excess orbit of num/den in (0, 1], num/den coprime."""
     value = 0.0
     istar = 0.0
     qs = 0.0
@@ -193,6 +237,8 @@ def _b0_orbit_rational(num: int, den: int, n_max: int, keep_terms: bool):
             break
         term = beta * _log_frac(den, num)
         value += term
+        # step rule: num/den -> |den - b*num| / num with
+        # b = floor(den/num + 1); gcd(num, den) never changes
         b = den // num + 1
         if b == 2:
             istar += term
@@ -203,9 +249,6 @@ def _b0_orbit_rational(num: int, den: int, n_max: int, keep_terms: bool):
         beta *= num / den
         q_prev, q_cur = q_cur, b * q_cur - q_prev
         num, den = b * num - den, num
-        g = math.gcd(num, den)
-        num //= g
-        den //= g
         steps += 1
     return value, qs, istar, beta, reached_one, terms
 
@@ -362,17 +405,17 @@ class BoundReport:
 
 def log_denominator_sum(x: RealValue, n_max: int = 200) -> float:
     """sum log(q_n)/q_n over the regular (alpha=1) convergents of x."""
-    exp = alpha_expand(x, 1, n_max)
-    return sum(math.log(q) * _inv(q) for q in exp.q_seq[1:] if q > 1)
+    _xs, _digits, q_seq, _terminated = _orbit(x, 1, n_max)
+    return sum(math.log(q) * _inv(q) for q in q_seq[1:] if q > 1)
 
 
 def _logq_vs_loga(x: RealValue, n_max: int) -> float:
-    exp = alpha_expand(x, 1, n_max)
+    _xs, digits, q_seq, _terminated = _orbit(x, 1, n_max)
     s_q = 0.0
     s_a = 0.0
-    for n, digit in enumerate(exp.digits):
-        s_q += math.log(exp.q_seq[n + 1]) * _inv(exp.q_seq[n])
-        s_a += math.log(digit.a) * _inv(exp.q_seq[n])
+    for n, a in enumerate(digits):
+        s_q += math.log(q_seq[n + 1]) * _inv(q_seq[n])
+        s_a += math.log(a) * _inv(q_seq[n])
     return abs(s_q - s_a)
 
 

@@ -404,6 +404,10 @@ def main(argv=None) -> int:
     for key, val in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, val)
+    if args.precision_bits < 1 or args.precision_cap < args.precision_bits:
+        print("error: need 1 <= --precision-bits <= --precision-cap",
+              file=sys.stderr)
+        return EXIT_PARSE
     exact.DEFAULT_BITS = args.precision_bits
     exact.PRECISION_CAP = args.precision_cap
     try:

@@ -26,8 +26,11 @@ PRECISION_CAP = 1 << 16
 def _resolve_bits(start_bits, cap) -> tuple[int, int]:
     # None means "the current module-level setting", so callers (notably
     # the CLI precision flags) can adjust precision globally at runtime
-    return (DEFAULT_BITS if start_bits is None else start_bits,
-            PRECISION_CAP if cap is None else cap)
+    bits = DEFAULT_BITS if start_bits is None else start_bits
+    if bits < 1:
+        # the refinement loops double the bits; from 0 they never grow
+        raise ValueError(f"start bits must be >= 1, got {bits}")
+    return bits, PRECISION_CAP if cap is None else cap
 
 
 class NeedsPrecision(Exception):

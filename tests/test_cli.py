@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from alphacf import exact
 from alphacf.cli import main
 
 
@@ -165,3 +166,25 @@ class TestBench:
         code, out = run(capsys, "bench", "--alphas", "")
         assert code == 0
         assert len(out.splitlines()) == 1  # header only
+
+
+class TestPrecisionFlags:
+    # a rejected run must return before any refinement loop starts; a
+    # start of 0 bits used to make the p *= 2 loops spin forever
+    @pytest.mark.parametrize("flags", [
+        ["--precision-bits", "0"],
+        ["--precision-bits", "-8"],
+        ["--precision-bits", "256", "--precision-cap", "128"],
+    ])
+    def test_invalid_precision_rejected(self, capsys, flags):
+        before = (exact.DEFAULT_BITS, exact.PRECISION_CAP)
+        assert main(flags + ["bench", "--digits", "10"]) == 2
+        assert "--precision-bits" in capsys.readouterr().err
+        assert (exact.DEFAULT_BITS, exact.PRECISION_CAP) == before
+
+    def test_equal_bits_and_cap_accepted(self, capsys, monkeypatch):
+        # main() sets the precision globally; restore it after the test
+        monkeypatch.setattr(exact, "DEFAULT_BITS", exact.DEFAULT_BITS)
+        monkeypatch.setattr(exact, "PRECISION_CAP", exact.PRECISION_CAP)
+        assert main(["--precision-bits", "64", "--precision-cap", "64",
+                     "expand", "--x", "5/7", "--alpha", "1"]) == 0

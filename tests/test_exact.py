@@ -126,6 +126,20 @@ class TestAdaptive:
         with pytest.raises(NeedsPrecision):
             compare(widen(x), widen(y), cap=1 << 12)
 
+    def test_start_bits_below_one_rejected(self):
+        # straddles zero at every precision below 2 bits, so a loop that
+        # started at 0 bits and doubled would never leave it
+        third = Fraction(1, 3)
+        x = AdaptiveReal(lambda bits: (third - Fraction(1, 2 ** bits),
+                                       third + Fraction(1, 2 ** bits)))
+        for bits in (0, -4):
+            with pytest.raises(ValueError):
+                sign_val(x, start_bits=bits)
+            with pytest.raises(ValueError):
+                compare(x, Fraction(1, 3), start_bits=bits)
+            with pytest.raises(ValueError):
+                floor_shift(x, 1, start_bits=bits)
+
     def test_arith(self):
         x = AdaptiveReal.from_exact(Fraction(3, 7))
         y = (x + 1) - Fraction(1, 7)

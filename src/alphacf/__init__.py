@@ -13,8 +13,8 @@ from .byexcess import (MalformedStream, MinusExpansion, SideMismatch,
                        minus_to_regular, regular_to_minus, run_decomposition)
 from .exact import (AdaptiveReal, DomainError, ExactnessUnavailable,
                     Fraction, InvalidRadicand, NeedsPrecision, NotASurd,
-                    Surd, canonicalize_surd, compare, floor_shift, is_exact,
-                    parse_real, recip, sign_val, to_float)
+                    Surd, compare, floor_shift, is_exact, parse_real, recip,
+                    sign_val, to_float)
 from .holder import HolderEstimate, InsufficientScales, estimate_holder
 
 __version__ = "0.1.0"
@@ -27,9 +27,8 @@ __all__ = [
     "MinusExpansion", "NeedsPrecision", "NotASurd", "SideMismatch",
     "SingularityU", "Surd", "alpha_bar", "alpha_expand", "alpha_reduce",
     "alpha_step", "b0_even", "b0_qseries", "beta_check", "brjuno_sum",
-    "canonicalize_surd", "compare", "complement_regular", "decay_check",
-    "diff_report", "estimate_holder", "floor_shift", "functional_residual",
-    "is_exact",
+    "compare", "complement_regular", "decay_check", "diff_report",
+    "estimate_holder", "floor_shift", "functional_residual", "is_exact",
     "legendre_filter", "log_denominator_sum", "make_u", "minus_expand",
     "minus_step", "minus_to_regular", "parse_real", "q_series", "recip",
     "reconstruction_check", "regular_to_minus", "rho_alpha",

@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
-from .exact import (DomainError, ExactnessUnavailable, NeedsPrecision,
-                    RealValue, Surd, abs_val, compare, floor_shift, is_exact,
-                    recip, sign_val, sub_int, to_float)
+from .exact import (AdaptiveReal, DomainError, ExactnessUnavailable,
+                    NeedsPrecision, RealValue, Surd, _resolve_bits, compare,
+                    floor_shift, is_exact, recip, sign_val, to_float)
 
 
 def alpha_bar(alpha) -> Fraction:
@@ -86,7 +87,7 @@ class AlphaExpansion:
 
     def reduced(self) -> RealValue:
         """x - integer_part, the signed value the convergents approximate."""
-        return sub_int(self.x, self.integer_part)
+        return self.x - self.integer_part
 
     @property
     def convergents(self) -> list[ConvergentPair]:
@@ -124,8 +125,63 @@ class AlphaExpansion:
 
 def alpha_reduce(x: RealValue, alpha) -> tuple[int, RealValue]:
     """Reduce an arbitrary real into [0, abar]: (floor(x+1-alpha), |x - it|)."""
-    n = floor_shift(x, alpha)
-    return n, abs_val(sub_int(x, n))
+    n, eps0, m = _alpha_seed(x, alpha)
+    if isinstance(x, AdaptiveReal):
+        return n, x.mobius(*m)
+    return n, eps0 * (x - n)
+
+
+def _alpha_seed(x: RealValue, alpha) -> tuple[int, int, tuple]:
+    """(n0, eps0, m0) with x_0 = eps0 (x - n0) = m0(x) >= 0 (eps0 = +1 at
+    integers): the seed matrix of the A_alpha orbit."""
+    n0 = floor_shift(x, alpha)
+    eps0 = sign_val(x - n0) or 1
+    return n0, eps0, (eps0, -eps0 * n0, 0, 1)
+
+
+def _enclosure_orbit(x, alpha, m):
+    """The A_alpha orbit of a Surd or AdaptiveReal x on integer state.
+
+    The remainder x_n is m_n(x) = (A x + B)/(C x + D) for an integer matrix
+    m_n = (A, B, C, D) starting at m, with C x + D > 0.  For each x_n this
+    yields (m_n, float(x_n), a_{n+1}, eps_{n+1}).  Both endpoints of one
+    enclosure of x are pushed through m_n as integer pairs num/den and
+    stepped with the rational rule; the step is accepted when they give the
+    same digit, sign and double (all monotone in x_n), else the precision
+    doubles, with NeedsPrecision past the cap.  The orbit ends at an exact
+    remainder 0 (a terminating expansion) or 1 (the by-excess fixed point).
+    """
+    if not 0 <= alpha <= 1:
+        raise DomainError(f"alpha must be in [0,1], got {alpha}")
+    r, s = alpha.numerator, alpha.denominator
+    A, B, C, D = m
+    bits, cap = _resolve_bits(None, None)
+    ends = {(e.numerator, e.denominator) for e in x.enclosure(bits)}
+    while True:
+        steps = set()
+        for xn, xd in ends:
+            num, den = A * xn + B * xd, C * xn + D * xd
+            if len(ends) == 1 and num in (0, den):
+                return
+            # both rows are positive at x (the new den row is the old num
+            # row), so positive ends also keep the pole out of the enclosure
+            if num <= 0 or den <= 0:
+                steps.add(None)
+                continue
+            # step rule: num/den -> |den - a*num| / num with
+            # a = floor(den/num + 1 - alpha); alpha = 0 is the by-excess step
+            a = (s * den + (s - r) * num) // (s * num)
+            rem = den - a * num
+            steps.add((a, -1 if rem < 0 else 1, num / den))
+        if len(steps) == 1 and None not in steps:
+            (a, eps, xf), = steps
+            yield (A, B, C, D), xf, a, eps
+            A, B, C, D = eps * (C - a * A), eps * (D - a * B), A, B
+            continue
+        if bits >= cap:
+            raise NeedsPrecision(f"orbit step not certified at {bits} bits")
+        bits *= 2
+        ends = {(e.numerator, e.denominator) for e in x.enclosure(bits)}
 
 
 def alpha_step(x: RealValue, alpha) -> tuple[AlphaDigit, RealValue]:
@@ -138,11 +194,13 @@ def alpha_step(x: RealValue, alpha) -> tuple[AlphaDigit, RealValue]:
         raise DomainError(f"x must lie in (0, {abar}], got {x}")
     y = recip(x)
     a = floor_shift(y, alpha)
-    diff = sub_int(y, a)
+    diff = y - a
     s = sign_val(diff)
     if s == 0:
         return AlphaDigit(a, 1), Fraction(0)
-    return AlphaDigit(a, s), abs_val(diff)
+    if isinstance(x, AdaptiveReal):
+        return AlphaDigit(a, s), x.mobius(-s * a, s, 1, 0)
+    return AlphaDigit(a, s), abs(diff)
 
 
 def alpha_expand(x: RealValue, alpha, max_digits: int) -> AlphaExpansion:
@@ -150,40 +208,46 @@ def alpha_expand(x: RealValue, alpha, max_digits: int) -> AlphaExpansion:
 
     Stops early when a remainder hits zero (rational input).  Convergents
     follow p_n = a_n p_{n-1} + eps_{n-1} p_{n-2} from the identity seed.
+    AdaptiveReal input follows the certified integer-matrix orbit instead,
+    with beta_n = |q_n x' - p_n| (Lemma 1) in place of the product chain.
     """
     if max_digits < 0:
         raise ValueError("max_digits must be >= 0")
     params = AlphaParams(Fraction(alpha))
-    n0, x0 = alpha_reduce(x, params.alpha)
-    eps0 = sign_val(sub_int(x, n0))
-    if eps0 == 0:
-        eps0 = 1  # integer input: empty expansion, convention +1
+    n0, eps0, m = _alpha_seed(x, params.alpha)
+    if isinstance(x, AdaptiveReal):
+        orbit = list(islice(_enclosure_orbit(x, params.alpha, m),
+                            max_digits + 1))
+        terminated = len(orbit) <= max_digits
+        digits = [AlphaDigit(a, eps)
+                  for _m, _xf, a, eps in orbit[:max_digits]]
+        remainders = [x.mobius(*mn) for mn, _xf, _a, _eps in orbit]
+        # x_0 ... x_n telescopes to A_n x + B_n: the den row of m_{n+1} is
+        # the num row of m_n, and m_0 has den 1
+        betas = [x.mobius(mn[0], mn[1], 0, 1) for mn, _xf, _a, _eps in orbit]
+        if terminated:
+            remainders.append(Fraction(0))
+            betas.append(Fraction(0))
+    else:
+        cur = eps0 * (x - n0)
+        digits, remainders, betas = [], [cur], [cur]
+        while len(digits) < max_digits and sign_val(cur) != 0:
+            digit, cur = alpha_step(cur, params.alpha)
+            digits.append(digit)
+            remainders.append(cur)
+            betas.append(cur * betas[-1])
+        terminated = sign_val(cur) == 0
 
-    digits: list[AlphaDigit] = []
-    remainders = [x0]
     p_seq, q_seq = [0], [1]
     pm1, qm1 = 1, 0  # p_{-1}, q_{-1}
-    betas = [x0]
-    terminated = False
-
-    if sign_val(x0) == 0:
-        terminated = True
-    cur = x0
     eps_prev = eps0
-    while len(digits) < max_digits and not terminated:
-        digit, nxt = alpha_step(cur, params.alpha)
-        digits.append(digit)
+    for digit in digits:
         p_new = digit.a * p_seq[-1] + eps_prev * pm1
         q_new = digit.a * q_seq[-1] + eps_prev * qm1
         pm1, qm1 = p_seq[-1], q_seq[-1]
         p_seq.append(p_new)
         q_seq.append(q_new)
-        remainders.append(nxt)
-        betas.append(nxt * betas[-1])
         eps_prev = digit.eps
-        if is_exact(nxt) and sign_val(nxt) == 0:
-            terminated = True
-        cur = nxt
     return AlphaExpansion(params, x, n0, eps0, digits, remainders,
                           p_seq, q_seq, betas, terminated)
 
@@ -204,7 +268,7 @@ def beta_check(exp: AlphaExpansion) -> BetaCheckReport:
     lemma1, sandwich = [], []
     for n in range(len(exp.betas)):
         lhs = exp.betas[n]
-        rhs = abs_val(xr * exp.q_seq[n] - exp.p_seq[n])
+        rhs = abs(xr * exp.q_seq[n] - exp.p_seq[n])
         lemma1.append(compare(lhs, rhs) == 0)
         ok: Optional[bool] = None
         if alpha > 0 and n + 1 < len(exp.q_seq):
@@ -288,7 +352,7 @@ def legendre_filter(x: RealValue, exp: AlphaExpansion) -> list[int]:
     out = []
     for n in range(len(exp.p_seq)):
         q = exp.q_seq[n]
-        err = abs_val(xr - Fraction(exp.p_seq[n], q))
+        err = abs(xr - Fraction(exp.p_seq[n], q))
         if compare(err, Fraction(1, 2 * q * q)) < 0:
             out.append(n)
     return out

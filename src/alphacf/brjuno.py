@@ -14,12 +14,14 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
-from .alpha import alpha_bar, alpha_expand, alpha_step, rho_alpha
-from .byexcess import minus_step
-from .exact import (DomainError, RealValue, compare, floor_shift, is_exact,
-                    sign_val, sub_int, to_float)
+from .alpha import (_alpha_seed, _enclosure_orbit, alpha_bar, alpha_step,
+                    rho_alpha)
+from .byexcess import _reduce_mod1, minus_step
+from .exact import (DomainError, RealValue, compare, is_exact, sign_val,
+                    to_float)
 
 
 class ConditionViolation(ValueError):
@@ -157,17 +159,25 @@ def _rational_orbit(x: Fraction, alpha: Fraction, max_digits: int):
 def _orbit(x: RealValue, alpha, max_digits: int):
     """(xs, digits, q_seq, terminated) of x for any carrier.
 
-    Rationals run on integer state; other carriers go through alpha_expand,
-    with the exact zero that ends a terminating orbit left out of xs.
+    Rationals run on (num, den) state, surds and adaptive values on the
+    certified integer-matrix orbit of alpha._enclosure_orbit.
     """
     if isinstance(x, (int, Fraction)):
         return _rational_orbit(x, alpha, max_digits)
-    exp = alpha_expand(x, alpha, max_digits)
-    rems = exp.remainders
-    if exp.terminated and is_exact(rems[-1]):
-        rems = rems[:-1]
-    return ([to_float(r) for r in rems], [d.a for d in exp.digits],
-            exp.q_seq, exp.terminated)
+    if max_digits < 0:
+        raise ValueError("max_digits must be >= 0")
+    _n0, _eps0, m = _alpha_seed(x, alpha)
+    orbit = list(islice(_enclosure_orbit(x, alpha, m), max_digits + 1))
+    q_seq = [1]
+    q_prev, eps_prev = 0, 1
+    for _m, _xf, a, eps in orbit[:max_digits]:
+        q_cur = q_seq[-1]
+        q_seq.append(a * q_cur + eps_prev * q_prev)
+        q_prev = q_cur
+        eps_prev = eps
+    return ([xf for _m, xf, _a, _eps in orbit],
+            [a for _m, _xf, a, _eps in orbit[:max_digits]], q_seq,
+            len(orbit) <= max_digits)
 
 
 def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
@@ -254,6 +264,7 @@ def _b0_orbit_rational(num: int, den: int, n_max: int, keep_terms: bool):
 
 
 def _b0_orbit_generic(x0: RealValue, n_max: int, keep_terms: bool):
+    """The by-excess orbit of a surd or adaptive x0 in (0, 1)."""
     value = 0.0
     istar = 0.0
     qs = 0.0
@@ -262,15 +273,15 @@ def _b0_orbit_generic(x0: RealValue, n_max: int, keep_terms: bool):
     terms = []
     reached_one = False
     steps = 0
-    cur = x0
+    orbit = _enclosure_orbit(x0, 0, (1, 0, 0, 1))
     while steps <= n_max:
-        if is_exact(cur) and compare(cur, Fraction(1)) == 0:
+        step = next(orbit, None)
+        if step is None:
             reached_one = True
             break
-        xf = to_float(cur)
+        _m, xf, b, _eps = step
         term = beta * -math.log(xf)
         value += term
-        b, nxt = minus_step(cur)
         if b == 2:
             istar += term
         else:
@@ -279,22 +290,12 @@ def _b0_orbit_generic(x0: RealValue, n_max: int, keep_terms: bool):
             terms.append((steps, beta, xf, term))
         beta *= xf
         q_prev, q_cur = q_cur, b * q_cur - q_prev
-        cur = nxt
         steps += 1
         if beta < 1e-22:
             # contributions below double precision; the q-series tail is
             # dominated by 1/q* which shrinks at least as fast
             break
     return value, qs, istar, beta, reached_one, terms
-
-
-def _reduce_mod1(x: RealValue) -> RealValue:
-    """Into (0, 1]: x - floor(x), integers mapped to 1."""
-    m = floor_shift(x, Fraction(1))
-    x0 = sub_int(x, m)
-    if is_exact(x0) and sign_val(x0) == 0:
-        return Fraction(1)
-    return x0
 
 
 def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
@@ -330,8 +331,7 @@ def b0_even(x: RealValue, n_max: int) -> float:
     if is_exact(x0) and compare(x0, Fraction(1)) == 0:
         raise DomainError("even part undefined at integers")
     a = semi_brjuno(x0, n_max, keep_terms=False).value
-    b = semi_brjuno(1 - x0 if isinstance(x0, Fraction) else -(x0 - 1),
-                    n_max, keep_terms=False).value
+    b = semi_brjuno(1 - x0, n_max, keep_terms=False).value
     return a + b
 
 

@@ -19,10 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
-from .exact import (DomainError, RealValue, compare, floor_shift, is_exact,
-                    recip, sign_val, sub_int, to_float)
+from .alpha import _enclosure_orbit
+from .exact import (AdaptiveReal, DomainError, RealValue, compare,
+                    floor_shift, recip, sign_val, to_float)
 
 
 class SideMismatch(ValueError):
@@ -84,7 +86,15 @@ def minus_step(x: RealValue) -> tuple[int, RealValue]:
         raise DomainError(f"x must lie in (0, 1], got {x}")
     y = recip(x)
     b = floor_shift(y, Fraction(0))  # floor(y + 1)
-    return b, -sub_int(y, b)
+    return b, b - y
+
+
+def _reduce_mod1(x: RealValue) -> RealValue:
+    """Into (0, 1]: x - floor(x), integers mapped to 1."""
+    x0 = x - floor_shift(x, Fraction(1))
+    if sign_val(x0) == 0:
+        return Fraction(1)
+    return x0
 
 
 def minus_expand(x: RealValue, max_digits: int) -> MinusExpansion:
@@ -93,35 +103,41 @@ def minus_expand(x: RealValue, max_digits: int) -> MinusExpansion:
     The input is reduced mod 1 into (0, 1] first (integers map to 1).
     Convergents satisfy p*_n = b_n p*_{n-1} - p*_{n-2} with seeds fixed by
     p*_1/q*_1 = 1/b_1 and unimodularity p*_n q*_{n-1} - p*_{n-1} q*_n = 1.
+    AdaptiveReal input follows the certified integer-matrix orbit of x_0,
+    with beta*_n = q*_n x_0 - p*_n in place of the product chain.
     """
     if max_digits < 0:
         raise ValueError("max_digits must be >= 0")
-    m = floor_shift(x, Fraction(1))
-    x0 = sub_int(x, m)
-    if is_exact(x0) and sign_val(x0) == 0:
-        x0 = Fraction(1)
+    x0 = _reduce_mod1(x)
+    if isinstance(x0, AdaptiveReal):
+        orbit = list(islice(_enclosure_orbit(x0, 0, (1, 0, 0, 1)),
+                            max_digits + 1))
+        reached_one = len(orbit) <= max_digits
+        digits = [b for _m, _xf, b, _eps in orbit[:max_digits]]
+        remainders = [x0.mobius(*mn) for mn, _xf, _b, _eps in orbit]
+        betastars = [x0.mobius(mn[0], mn[1], 0, 1)
+                     for mn, _xf, _b, _eps in orbit]
+        if reached_one:
+            remainders.append(Fraction(1))
+            betastars.append(betastars[-1])
+    else:
+        cur = x0
+        digits, remainders, betastars = [], [cur], [cur]
+        while len(digits) < max_digits and compare(cur, Fraction(1)) != 0:
+            b, cur = minus_step(cur)
+            digits.append(b)
+            remainders.append(cur)
+            betastars.append(cur * betastars[-1])
+        reached_one = compare(cur, Fraction(1)) == 0
 
-    digits: list[int] = []
-    remainders = [x0]
     pstar, qstar = [0], [1]
     pm1, qm1 = -1, 0   # p*_{-1}, q*_{-1}
-    betastars = [x0]
-    reached_one = is_exact(x0) and compare(x0, Fraction(1)) == 0
-
-    cur = x0
-    while len(digits) < max_digits and not reached_one:
-        b, nxt = minus_step(cur)
-        digits.append(b)
+    for b in digits:
         p_new = b * pstar[-1] - pm1
         q_new = b * qstar[-1] - qm1
         pm1, qm1 = pstar[-1], qstar[-1]
         pstar.append(p_new)
         qstar.append(q_new)
-        remainders.append(nxt)
-        betastars.append(nxt * betastars[-1])
-        if is_exact(nxt) and compare(nxt, Fraction(1)) == 0:
-            reached_one = True
-        cur = nxt
     return MinusExpansion(x, x0, digits, remainders, pstar, qstar,
                           betastars, reached_one)
 

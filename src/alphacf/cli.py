@@ -18,12 +18,11 @@ import time
 from fractions import Fraction
 
 from . import exact
-from .alpha import alpha_expand, alpha_reduce, alpha_step
+from .alpha import alpha_expand
 from .brjuno import brjuno_sum, diff_report, make_u, q_series, semi_brjuno
 from .byexcess import minus_expand, minus_to_regular, regular_to_minus
-from .corpus import mixed_corpus, surd_panel
-from .exact import (AdaptiveReal, DomainError, NeedsPrecision, parse_real,
-                    to_float)
+from .corpus import SILVER, mixed_corpus
+from .exact import AdaptiveReal, NeedsPrecision, parse_real, to_float
 from .holder import InsufficientScales, estimate_holder
 
 EXIT_PARSE = 2
@@ -222,71 +221,17 @@ def _fib_fraction(n_digits: int) -> Fraction:
     return Fraction(a, b)
 
 
-def _linear_frac_adaptive(x: AdaptiveReal, p: int, q: int, pp: int, qq: int,
-                          eps: int) -> AdaptiveReal:
-    """Remainder x_n = -eps (p - q x)/(pp - qq x) with a flat generator."""
-    def gen(bits):
-        pbits = max(bits, exact.DEFAULT_BITS)
-        while True:
-            lo, hi = x.enclosure(pbits)
-            num = sorted((p - q * hi, p - q * lo))
-            den = sorted((pp - qq * hi, pp - qq * lo))
-            if den[0] > 0 or den[1] < 0:
-                cands = sorted(-eps * a / b for a in num for b in den)
-                if cands[-1] - cands[0] <= Fraction(2) ** (1 - bits):
-                    return cands[0], cands[-1]
-            if pbits >= exact.PRECISION_CAP:
-                raise NeedsPrecision("remainder enclosure not certified")
-            pbits *= 2
-    return AdaptiveReal(gen)
-
-
-def _bench_digits(x, alpha: Fraction, target: int) -> int:
-    """Produce up to `target` digits; by-excess tails count as digits."""
-    count = 0
-    if alpha == 0:
-        exp = minus_expand(x, target)
-        count = len(exp.digits)
-        while exp.reached_one and count < target:
-            count += 1  # constant-time tail of 2's
-        return count
-    if isinstance(x, AdaptiveReal):
-        p_prev, q_prev, p, q = 1, 0, 0, 1
-        eps_prev = 1
-        cur = x
-        while count < target:
-            digit, _ = alpha_step(cur, alpha)
-            p, p_prev = digit.a * p + eps_prev * p_prev, p
-            q, q_prev = digit.a * q + eps_prev * q_prev, q
-            eps_prev = digit.eps
-            cur = _linear_frac_adaptive(x, p, q, p_prev, q_prev, digit.eps)
-            count += 1
-        return count
-    _n0, cur = alpha_reduce(x, alpha)
-    while count < target:
-        try:
-            digit, nxt = alpha_step(cur, alpha)
-        except DomainError:
-            break
-        count += 1
-        if exact.is_exact(nxt) and nxt == 0:
-            break
-        cur = nxt
-    return count
-
-
 def cmd_bench(args) -> int:
     alphas = [Fraction(a) for a in args.alphas.split(",") if a.strip()] \
         if args.alphas else []
     rows = [["alpha", "carrier", "digits", "median_seconds",
              "digits_per_second"]]
-    silver = surd_panel()[2]
     for alpha in alphas:
         carriers = [
             ("rational", _fib_fraction(min(args.digits, 2000))
              if alpha != 0 else Fraction(5, 7)),
-            ("surd", silver),
-            ("adaptive", AdaptiveReal.from_exact(silver)),
+            ("surd", SILVER),
+            ("adaptive", AdaptiveReal.from_exact(SILVER)),
         ]
         for name, x in carriers:
             target = args.digits if name != "adaptive" \
@@ -295,7 +240,11 @@ def cmd_bench(args) -> int:
             produced = 0
             for _ in range(args.reps):
                 t0 = time.perf_counter()
-                produced = _bench_digits(x, alpha, target)
+                if alpha == 0:  # a by-excess tail of 2's counts as digits
+                    exp = minus_expand(x, target)
+                    produced = target if exp.reached_one else len(exp.digits)
+                else:
+                    produced = len(alpha_expand(x, alpha, target).digits)
                 times.append(time.perf_counter() - t0)
             med = statistics.median(times)
             rate = produced / med if med > 0 else math.inf
@@ -408,6 +357,7 @@ def main(argv=None) -> int:
         print("error: need 1 <= --precision-bits <= --precision-cap",
               file=sys.stderr)
         return EXIT_PARSE
+    saved = exact.DEFAULT_BITS, exact.PRECISION_CAP
     exact.DEFAULT_BITS = args.precision_bits
     exact.PRECISION_CAP = args.precision_cap
     try:
@@ -424,6 +374,8 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    finally:
+        exact.DEFAULT_BITS, exact.PRECISION_CAP = saved
 
 
 if __name__ == "__main__":

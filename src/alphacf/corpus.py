@@ -1,4 +1,4 @@
-"""Deterministic test corpora: random rationals plus a fixed surd panel."""
+"""Deterministic test corpora: random rationals plus quadratic surds."""
 
 from __future__ import annotations
 
@@ -12,12 +12,6 @@ GOLDEN = Surd(-1, 1, 2, 5)          # g = (sqrt(5)-1)/2
 GOLDEN_SQ = Surd(3, -1, 2, 5)       # g^2 = 1 - g = (3-sqrt(5))/2
 SILVER = Surd(-1, 1, 1, 2)          # sqrt(2)-1
 SQRT3_M1 = Surd(-1, 1, 1, 3)        # sqrt(3)-1
-PHI_FRAC = Surd(-1, 1, 2, 5)        # (sqrt(5)+1)/2 mod 1 == g
-
-
-def surd_panel() -> list[Surd]:
-    """The fixed panel used by sweeps: fixed points and near-worst cases."""
-    return [GOLDEN, GOLDEN_SQ, SILVER, SQRT3_M1, PHI_FRAC]
 
 
 _SQUARE_FREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26]
@@ -60,10 +54,10 @@ def rational_corpus(size: int, qmax: int = 10 ** 6,
 
 def mixed_corpus(size: int, qmax: int = 10 ** 6, seed: int = 0,
                  surds: int = 5) -> list[RealValue]:
-    """Rationals plus the surd panel (or more), deterministic in the seed."""
+    """Rationals plus `surds` corpus surds, deterministic in the seed."""
     out: list[RealValue] = list(rational_corpus(max(size - surds, 0),
                                                 qmax, seed))
-    out.extend(surd_corpus(surds) if surds > 5 else surd_panel()[:surds])
+    out.extend(surd_corpus(surds))
     return out[:size] if size else []
 
 

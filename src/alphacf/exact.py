@@ -307,9 +307,10 @@ class Surd:
 class AdaptiveReal:
     """A real defined by a rule producing certified enclosures.
 
-    ``generator(bits)`` must return dyadic-rational bounds (lo, hi) with
-    lo <= value <= hi and hi - lo <= 2**(1-bits).  Derived values compose
-    generators; refinement is stateless apart from a small cache.
+    ``generator(bits)`` must return rational bounds (lo, hi) with
+    lo <= value <= hi and hi - lo <= 2**(1-bits).  Derived values are
+    Moebius images of another value (``mobius``); refinement is stateless
+    apart from a small cache.
     """
 
     __slots__ = ("generator", "_cache")
@@ -329,15 +330,37 @@ class AdaptiveReal:
     def from_exact(cls, value) -> "AdaptiveReal":
         return cls(lambda bits: enclosure(value, bits))
 
+    def mobius(self, a: int, b: int, c: int, d: int) -> "AdaptiveReal":
+        """(a*x + b)/(c*x + d) for integers a, b, c, d, certified.
+
+        Monotone on an enclosure that keeps c*x + d off zero, so the images
+        of its endpoints enclose the value; the precision doubles until they
+        are 2**(1-bits) apart.
+        """
+        def gen(bits):
+            p, cap = _resolve_bits(None, None)
+            p = max(bits, p)
+            while True:
+                lo, hi = self.enclosure(p)
+                den_lo, den_hi = c * lo + d, c * hi + d
+                if den_lo * den_hi > 0:
+                    ends = sorted(((a * lo + b) / den_lo,
+                                   (a * hi + b) / den_hi))
+                    if ends[1] - ends[0] <= Fraction(2) ** (1 - bits):
+                        return ends[0], ends[1]
+                if p >= cap:
+                    raise NeedsPrecision(
+                        f"Moebius image not certified at {p} bits")
+                p *= 2
+        return AdaptiveReal(gen)
+
     def __neg__(self):
-        return AdaptiveReal(lambda bits: tuple(
-            -t for t in reversed(self.enclosure(bits))))
+        return self.mobius(-1, 0, 0, 1)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             r = Fraction(other)
-            return AdaptiveReal(lambda bits: tuple(
-                t + r for t in self.enclosure(bits)))
+            return self.mobius(r.denominator, r.numerator, 0, r.denominator)
         return NotImplemented
 
     __radd__ = __add__
@@ -349,34 +372,6 @@ class AdaptiveReal:
 
     def __rsub__(self, other):
         return (-self).__add__(other)
-
-    def abs(self) -> "AdaptiveReal":
-        def gen(bits):
-            lo, hi = self.enclosure(bits)
-            if lo >= 0:
-                return lo, hi
-            if hi <= 0:
-                return -hi, -lo
-            return Fraction(0), max(-lo, hi)
-        return AdaptiveReal(gen)
-
-    def recip(self, cap: int = None) -> "AdaptiveReal":
-        def gen(bits):
-            _, local_cap = _resolve_bits(None, cap)
-            p = max(bits, DEFAULT_BITS)
-            while True:
-                lo, hi = self.enclosure(p)
-                if lo > 0 or hi < 0:
-                    inv_lo, inv_hi = 1 / hi, 1 / lo
-                    if inv_hi - inv_lo <= Fraction(2) ** (1 - bits):
-                        return inv_lo, inv_hi
-                elif lo == 0 == hi:
-                    raise ZeroDivisionError("reciprocal of zero")
-                if p >= local_cap:
-                    raise NeedsPrecision(
-                        f"enclosure straddles zero at {p} bits")
-                p *= 2
-        return AdaptiveReal(gen)
 
     def __float__(self):
         lo, hi = self.enclosure(64)
@@ -405,23 +400,13 @@ def is_exact(x: RealValue) -> bool:
 
 def recip(x: RealValue) -> RealValue:
     """Exact reciprocal for exact carriers, certified for adaptive ones."""
+    if sign_val(x) == 0:
+        raise ZeroDivisionError("reciprocal of zero")
     if isinstance(x, (int, Fraction)):
-        if x == 0:
-            raise ZeroDivisionError("reciprocal of zero")
         return 1 / Fraction(x)
     if isinstance(x, Surd):
         return x.recip()
-    return x.recip()
-
-
-def sub_int(x: RealValue, n: int) -> RealValue:
-    return x - n
-
-
-def abs_val(x: RealValue) -> RealValue:
-    if isinstance(x, AdaptiveReal):
-        return x.abs()
-    return abs(x)
+    return x.mobius(0, 1, 1, 0)
 
 
 def sign_val(x: RealValue, start_bits: int = None, cap: int = None) -> int:
@@ -430,18 +415,7 @@ def sign_val(x: RealValue, start_bits: int = None, cap: int = None) -> int:
         return _sign_int(x)
     if isinstance(x, Surd):
         return x.sign()
-    p, cap = _resolve_bits(start_bits, cap)
-    while True:
-        lo, hi = x.enclosure(p)
-        if lo > 0:
-            return 1
-        if hi < 0:
-            return -1
-        if lo == 0 == hi:
-            return 0
-        if p >= cap:
-            raise NeedsPrecision(f"sign not separated from zero at {p} bits")
-        p *= 2
+    return compare(x, 0, start_bits, cap)
 
 
 def compare(x: RealValue, y: RealValue, start_bits: int = None,
@@ -504,33 +478,32 @@ def floor_shift(x: RealValue, alpha, start_bits: int = None,
         p *= 2
 
 
-def canonicalize_surd(a: int, b: int, c: int, d: int) -> Surd:
-    """Canonical quadratic surd (a + b*sqrt(d))/c.
-
-    Raises NotASurd when the value reduces to a rational and
-    InvalidRadicand for d <= 0.
-    """
-    return Surd(a, b, c, d)
-
-
 def to_float(x: RealValue) -> float:
     return float(x)
 
 
 # -- parsing ---------------------------------------------------------------
 
+# _square_free_split is trial division: O(sqrt(d)) steps per radicand
+MAX_RADICAND = 10 ** 12
+
 _SURD_RE = re.compile(
     r"^\(\s*(-?\d+)\s*([+-])\s*(\d+)\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*\)\s*/\s*(-?\d+)$")
 
 
 def parse_real(text: str) -> RealValue:
-    """Parse 'p/q', '(a+b*sqrt(d))/c' or a decimal string, exactly."""
+    """Parse 'p/q', '(a+b*sqrt(d))/c' or a decimal string, exactly.
+
+    Radicands above MAX_RADICAND are rejected with a ValueError.
+    """
     text = text.strip().replace("−", "-")
     m = _SURD_RE.match(text)
     if m:
         a, op, b, d, c = m.groups()
+        if int(d) > MAX_RADICAND:
+            raise ValueError(f"radicand {d} exceeds {MAX_RADICAND}")
         b = int(b) if op == "+" else -int(b)
-        return canonicalize_surd(int(a), b, int(c), int(d))
+        return Surd(int(a), b, int(c), int(d))
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

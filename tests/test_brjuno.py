@@ -7,7 +7,7 @@ from alphacf.brjuno import (ConditionViolation, b0_even, b0_qseries,
                             brjuno_sum, diff_report, functional_residual,
                             log_denominator_sum, make_u, q_series,
                             semi_brjuno)
-from alphacf.corpus import rational_corpus, surd_panel
+from alphacf.corpus import rational_corpus, surd_corpus
 from alphacf.exact import DomainError, Surd
 
 G = Surd(-1, 1, 2, 5)
@@ -138,7 +138,7 @@ class TestReports:
         assert 0 < s <= bound
 
     def test_diff_report_b0_vs_qseries(self):
-        corpus = rational_corpus(20, qmax=10 ** 4, seed=3) + surd_panel()
+        corpus = rational_corpus(20, qmax=10 ** 4, seed=3) + surd_corpus(5)
         rep = diff_report("b0_vs_qseries", corpus, n_max=3000)
         assert rep.stable
         assert rep.observed_sup <= 25.0

@@ -44,6 +44,11 @@ class TestExpand:
     def test_parse_error(self, capsys):
         assert run(capsys, "expand", "--x", "oops", "--alpha", "1")[0] == 2
 
+    def test_huge_radicand_rejected(self, capsys):
+        # factoring a 30-digit radicand by trial division would not return
+        x = "(1+1*sqrt(" + "9" * 29 + "7))/2"
+        assert run(capsys, "expand", "--x", x, "--alpha", "1")[0] == 2
+
     def test_unknown_flag(self, capsys):
         assert run(capsys, "expand", "--bogus", "1")[0] == 2
 
@@ -162,6 +167,14 @@ class TestBench:
         assert lines[0].startswith("alpha,carrier,digits")
         assert len(lines) == 7  # 2 alphas x 3 carriers
 
+    def test_by_excess_all_carriers(self, capsys):
+        code, out = run(capsys, "bench", "--alphas", "1,0",
+                        "--digits", "20", "--reps", "1")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 7
+        assert all(line.split(",")[2] == "20" for line in lines[4:])
+
     def test_empty_alpha_list(self, capsys):
         code, out = run(capsys, "bench", "--alphas", "")
         assert code == 0
@@ -182,9 +195,13 @@ class TestPrecisionFlags:
         assert "--precision-bits" in capsys.readouterr().err
         assert (exact.DEFAULT_BITS, exact.PRECISION_CAP) == before
 
-    def test_equal_bits_and_cap_accepted(self, capsys, monkeypatch):
-        # main() sets the precision globally; restore it after the test
-        monkeypatch.setattr(exact, "DEFAULT_BITS", exact.DEFAULT_BITS)
-        monkeypatch.setattr(exact, "PRECISION_CAP", exact.PRECISION_CAP)
+    def test_equal_bits_and_cap_accepted(self, capsys):
         assert main(["--precision-bits", "64", "--precision-cap", "64",
                      "expand", "--x", "5/7", "--alpha", "1"]) == 0
+
+    @pytest.mark.parametrize("x", ["5/7", "oops"])
+    def test_precision_restored_after_run(self, capsys, x):
+        # the flags hold for one run only, whether it succeeds or fails
+        main(["--precision-bits", "64", "--precision-cap", "256",
+              "expand", "--x", x, "--alpha", "1"])
+        assert (exact.DEFAULT_BITS, exact.PRECISION_CAP) == (128, 65536)

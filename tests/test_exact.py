@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from alphacf.exact import (AdaptiveReal, InvalidRadicand, NeedsPrecision,
-                           NotASurd, Surd, canonicalize_surd, compare,
-                           floor_shift, parse_real, recip, sign_val)
+                           NotASurd, Surd, compare, floor_shift, parse_real,
+                           recip, sign_val)
 
 G = Surd(-1, 1, 2, 5)  # (sqrt(5)-1)/2
 
@@ -163,7 +163,15 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_real("sqrt(banana)")
 
+    def test_radicand_bound(self):
+        # returns at once: the bound is checked before any factoring
+        assert isinstance(parse_real("(0+1*sqrt(999999999999))/7"), Surd)
+        with pytest.raises(ValueError):
+            parse_real("(0+1*sqrt(1000000000001))/7")
+        with pytest.raises(ValueError):
+            parse_real("(1+1*sqrt(" + "9" * 29 + "7))/2")
+
 
 def test_canonicalize_surd_passthrough():
-    s = canonicalize_surd(2, 4, 6, 5)
+    s = Surd(2, 4, 6, 5)
     assert (s.a, s.b, s.c, s.d) == (1, 2, 3, 5)

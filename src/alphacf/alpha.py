@@ -125,7 +125,7 @@ class AlphaExpansion:
 
 def alpha_reduce(x: RealValue, alpha) -> tuple[int, RealValue]:
     """Reduce an arbitrary real into [0, abar]: (floor(x+1-alpha), |x - it|)."""
-    n, eps0, m = _alpha_seed(x, alpha)
+    n, eps0, m = _alpha_seed(x, Fraction(alpha))
     if isinstance(x, AdaptiveReal):
         return n, x.mobius(*m)
     return n, eps0 * (x - n)
@@ -133,55 +133,81 @@ def alpha_reduce(x: RealValue, alpha) -> tuple[int, RealValue]:
 
 def _alpha_seed(x: RealValue, alpha) -> tuple[int, int, tuple]:
     """(n0, eps0, m0) with x_0 = eps0 (x - n0) = m0(x) >= 0 (eps0 = +1 at
-    integers): the seed matrix of the A_alpha orbit."""
-    n0 = floor_shift(x, alpha)
-    eps0 = sign_val(x - n0) or 1
+    integers): the A_alpha seed matrix, for an int or Fraction alpha."""
+    if isinstance(x, (int, Fraction)):
+        r, s = alpha.numerator, alpha.denominator
+        p, q = x.numerator, x.denominator
+        n0 = (s * p + (s - r) * q) // (s * q)   # floor(x + 1 - alpha)
+        eps0 = -1 if p < n0 * q else 1
+    else:
+        n0 = floor_shift(x, alpha)
+        eps0 = sign_val(x - n0) or 1
     return n0, eps0, (eps0, -eps0 * n0, 0, 1)
 
 
-def _enclosure_orbit(x, alpha, m):
-    """The A_alpha orbit of a Surd or AdaptiveReal x on integer state.
+def _orbit(x: RealValue, alpha, m: tuple):
+    """The A_alpha orbit of any carrier x from the seed matrix m.
 
-    The remainder x_n is m_n(x) = (A x + B)/(C x + D) for an integer matrix
-    m_n = (A, B, C, D) starting at m, with C x + D > 0.  For each x_n this
-    yields (m_n, float(x_n), a_{n+1}, eps_{n+1}).  Both endpoints of one
-    enclosure of x are pushed through m_n as integer pairs num/den and
-    stepped with the rational rule; the step is accepted when they give the
-    same digit, sign and double (all monotone in x_n), else the precision
-    doubles, with NeedsPrecision past the cap.  The orbit ends at an exact
-    remainder 0 (a terminating expansion) or 1 (the by-excess fixed point).
+    x_n = m_n(x) = (A x + B)/(C x + D) for integer matrices m_n.  For each
+    x_n in (0, 1) this yields (num, den, a_{n+1}, eps_{n+1}), num/den = x_n
+    for a rational x; the orbit ends at a remainder 0 (a terminating
+    expansion) or 1 (the by-excess fixed point).  A Surd or AdaptiveReal
+    walks the rational orbits of both ends of one enclosure in lockstep and
+    yields the lower end's num/den: a step is accepted when the ends give
+    the same digit, sign and double (all monotone in x_n), else the
+    precision doubles, with NeedsPrecision past the cap.
     """
-    if not 0 <= alpha <= 1:
-        raise DomainError(f"alpha must be in [0,1], got {alpha}")
     r, s = alpha.numerator, alpha.denominator
-    A, B, C, D = m
-    bits, cap = _resolve_bits(None, None)
-    ends = {(e.numerator, e.denominator) for e in x.enclosure(bits)}
-    while True:
-        steps = set()
-        for xn, xd in ends:
-            num, den = A * xn + B * xd, C * xn + D * xd
-            if len(ends) == 1 and num in (0, den):
-                return
-            # both rows are positive at x (the new den row is the old num
-            # row), so positive ends also keep the pole out of the enclosure
-            if num <= 0 or den <= 0:
-                steps.add(None)
-                continue
+    if not 0 <= r <= s:
+        raise DomainError(f"alpha must be in [0,1], got {alpha}")
+    if isinstance(x, (int, Fraction)):
+        A, B, C, D = m
+        p, q = x.numerator, x.denominator
+        num, den = A * p + B * q, C * p + D * q
+        while 0 < num < den:
             # step rule: num/den -> |den - a*num| / num with
-            # a = floor(den/num + 1 - alpha); alpha = 0 is the by-excess step
+            # a = floor(den/num + 1 - alpha); gcd(num, den) never changes
             a = (s * den + (s - r) * num) // (s * num)
             rem = den - a * num
-            steps.add((a, -1 if rem < 0 else 1, num / den))
-        if len(steps) == 1 and None not in steps:
-            (a, eps, xf), = steps
-            yield (A, B, C, D), xf, a, eps
-            A, B, C, D = eps * (C - a * A), eps * (D - a * B), A, B
-            continue
+            eps = -1 if rem < 0 else 1   # +1 on a terminating step
+            yield num, den, a, eps
+            num, den = eps * rem, num
+        return
+    bits, cap = _resolve_bits(None, None)
+    while True:
+        lo, hi = x.enclosure(bits)
+        if lo == hi:
+            yield from _orbit(lo, alpha, m)
+            return
+        # an end that leaves (0, 1) stops its walk and so the zip; both
+        # rows stay positive over the enclosure (the new den row is the old
+        # num row), so the pole of m_n stays outside it
+        for step, other in zip(_orbit(lo, alpha, m), _orbit(hi, alpha, m)):
+            num, den, a, eps = step
+            if (a, eps) != other[2:] or num / den != other[0] / other[1]:
+                break
+            yield step
+            A, B, C, D = m
+            m = eps * (C - a * A), eps * (D - a * B), A, B
         if bits >= cap:
             raise NeedsPrecision(f"orbit step not certified at {bits} bits")
         bits *= 2
-        ends = {(e.numerator, e.denominator) for e in x.enclosure(bits)}
+
+
+def _adaptive_orbit(x: AdaptiveReal, alpha, m: tuple, max_digits: int):
+    """(steps, remainders, betas, ended): the (a, eps) of at most max_digits
+    steps, x_n = m_n(x) and x_0 ... x_n = A_n x + B_n as Moebius images of
+    x, and whether the orbit ended at 0 or 1 within the budget."""
+    steps = [(a, eps) for _num, _den, a, eps
+             in islice(_orbit(x, alpha, m), max_digits + 1)]
+    remainders, betas = [], []
+    for a, eps in steps:
+        A, B, C, D = m
+        remainders.append(x.mobius(A, B, C, D))
+        # the den row of m_{n+1} is the num row of m_n, and m_0 has den 1
+        betas.append(x.mobius(A, B, 0, 1))
+        m = eps * (C - a * A), eps * (D - a * B), A, B
+    return steps[:max_digits], remainders, betas, len(steps) <= max_digits
 
 
 def alpha_step(x: RealValue, alpha) -> tuple[AlphaDigit, RealValue]:
@@ -216,15 +242,9 @@ def alpha_expand(x: RealValue, alpha, max_digits: int) -> AlphaExpansion:
     params = AlphaParams(Fraction(alpha))
     n0, eps0, m = _alpha_seed(x, params.alpha)
     if isinstance(x, AdaptiveReal):
-        orbit = list(islice(_enclosure_orbit(x, params.alpha, m),
-                            max_digits + 1))
-        terminated = len(orbit) <= max_digits
-        digits = [AlphaDigit(a, eps)
-                  for _m, _xf, a, eps in orbit[:max_digits]]
-        remainders = [x.mobius(*mn) for mn, _xf, _a, _eps in orbit]
-        # x_0 ... x_n telescopes to A_n x + B_n: the den row of m_{n+1} is
-        # the num row of m_n, and m_0 has den 1
-        betas = [x.mobius(mn[0], mn[1], 0, 1) for mn, _xf, _a, _eps in orbit]
+        steps, remainders, betas, terminated = _adaptive_orbit(
+            x, params.alpha, m, max_digits)
+        digits = [AlphaDigit(a, eps) for a, eps in steps]
         if terminated:
             remainders.append(Fraction(0))
             betas.append(Fraction(0))

@@ -14,11 +14,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, Optional, Sequence
 
-from .alpha import (_alpha_seed, _enclosure_orbit, alpha_bar, alpha_step,
-                    rho_alpha)
+from .alpha import _alpha_seed, _orbit, alpha_bar, alpha_step, rho_alpha
 from .byexcess import _reduce_mod1, minus_step
 from .exact import (DomainError, RealValue, compare, is_exact, sign_val,
                     to_float)
@@ -120,64 +118,26 @@ class BrjunoResult:
     istar_sum: Optional[float] = None  # by-excess only: sum over the 2-digit indices
 
 
-def _rational_orbit(x: Fraction, alpha: Fraction, max_digits: int):
-    """The A_alpha orbit of a rational x on integer state.
-
-    Returns (xs, digits, q_seq, terminated) with the values and errors of
-    alpha_expand(x, alpha, max_digits): x_0 .. x_k as floats up to the
-    first zero remainder, the digits a_1 .. a_D and q_0 .. q_D.
-    """
-    if max_digits < 0:
-        raise ValueError("max_digits must be >= 0")
-    if not 0 <= alpha <= 1:
-        raise DomainError(f"alpha must be in [0,1], got {alpha}")
-    r, s = alpha.numerator, alpha.denominator
-    p, q = x.numerator, x.denominator
-    n0 = (s * p + (s - r) * q) // (s * q)
-    num, den = abs(p - n0 * q), q
+def _orbit_record(x: RealValue, alpha, n_max: int):
+    """(xs, digits, q_seq, terminated) of the A_alpha orbit of x: x_0 .. x_n
+    (n <= n_max) as doubles, the digit a_{k+1} of each x_k, q_0 .. q_{n+1},
+    and whether the orbit reached 0 within the budget."""
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    _n0, _eps0, m = _alpha_seed(x, alpha)
     xs: list[float] = []
     digits: list[int] = []
     q_seq = [1]
     q_prev, eps_prev = 0, 1
-    while num:
-        xs.append(num / den)  # the same correctly rounded float(Fraction)
-        if len(digits) == max_digits:
-            return xs, digits, q_seq, False
-        # step rule: num/den -> |den - a*num| / num with
-        # a = floor(den/num + 1 - alpha); gcd(num, den) never changes
-        a = (s * den + (s - r) * num) // (s * num)
-        rem = den - a * num
+    for num, den, a, eps in _orbit(x, alpha, m):
+        xs.append(num / den)  # correctly rounded, as float(Fraction)
         digits.append(a)
         q_cur = q_seq[-1]
         q_seq.append(a * q_cur + eps_prev * q_prev)
-        q_prev = q_cur
-        eps_prev = -1 if rem < 0 else 1  # +1 on the terminating step
-        num, den = abs(rem), num
+        q_prev, eps_prev = q_cur, eps
+        if len(xs) > n_max:
+            return xs, digits, q_seq, False
     return xs, digits, q_seq, True
-
-
-def _orbit(x: RealValue, alpha, max_digits: int):
-    """(xs, digits, q_seq, terminated) of x for any carrier.
-
-    Rationals run on (num, den) state, surds and adaptive values on the
-    certified integer-matrix orbit of alpha._enclosure_orbit.
-    """
-    if isinstance(x, (int, Fraction)):
-        return _rational_orbit(x, alpha, max_digits)
-    if max_digits < 0:
-        raise ValueError("max_digits must be >= 0")
-    _n0, _eps0, m = _alpha_seed(x, alpha)
-    orbit = list(islice(_enclosure_orbit(x, alpha, m), max_digits + 1))
-    q_seq = [1]
-    q_prev, eps_prev = 0, 1
-    for _m, _xf, a, eps in orbit[:max_digits]:
-        q_cur = q_seq[-1]
-        q_seq.append(a * q_cur + eps_prev * q_prev)
-        q_prev = q_cur
-        eps_prev = eps
-    return ([xf for _m, xf, _a, _eps in orbit],
-            [a for _m, _xf, a, _eps in orbit[:max_digits]], q_seq,
-            len(orbit) <= max_digits)
 
 
 def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
@@ -191,7 +151,7 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
     if alpha == 0:
         raise DomainError("alpha = 0 has no (alpha,u)-sum here; "
                           "use semi_brjuno for the log weight")
-    xs, _digits, _q_seq, terminated = _orbit(x, alpha, n_max)
+    xs, _digits, _q_seq, terminated = _orbit_record(x, alpha, n_max)
     beta_prev = 1.0
     value = 0.0
     terms = []
@@ -222,7 +182,7 @@ def q_series(x: RealValue, alpha, u: SingularityU, n_max: int) -> float:
     if alpha == 0:
         raise DomainError("alpha = 0: use b0_qseries")
     # term n uses digit a_{n+1}
-    _xs, digits, q_seq, _terminated = _orbit(x, alpha, n_max + 1)
+    _xs, digits, q_seq, _terminated = _orbit_record(x, alpha, n_max)
     total = 0.0
     for n, a in enumerate(digits):
         total += u.eval(1.0 / a) * _inv(q_seq[n])
@@ -231,88 +191,52 @@ def q_series(x: RealValue, alpha, u: SingularityU, n_max: int) -> float:
 
 # -- by-excess sums --------------------------------------------------------
 
-def _b0_orbit_rational(num: int, den: int, n_max: int, keep_terms: bool):
-    """Integer-only by-excess orbit of num/den in (0, 1], num/den coprime."""
-    value = 0.0
-    istar = 0.0
-    qs = 0.0
-    beta = 1.0
-    q_prev, q_cur = 0, 1
-    terms = []
-    reached_one = False
-    steps = 0
-    while steps <= n_max:
-        if num == den:
-            reached_one = True
-            break
-        term = beta * _log_frac(den, num)
-        value += term
-        # step rule: num/den -> |den - b*num| / num with
-        # b = floor(den/num + 1); gcd(num, den) never changes
-        b = den // num + 1
-        if b == 2:
-            istar += term
-        else:
-            qs += math.log(b - 1) * _inv(q_cur)
-        if keep_terms:
-            terms.append((steps, beta, num / den, term))
-        beta *= num / den
-        q_prev, q_cur = q_cur, b * q_cur - q_prev
-        num, den = b * num - den, num
-        steps += 1
-    return value, qs, istar, beta, reached_one, terms
-
-
-def _b0_orbit_generic(x0: RealValue, n_max: int, keep_terms: bool):
-    """The by-excess orbit of a surd or adaptive x0 in (0, 1)."""
-    value = 0.0
-    istar = 0.0
-    qs = 0.0
-    beta = 1.0
-    q_prev, q_cur = 0, 1
-    terms = []
-    reached_one = False
-    steps = 0
-    orbit = _enclosure_orbit(x0, 0, (1, 0, 0, 1))
-    while steps <= n_max:
-        step = next(orbit, None)
-        if step is None:
-            reached_one = True
-            break
-        _m, xf, b, _eps = step
-        term = beta * -math.log(xf)
-        value += term
-        if b == 2:
-            istar += term
-        else:
-            qs += math.log(b - 1) * _inv(q_cur)
-        if keep_terms:
-            terms.append((steps, beta, xf, term))
-        beta *= xf
-        q_prev, q_cur = q_cur, b * q_cur - q_prev
-        steps += 1
-        if beta < 1e-22:
-            # contributions below double precision; the q-series tail is
-            # dominated by 1/q* which shrinks at least as fast
-            break
-    return value, qs, istar, beta, reached_one, terms
-
-
 def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
                 with_q_series: bool = False) -> BrjunoResult:
     """Truncated semi-Brjuno sum B0(x) = sum beta*_{n-1} log(1/x_n).
 
-    Once the orbit reaches 1 every later term vanishes, so rational inputs
-    produce exact finite sums.  The tail estimate is the run-block bound
-    2 * beta* at the truncation index (there is no geometric rate).
+    The terms run over x_0 .. x_{n_max} of the by-excess orbit of
+    x - floor(x).  Once the orbit reaches 1 every later term vanishes, so
+    rational inputs produce exact finite sums.  The tail estimate is the
+    run-block bound 2 * beta* at the truncation index (there is no
+    geometric rate).
     """
-    x0 = _reduce_mod1(x)
-    if isinstance(x0, Fraction):
-        value, qs, istar, beta, done, terms = _b0_orbit_rational(
-            x0.numerator, x0.denominator, n_max, keep_terms)
-    else:
-        value, qs, istar, beta, done, terms = _b0_orbit_generic(
-            x0, n_max, keep_terms)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    rational = isinstance(x, (int, Fraction))
+    value = 0.0
+    istar = 0.0
+    qs = 0.0
+    beta = 1.0
+    q_prev, q_cur = 0, 1
+    terms = []
+    done = False
+    _n0, _eps0, m = _alpha_seed(x, 1)
+    orbit = _orbit(x, 0, m)
+    for n in range(n_max + 1):
+        step = next(orbit, None)
+        if step is None:   # remainder 1 (0 at an integer x)
+            done = True
+            break
+        num, den, b, _eps = step
+        xf = num / den
+        # rationals keep log(den) - log(num), which the published figures
+        # were computed with; on the large num and den of an enclosure end
+        # that difference cancels, so irrationals take the certified double
+        term = beta * (_log_frac(den, num) if rational else -math.log(xf))
+        value += term
+        if b == 2:
+            istar += term
+        else:
+            qs += math.log(b - 1) * _inv(q_cur)
+        if keep_terms:
+            terms.append((n, beta, xf, term))
+        beta *= xf
+        q_prev, q_cur = q_cur, b * q_cur - q_prev
+        if not rational and beta < 1e-22:
+            # contributions below double precision; the q-series tail is
+            # dominated by 1/q* which shrinks at least as fast
+            break
     tail = 0.0 if done else 2.0 * beta
     return BrjunoResult(value, n_max, terms, tail, done or tail < 1e-12,
                         companion_q_series=qs if with_q_series else None,
@@ -405,15 +329,15 @@ class BoundReport:
 
 def log_denominator_sum(x: RealValue, n_max: int = 200) -> float:
     """sum log(q_n)/q_n over the regular (alpha=1) convergents of x."""
-    _xs, _digits, q_seq, _terminated = _orbit(x, 1, n_max)
-    return sum(math.log(q) * _inv(q) for q in q_seq[1:] if q > 1)
+    _xs, _digits, q_seq, _terminated = _orbit_record(x, 1, n_max)
+    return sum(math.log(q) * _inv(q) for q in q_seq[1:n_max + 1] if q > 1)
 
 
 def _logq_vs_loga(x: RealValue, n_max: int) -> float:
-    _xs, digits, q_seq, _terminated = _orbit(x, 1, n_max)
+    _xs, digits, q_seq, _terminated = _orbit_record(x, 1, n_max)
     s_q = 0.0
     s_a = 0.0
-    for n, a in enumerate(digits):
+    for n, a in enumerate(digits[:n_max]):
         s_q += math.log(q_seq[n + 1]) * _inv(q_seq[n])
         s_a += math.log(a) * _inv(q_seq[n])
     return abs(s_q - s_a)

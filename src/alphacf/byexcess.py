@@ -19,10 +19,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Optional, Sequence
 
-from .alpha import _enclosure_orbit
+from .alpha import _adaptive_orbit
 from .exact import (AdaptiveReal, DomainError, RealValue, compare,
                     floor_shift, recip, sign_val, to_float)
 
@@ -110,13 +109,9 @@ def minus_expand(x: RealValue, max_digits: int) -> MinusExpansion:
         raise ValueError("max_digits must be >= 0")
     x0 = _reduce_mod1(x)
     if isinstance(x0, AdaptiveReal):
-        orbit = list(islice(_enclosure_orbit(x0, 0, (1, 0, 0, 1)),
-                            max_digits + 1))
-        reached_one = len(orbit) <= max_digits
-        digits = [b for _m, _xf, b, _eps in orbit[:max_digits]]
-        remainders = [x0.mobius(*mn) for mn, _xf, _b, _eps in orbit]
-        betastars = [x0.mobius(mn[0], mn[1], 0, 1)
-                     for mn, _xf, _b, _eps in orbit]
+        steps, remainders, betastars, reached_one = _adaptive_orbit(
+            x0, 0, (1, 0, 0, 1), max_digits)
+        digits = [b for b, _eps in steps]
         if reached_one:
             remainders.append(Fraction(1))
             betastars.append(betastars[-1])

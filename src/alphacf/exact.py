@@ -287,8 +287,7 @@ class Surd:
         return (self.a + t_lo) / self.c, (self.a + t_hi) / self.c
 
     def __float__(self):
-        lo, hi = self.enclosure(64)
-        return float((lo + hi) / 2)
+        return _nearest_float(self)
 
     def __floor__(self) -> int:
         lo, _hi = self.enclosure(64)
@@ -374,15 +373,26 @@ class AdaptiveReal:
         return (-self).__add__(other)
 
     def __float__(self):
-        lo, hi = self.enclosure(64)
-        return float((lo + hi) / 2)
+        return _nearest_float(self)
 
     def __repr__(self):
-        lo, hi = self.enclosure(64)
-        return f"AdaptiveReal(~{float((lo + hi) / 2)!r})"
+        return f"AdaptiveReal(~{float(self)!r})"
 
 
 RealValue = Union[Fraction, Surd, AdaptiveReal]
+
+
+def _nearest_float(x: Union[Surd, AdaptiveReal]) -> float:
+    """The correctly rounded double of x: the precision doubles until both
+    ends of an enclosure round to the same double (rounding is monotone);
+    at the cap the lower end's double is returned."""
+    bits, cap = _resolve_bits(None, None)
+    while True:
+        lo, hi = x.enclosure(bits)
+        f = float(lo)
+        if f == float(hi) or bits >= cap:
+            return f
+        bits *= 2
 
 
 # -- generic operations ----------------------------------------------------

@@ -114,6 +114,23 @@ class TestCompanionSeries:
             assert 0.0 <= res.istar_sum <= 2.0
 
 
+class TestBudgets:
+    @pytest.mark.parametrize("call", [
+        lambda: semi_brjuno(Fraction(5, 7), -1),
+        lambda: semi_brjuno(G, -1),
+        lambda: b0_qseries(G, -1),
+        lambda: b0_even(Fraction(5, 7), -1),
+        lambda: brjuno_sum(Fraction(5, 7), 1, make_u("log"), -1),
+        lambda: q_series(Fraction(5, 7), 1, make_u("log"), -1),
+        lambda: q_series(G, Fraction(1, 2), make_u("log"), -1),
+        lambda: log_denominator_sum(G, -1),
+    ], ids=["b0", "b0_surd", "b0_qseries", "b0_even", "brjuno_sum",
+            "q_series", "q_series_surd", "log_denominator_sum"])
+    def test_negative_budget_rejected(self, call):
+        with pytest.raises(ValueError):
+            call()
+
+
 class TestFunctionalEquations:
     def test_alpha_equation(self):
         u = make_u("log")

@@ -1,10 +1,24 @@
+import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from alphacf import exact
+from alphacf.alpha import alpha_expand
+from alphacf.byexcess import minus_expand
 from alphacf.cli import main
+from alphacf.corpus import GOLDEN
+
+# sha256 of `figure --which 1..4` at the default flags (4096 points), the
+# digests the benchmark reference holds
+FIGURE_SHA256 = {
+    1: "e66b80bd221380c87e431b163c882cbd679f213622c2e178018e993d1b373eba",
+    2: "ff3e3da77391a85f43b09d695aeb0a73679b5ba405eec14380e7d00bf7956b4d",
+    3: "a3e35b6a6d28d6d32602664fff031297e741aab6d4e4fa278fc99b14c334c22d",
+    4: "fe715d38916151c0864ca168fa75e146c51e330b79264c404f72da15fd6aec75",
+}
 
 
 def run(capsys, *argv):
@@ -41,6 +55,22 @@ class TestExpand:
         assert code == 0
         assert len(out.splitlines()) == 6
 
+    @pytest.mark.parametrize("alpha, n, column, want", [
+        ("1/2", 40, "beta",
+         lambda: alpha_expand(GOLDEN, Fraction(1, 2), 40).betas[40]),
+        ("0", 61, "beta_star",
+         lambda: minus_expand(GOLDEN, 60).betastars[60]),
+    ], ids=["beta40", "betastar60"])
+    def test_beta_column_correctly_rounded(self, capsys, alpha, n, column,
+                                           want):
+        code, out = run(capsys, "expand", "--x", "(-1+1*sqrt(5))/2",
+                        "--alpha", alpha, "--n", str(n))
+        assert code == 0
+        lines = out.splitlines()
+        cell = lines[-1].split(",")[lines[0].split(",").index(column)]
+        lo, _hi = exact.enclosure(want(), 300)
+        assert cell == f"{float(lo):.15g}"
+
     def test_parse_error(self, capsys):
         assert run(capsys, "expand", "--x", "oops", "--alpha", "1")[0] == 2
 
@@ -73,6 +103,16 @@ class TestScalarCommands:
         code, out = run(capsys, "b0", "--x", "5/7", "--ledger")
         assert code == 0
         assert out.splitlines()[0] == "n,beta_prev,x_n,term"
+
+    @pytest.mark.parametrize("argv", [
+        ["b0", "--x", "5/7", "--n", "-1"],
+        ["b0", "--x", "(-1+1*sqrt(5))/2", "--n", "-1"],
+        ["brjuno", "--x", "5/7", "--n", "-1"],
+        ["figure", "--which", "2", "--points", "8", "--digits", "-1"],
+        ["figure", "--which", "1", "--points", "8", "--n", "-1"],
+    ], ids=["b0", "b0_surd", "brjuno", "figure_digits", "figure_n"])
+    def test_negative_budget_rejected(self, capsys, argv):
+        assert run(capsys, *argv)[0] == 2
 
     def test_dict_both_ways(self, capsys):
         code, out = run(capsys, "dict", "--to", "regular",
@@ -130,6 +170,13 @@ class TestFigure:
             # recomputing the difference from the published figure-3 values
             # reproduces the figure-4 column exactly, digit for digit
             assert f"{b1 - b0e:.15g}" == r4.split(",")[1]
+
+    @pytest.mark.parametrize("which", sorted(FIGURE_SHA256))
+    def test_figure_bytes(self, tmp_path, which):
+        out = tmp_path / "fig.csv"
+        assert main(["figure", "--which", str(which), "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == FIGURE_SHA256[which]
 
     def test_unwritable_out(self, capsys):
         code = main(["figure", "--which", "2", "--points", "8",

@@ -4,29 +4,31 @@ expansion-based reference they replaced.
 The oracles below recompute each sum the way it was computed before the
 integer-state orbits existed: ``brjuno_sum`` and ``q_series`` from
 ``alpha_expand``, ``semi_brjuno`` from ``minus_expand`` and ``_log_frac``
-(``to_float`` and the 1e-22 cut for surds).  Rational inputs must agree bit
-for bit.  Surd inputs, which run on the certified integer-matrix orbit, are
-compared to 1e-13 relative: ``to_float`` of a Surd is the midpoint of a
-64-bit enclosure, while the orbit certifies the correctly rounded double.
-Every surd value was bit-identical as well when this was written.
+(``to_float`` and the 1e-22 cut for surds).  Every input must agree bit for
+bit: ``to_float`` of a Surd is its correctly rounded double, which is the
+double the certified orbit accepts.
 
-The last section checks the certified orbit across carriers: an
-AdaptiveReal must give exactly what the Surd or Fraction it encloses gives.
+The kernel section checks ``alpha._orbit`` step by step against the exact
+``alpha_step``/``minus_step`` chains.  The last section checks the
+certified orbit across carriers: an AdaptiveReal must give exactly what the
+Surd or Fraction it encloses gives.
 """
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphacf import exact
-from alphacf.alpha import alpha_bar, alpha_expand, alpha_step, rho_alpha
+from alphacf.alpha import (_alpha_seed, _orbit, alpha_bar, alpha_expand,
+                          alpha_reduce, alpha_step, rho_alpha)
 from alphacf.brjuno import (BrjunoResult, _inv, _log_frac, _logq_vs_loga,
                             brjuno_sum, log_denominator_sum, make_u,
                             q_series, semi_brjuno)
-from alphacf.byexcess import minus_expand, minus_step
+from alphacf.byexcess import _reduce_mod1, minus_expand, minus_step
 from alphacf.corpus import surd_corpus
 from alphacf.exact import AdaptiveReal, is_exact, sign_val, to_float
 
@@ -36,6 +38,10 @@ WEIGHTS = {name: make_u(name) for name in ("log", "inv_sqrt")}
 N_MAX = (0, 1, 5, 200)
 NUDGE = Fraction(1, 10 ** 9)
 DEEP = Fraction(4999, 5000)   # 4998 by-excess 2's before the orbit hits 1
+# F_150/F_151: beta* falls below 1e-22 long before the orbit ends, which
+# cuts surd sums but not rational ones
+FIB = Fraction(9969216677189303386214405760200,
+               16130531424904581415797907386349)
 SURDS = surd_corpus(20)
 
 
@@ -148,11 +154,6 @@ def agree(got, want, rel=0.0) -> bool:
     return got == want
 
 
-def tolerance(x) -> float:
-    """Against the oracle: rationals bit for bit, surds to 1e-13."""
-    return 0.0 if isinstance(x, (int, Fraction)) else 1e-13
-
-
 # -- inputs ----------------------------------------------------------------
 
 @st.composite
@@ -181,7 +182,7 @@ rationals = st.one_of(
     st.integers(-3, 3),
     st.builds(lambda n, k, d: n + Fraction(1, k) + d, st.integers(-3, 3),
               st.integers(1, 50), st.sampled_from((0, NUDGE, -NUDGE))),
-    st.sampled_from((DEEP, 1 - DEEP, -DEEP)),
+    st.sampled_from((DEEP, 1 - DEEP, -DEEP, FIB)),
 )
 reals = st.one_of(rationals, st.sampled_from(SURDS))
 
@@ -199,7 +200,7 @@ def test_brjuno_sum_matches_oracle(inp, u_name, n_max, keep_terms):
     u = WEIGHTS[u_name]
     assert agree(fingerprint(brjuno_sum(x, alpha, u, n_max, keep_terms)),
                  fingerprint(oracle_brjuno_sum(x, alpha, u, n_max,
-                                               keep_terms)), tolerance(x))
+                                               keep_terms)))
 
 
 @given(inp=alpha_inputs(), u_name=st.sampled_from(sorted(WEIGHTS)),
@@ -209,7 +210,7 @@ def test_q_series_matches_oracle(inp, u_name, n_max):
     alpha, x = inp
     u = WEIGHTS[u_name]
     assert agree(q_series(x, alpha, u, n_max),
-                 oracle_q_series(x, alpha, u, n_max), tolerance(x))
+                 oracle_q_series(x, alpha, u, n_max))
 
 
 @given(x=reals, n_max=st.sampled_from(N_MAX), keep_terms=st.booleans(),
@@ -218,19 +219,19 @@ def test_q_series_matches_oracle(inp, u_name, n_max):
 @example(x=Fraction(1, 2), n_max=0, keep_terms=True, with_q=True)
 @example(x=Fraction(1, 2), n_max=1, keep_terms=True, with_q=True)
 @example(x=DEEP, n_max=10 ** 4, keep_terms=False, with_q=True)
+@example(x=FIB, n_max=200, keep_terms=True, with_q=True)
 def test_semi_brjuno_matches_oracle(x, n_max, keep_terms, with_q):
     assert agree(fingerprint(semi_brjuno(x, n_max, keep_terms, with_q)),
                  fingerprint(oracle_semi_brjuno(x, n_max, keep_terms,
-                                                with_q)), tolerance(x))
+                                                with_q)))
 
 
 @given(x=reals, n_max=st.sampled_from(N_MAX))
 @settings(max_examples=150, deadline=None)
 def test_log_sums_match_oracle(x, n_max):
     assert agree(log_denominator_sum(x, n_max),
-                 oracle_log_denominator_sum(x, n_max), tolerance(x))
-    assert agree(_logq_vs_loga(x, n_max), oracle_logq_vs_loga(x, n_max),
-                 tolerance(x))
+                 oracle_log_denominator_sum(x, n_max))
+    assert agree(_logq_vs_loga(x, n_max), oracle_logq_vs_loga(x, n_max))
 
 
 def test_reached_one_only_within_budget():
@@ -239,6 +240,71 @@ def test_reached_one_only_within_budget():
     assert (short.converged, short.tail_estimate) == (False, 1.0)
     full = semi_brjuno(Fraction(1, 2), 1)
     assert (full.converged, full.tail_estimate) == (True, 0.0)
+
+
+# -- the orbit kernel against the exact step chains -----------------------
+
+KERNEL_ALPHAS = (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1))
+FIGURE_NUDGE = Fraction(1, 2 * 10 ** 9)   # what `figure` adds at integers
+KERNEL_STEPS = 30
+
+
+@st.composite
+def kernel_inputs(draw):
+    """(alpha, x, exact x): boundary rationals, surds and their enclosures."""
+    alpha = draw(st.sampled_from(KERNEL_ALPHAS))
+    n = draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(
+        ("n+alpha", "n+1-alpha", "integer", "surd", "adaptive")))
+    if kind in ("surd", "adaptive"):
+        x = n + draw(st.sampled_from(SURDS))
+        return alpha, (AdaptiveReal.from_exact(x) if kind == "adaptive"
+                       else x), x
+    base = {"n+alpha": n + alpha, "n+1-alpha": n + 1 - alpha,
+            "integer": Fraction(n)}[kind]
+    x = base + draw(st.sampled_from((0, FIGURE_NUDGE, -FIGURE_NUDGE)))
+    return alpha, x, x
+
+
+def step_chain(x, alpha, steps):
+    """(x_n, a_{n+1}, eps_{n+1}) of the exact chain the kernel replaces.
+
+    alpha = 0 is the orbit semi_brjuno walks: minus_step from x - floor(x)
+    (integers map to 1) until the remainder 1, every sign -1.
+    """
+    out = []
+    if alpha == 0:
+        cur = _reduce_mod1(x)
+        while len(out) < steps and cur != 1:
+            b, nxt = minus_step(cur)
+            out.append((cur, b, -1))
+            cur = nxt
+        return out
+    _n0, cur = alpha_reduce(x, alpha)
+    while len(out) < steps and sign_val(cur) != 0:
+        digit, nxt = alpha_step(cur, alpha)
+        out.append((cur, digit.a, digit.eps))
+        cur = nxt
+    return out
+
+
+@given(inp=kernel_inputs())
+@settings(max_examples=200, deadline=None)
+@example(inp=(Fraction(0), Fraction(3) - FIGURE_NUDGE,
+              Fraction(3) - FIGURE_NUDGE))
+@example(inp=(Fraction(1, 5), Fraction(-2, 5), Fraction(-2, 5)))
+def test_kernel_matches_step_chain(inp):
+    alpha, x, exact_x = inp
+    # B0 seeds the by-excess orbit with x - floor(x), the alpha = 1 seed
+    _n0, _eps0, m = _alpha_seed(x, alpha or Fraction(1))
+    got = list(islice(_orbit(x, alpha, m), KERNEL_STEPS))
+    want = step_chain(exact_x, alpha, KERNEL_STEPS)
+    assert [(a, eps) for _num, _den, a, eps in got] == \
+        [(a, eps) for _xn, a, eps in want]
+    for (num, den, _a, _eps), (xn, _b, _e) in zip(got, want):
+        assert (num / den).hex() == to_float(xn).hex()
+        if isinstance(x, (int, Fraction)):
+            assert Fraction(num, den) == xn
 
 
 # -- the certified orbit across carriers ----------------------------------

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from alphacf.alpha import alpha_expand
+from alphacf.byexcess import minus_expand
 from alphacf.exact import (AdaptiveReal, InvalidRadicand, NeedsPrecision,
-                           NotASurd, Surd, compare, floor_shift, parse_real,
-                           recip, sign_val)
+                           NotASurd, Surd, compare, enclosure, floor_shift,
+                           parse_real, recip, sign_val)
 
 G = Surd(-1, 1, 2, 5)  # (sqrt(5)-1)/2
 
@@ -145,6 +147,38 @@ class TestAdaptive:
         y = (x + 1) - Fraction(1, 7)
         lo, hi = y.enclosure(80)
         assert lo <= Fraction(9, 7) <= hi
+
+
+class TestFloat:
+    # beta_40 at alpha = 1/2 and beta*_60 of the golden mean are tiny surds
+    # with large coefficients, where a fixed-width midpoint is far off
+    @pytest.mark.parametrize("value", [
+        G, Surd(-1, 1, 1, 2),
+        alpha_expand(G, Fraction(1, 2), 40).betas[40],
+        minus_expand(G, 60).betastars[60],
+    ], ids=["golden", "silver", "beta40", "betastar60"])
+    def test_correctly_rounded(self, value):
+        lo, hi = enclosure(value, 300)
+        assert float(lo) == float(hi)
+        assert float(value) == float(lo)
+        assert float(AdaptiveReal.from_exact(value)) == float(lo)
+
+    def test_adaptive_expansion_betas(self):
+        x = AdaptiveReal.from_exact(G)
+        for got, want in (
+                (alpha_expand(x, Fraction(1, 2), 40).betas[40],
+                 alpha_expand(G, Fraction(1, 2), 40).betas[40]),
+                (minus_expand(x, 60).betastars[60],
+                 minus_expand(G, 60).betastars[60])):
+            assert float(got) == float(enclosure(want, 300)[0])
+
+    def test_lower_end_at_the_cap(self):
+        # 1 + 2**-53 is the tie between 1 and the next double, so no
+        # enclosure around it rounds to one double
+        tie = 1 + Fraction(1, 2 ** 53)
+        x = AdaptiveReal(lambda bits: (tie - Fraction(1, 2 ** bits),
+                                       tie + Fraction(1, 2 ** bits)))
+        assert float(x) == 1.0
 
 
 class TestParsing:

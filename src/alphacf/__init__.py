@@ -1,9 +1,8 @@
 """Alpha-continued fractions, by-excess expansions and Brjuno-type sums."""
 
-from .alpha import (AlphaDigit, AlphaExpansion, AlphaParams, alpha_bar,
-                    alpha_expand, alpha_reduce, alpha_step, beta_check,
-                    decay_check, legendre_filter, reconstruction_check,
-                    rho_alpha)
+from .alpha import (AlphaDigit, AlphaExpansion, alpha_bar, alpha_expand,
+                    alpha_reduce, alpha_step, beta_check, decay_check,
+                    legendre_filter, reconstruction_check, rho_alpha)
 from .brjuno import (BoundReport, BrjunoResult, ConditionViolation,
                      SingularityU, b0_even, b0_qseries, brjuno_sum,
                      diff_report, functional_residual, log_denominator_sum,
@@ -20,8 +19,8 @@ from .holder import HolderEstimate, InsufficientScales, estimate_holder
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveReal", "AlphaDigit", "AlphaExpansion", "AlphaParams",
-    "BoundReport", "BrjunoResult", "ConditionViolation", "DomainError",
+    "AdaptiveReal", "AlphaDigit", "AlphaExpansion", "BoundReport",
+    "BrjunoResult", "ConditionViolation", "DomainError",
     "ExactnessUnavailable", "Fraction", "HolderEstimate",
     "InsufficientScales", "InvalidRadicand", "MalformedStream",
     "MinusExpansion", "NeedsPrecision", "NotASurd", "SideMismatch",

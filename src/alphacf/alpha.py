@@ -31,21 +31,6 @@ def alpha_bar(alpha) -> Fraction:
 
 
 @dataclass(frozen=True)
-class AlphaParams:
-    alpha: Fraction
-
-    def __post_init__(self):
-        a = Fraction(self.alpha)
-        if not 0 <= a <= 1:
-            raise DomainError(f"alpha must be in [0,1], got {a}")
-        object.__setattr__(self, "alpha", a)
-
-    @property
-    def abar(self) -> Fraction:
-        return alpha_bar(self.alpha)
-
-
-@dataclass(frozen=True)
 class AlphaDigit:
     a: int
     eps: int  # sign of 1/x - a; +1 by convention on a terminating step
@@ -70,7 +55,7 @@ class ConvergentPair:
 class AlphaExpansion:
     """Digits, remainders, convergents and beta products of one input."""
 
-    params: AlphaParams
+    alpha: Fraction
     x: RealValue
     integer_part: int
     eps0: int
@@ -80,10 +65,6 @@ class AlphaExpansion:
     q_seq: list[int]  # q_0 .. q_D
     betas: list       # beta_0 .. beta_D
     terminated: bool
-
-    @property
-    def alpha(self) -> Fraction:
-        return self.params.alpha
 
     def reduced(self) -> RealValue:
         """x - integer_part, the signed value the convergents approximate."""
@@ -194,20 +175,70 @@ def _orbit(x: RealValue, alpha, m: tuple):
         bits *= 2
 
 
-def _adaptive_orbit(x: AdaptiveReal, alpha, m: tuple, max_digits: int):
-    """(steps, remainders, betas, ended): the (a, eps) of at most max_digits
-    steps, x_n = m_n(x) and x_0 ... x_n = A_n x + B_n as Moebius images of
-    x, and whether the orbit ended at 0 or 1 within the budget."""
-    steps = [(a, eps) for _num, _den, a, eps
-             in islice(_orbit(x, alpha, m), max_digits + 1)]
-    remainders, betas = [], []
+def _step(x: RealValue, alpha: Fraction) -> tuple[int, int, RealValue]:
+    """(a, eps, A_alpha(x)) for x in the domain: a = floor(1/x + 1 - alpha)
+    and eps the sign of 1/x - a, +1 with the next remainder 0 on a
+    terminating step."""
+    y = recip(x)
+    a = floor_shift(y, alpha)
+    diff = y - a
+    eps = sign_val(diff)
+    if eps == 0:
+        return a, 1, Fraction(0)
+    if isinstance(x, AdaptiveReal):
+        return a, eps, x.mobius(-eps * a, eps, 1, 0)
+    return a, eps, abs(diff)
+
+
+def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
+    """(steps, remainders, betas, ended): the A_alpha orbit of x_0 = m(x).
+
+    steps are the (a, eps) of at most max_digits steps, remainders x_0 ..
+    x_D and betas x_0 ... x_n; ended says the orbit reached 0 (a
+    terminating expansion) or 1 (the by-excess fixed point) within the
+    budget.  Fraction and Surd walk the exact step chain from m(x) = A x +
+    B, which A_alpha keeps in its domain.  AdaptiveReal walks the kernel,
+    with x_n = m_n(x) and x_0 ... x_n = A_n x + B_n as Moebius images.
+    """
+    if isinstance(x, AdaptiveReal):
+        steps = [(a, eps) for _num, _den, a, eps
+                 in islice(_orbit(x, alpha, m), max_digits + 1)]
+        remainders, betas = [], []
+        for a, eps in steps:
+            A, B, C, D = m
+            remainders.append(x.mobius(A, B, C, D))
+            # the den row of m_{n+1} is the num row of m_n, and m_0 has den 1
+            betas.append(x.mobius(A, B, 0, 1))
+            m = eps * (C - a * A), eps * (D - a * B), A, B
+        ended = len(steps) <= max_digits
+        if ended:
+            # x_D is exactly 0, or the fixed point 1 at alpha = 0, where
+            # beta_D = beta_{D-1} (or 1 for D = 0)
+            last = Fraction(0) if alpha else Fraction(1)
+            remainders.append(last)
+            betas.append(betas[-1] if alpha == 0 and betas else last)
+        return steps[:max_digits], remainders, betas, ended
+    A, B, _C, _D = m
+    cur = A * x + B
+    steps, remainders, betas = [], [cur], [cur]
+    while len(steps) < max_digits and 0 < cur < 1:
+        a, eps, cur = _step(cur, alpha)
+        steps.append((a, eps))
+        remainders.append(cur)
+        betas.append(cur * betas[-1])
+    return steps, remainders, betas, not 0 < cur < 1
+
+
+def _convergents(steps, eps0: int) -> tuple[list[int], list[int]]:
+    """p_n = a_n p_{n-1} + eps_{n-1} p_{n-2} (and q_n) from p_{-1}, q_{-1}
+    = 1, 0 and p_0, q_0 = 0, 1."""
+    p_seq, q_seq = [0], [1]
+    pm1, qm1, eps_prev = 1, 0, eps0
     for a, eps in steps:
-        A, B, C, D = m
-        remainders.append(x.mobius(A, B, C, D))
-        # the den row of m_{n+1} is the num row of m_n, and m_0 has den 1
-        betas.append(x.mobius(A, B, 0, 1))
-        m = eps * (C - a * A), eps * (D - a * B), A, B
-    return steps[:max_digits], remainders, betas, len(steps) <= max_digits
+        p_seq.append(a * p_seq[-1] + eps_prev * pm1)
+        q_seq.append(a * q_seq[-1] + eps_prev * qm1)
+        pm1, qm1, eps_prev = p_seq[-2], q_seq[-2], eps
+    return p_seq, q_seq
 
 
 def alpha_step(x: RealValue, alpha) -> tuple[AlphaDigit, RealValue]:
@@ -218,58 +249,38 @@ def alpha_step(x: RealValue, alpha) -> tuple[AlphaDigit, RealValue]:
     # alpha < 1/2 yields |x0| = 1 - alpha exactly
     if compare(x, Fraction(0)) <= 0 or compare(x, abar) > 0:
         raise DomainError(f"x must lie in (0, {abar}], got {x}")
-    y = recip(x)
-    a = floor_shift(y, alpha)
-    diff = y - a
-    s = sign_val(diff)
-    if s == 0:
-        return AlphaDigit(a, 1), Fraction(0)
-    if isinstance(x, AdaptiveReal):
-        return AlphaDigit(a, s), x.mobius(-s * a, s, 1, 0)
-    return AlphaDigit(a, s), abs(diff)
+    a, eps, nxt = _step(x, alpha)
+    return AlphaDigit(a, eps), nxt
 
 
 def alpha_expand(x: RealValue, alpha, max_digits: int) -> AlphaExpansion:
-    """Full expansion: reduce, then iterate alpha_step up to max_digits.
+    """Full expansion: reduce, then walk the A_alpha orbit up to max_digits.
 
-    Stops early when a remainder hits zero (rational input).  Convergents
-    follow p_n = a_n p_{n-1} + eps_{n-1} p_{n-2} from the identity seed.
-    AdaptiveReal input follows the certified integer-matrix orbit instead,
-    with beta_n = |q_n x' - p_n| (Lemma 1) in place of the product chain.
+    Stops early when a remainder hits zero (rational input); at alpha = 0
+    the fixed point 1 repeats the digit 2 with sign -1 up to the budget.
+    Convergents follow p_n = a_n p_{n-1} + eps_{n-1} p_{n-2} from the
+    identity seed.  AdaptiveReal input follows the certified integer-matrix
+    orbit, with beta_n = |q_n x' - p_n| (Lemma 1) in place of the product
+    chain.
     """
     if max_digits < 0:
         raise ValueError("max_digits must be >= 0")
-    params = AlphaParams(Fraction(alpha))
-    n0, eps0, m = _alpha_seed(x, params.alpha)
-    if isinstance(x, AdaptiveReal):
-        steps, remainders, betas, terminated = _adaptive_orbit(
-            x, params.alpha, m, max_digits)
-        digits = [AlphaDigit(a, eps) for a, eps in steps]
-        if terminated:
-            remainders.append(Fraction(0))
-            betas.append(Fraction(0))
-    else:
-        cur = eps0 * (x - n0)
-        digits, remainders, betas = [], [cur], [cur]
-        while len(digits) < max_digits and sign_val(cur) != 0:
-            digit, cur = alpha_step(cur, params.alpha)
-            digits.append(digit)
-            remainders.append(cur)
-            betas.append(cur * betas[-1])
-        terminated = sign_val(cur) == 0
-
-    p_seq, q_seq = [0], [1]
-    pm1, qm1 = 1, 0  # p_{-1}, q_{-1}
-    eps_prev = eps0
-    for digit in digits:
-        p_new = digit.a * p_seq[-1] + eps_prev * pm1
-        q_new = digit.a * q_seq[-1] + eps_prev * qm1
-        pm1, qm1 = p_seq[-1], q_seq[-1]
-        p_seq.append(p_new)
-        q_seq.append(q_new)
-        eps_prev = digit.eps
-    return AlphaExpansion(params, x, n0, eps0, digits, remainders,
-                          p_seq, q_seq, betas, terminated)
+    alpha = Fraction(alpha)
+    if not 0 <= alpha <= 1:
+        raise DomainError(f"alpha must be in [0,1], got {alpha}")
+    n0, eps0, m = _alpha_seed(x, alpha)
+    steps, remainders, betas, ended = _expansion(x, alpha, m, max_digits)
+    if ended and alpha == 0:
+        # A_0(1) = 1 with the digit 2 and the sign -1
+        pad = max_digits - len(steps)
+        steps += [(2, -1)] * pad
+        remainders += [Fraction(1)] * pad
+        betas += betas[-1:] * pad
+        ended = False
+    p_seq, q_seq = _convergents(steps, eps0)
+    return AlphaExpansion(alpha, x, n0, eps0,
+                          [AlphaDigit(a, eps) for a, eps in steps],
+                          remainders, p_seq, q_seq, betas, ended)
 
 
 @dataclass
@@ -326,7 +337,7 @@ def rho_alpha(alpha) -> RealValue:
 def decay_check(exp: AlphaExpansion, max_index: int = 50) -> bool:
     """beta_n <= abar * rho^n and 1/q_{n+1} < (1+alpha) abar rho^n."""
     alpha = exp.alpha
-    abar = exp.params.abar
+    abar = alpha_bar(alpha)
     rho = rho_alpha(alpha)
     bound: RealValue = Fraction(abar)
     for n in range(min(max_index + 1, len(exp.betas))):

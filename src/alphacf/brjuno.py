@@ -41,9 +41,8 @@ def _log_frac(num: int, den: int) -> float:
 class SingularityU:
     """A positive C^1 weight on (0,1), singular at the origin.
 
-    M1..M3 are suprema used by the truncation diagnostics: M1 of u on
-    (delta/(1+delta), 1), M2 of x*u(x) on (0, delta), M3 of |x^2 u'(x)|
-    on (0, delta).
+    M1 is the supremum of u on (delta/(1+delta), 1), which scales the tail
+    estimate of ``brjuno_sum``.
     """
 
     name: str
@@ -51,8 +50,6 @@ class SingularityU:
     deriv: Callable[[float], float]
     delta: float = 0.1
     M1: float = field(default=0.0)
-    M2: float = field(default=0.0)
-    M3: float = field(default=0.0)
 
 
 def _grid_sup(f: Callable[[float], float], lo: float, hi: float,
@@ -102,8 +99,6 @@ def make_u(name: str, sigma: Optional[float] = None, delta: float = 0.1,
     _check_conditions(ev, dv, delta)
     out = SingularityU(name, ev, dv, delta)
     out.M1 = _grid_sup(ev, delta / (1 + delta), 1.0)
-    out.M2 = _grid_sup(lambda t: t * ev(t), 0.0, delta)
-    out.M3 = _grid_sup(lambda t: abs(t * t * dv(t)), 0.0, delta)
     return out
 
 

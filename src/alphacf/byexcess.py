@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .alpha import _adaptive_orbit
-from .exact import (AdaptiveReal, DomainError, RealValue, compare,
-                    floor_shift, recip, sign_val, to_float)
+from .alpha import _convergents, _expansion, alpha_step
+from .exact import DomainError, RealValue, floor_shift, sign_val, to_float
 
 
 class SideMismatch(ValueError):
@@ -78,14 +77,12 @@ class MinusExpansion:
 def minus_step(x: RealValue) -> tuple[int, RealValue]:
     """One application of A0 on (0, 1]: digit b = floor(1/x + 1), next = b - 1/x.
 
-    At x = 1/n this gives b = n + 1 and next = 1 (the convention that keeps
-    the expansion total on the rationals); x = 1 is the fixed point b = 2.
+    This is ``alpha_step`` at alpha = 0.  At x = 1/n it gives b = n + 1 and
+    next = 1 (the convention that keeps the expansion total on the
+    rationals); x = 1 is the fixed point b = 2.
     """
-    if compare(x, Fraction(0)) <= 0 or compare(x, Fraction(1)) > 0:
-        raise DomainError(f"x must lie in (0, 1], got {x}")
-    y = recip(x)
-    b = floor_shift(y, Fraction(0))  # floor(y + 1)
-    return b, b - y
+    digit, nxt = alpha_step(x, 0)
+    return digit.a, nxt
 
 
 def _reduce_mod1(x: RealValue) -> RealValue:
@@ -97,7 +94,8 @@ def _reduce_mod1(x: RealValue) -> RealValue:
 
 
 def minus_expand(x: RealValue, max_digits: int) -> MinusExpansion:
-    """Iterate minus_step; stops at the remainder 1 or the digit budget.
+    """The alpha = 0 walk of x_0 = x - floor(x); stops at the remainder 1
+    or the digit budget.
 
     The input is reduced mod 1 into (0, 1] first (integers map to 1).
     Convergents satisfy p*_n = b_n p*_{n-1} - p*_{n-2} with seeds fixed by
@@ -108,33 +106,12 @@ def minus_expand(x: RealValue, max_digits: int) -> MinusExpansion:
     if max_digits < 0:
         raise ValueError("max_digits must be >= 0")
     x0 = _reduce_mod1(x)
-    if isinstance(x0, AdaptiveReal):
-        steps, remainders, betastars, reached_one = _adaptive_orbit(
-            x0, 0, (1, 0, 0, 1), max_digits)
-        digits = [b for b, _eps in steps]
-        if reached_one:
-            remainders.append(Fraction(1))
-            betastars.append(betastars[-1])
-    else:
-        cur = x0
-        digits, remainders, betastars = [], [cur], [cur]
-        while len(digits) < max_digits and compare(cur, Fraction(1)) != 0:
-            b, cur = minus_step(cur)
-            digits.append(b)
-            remainders.append(cur)
-            betastars.append(cur * betastars[-1])
-        reached_one = compare(cur, Fraction(1)) == 0
-
-    pstar, qstar = [0], [1]
-    pm1, qm1 = -1, 0   # p*_{-1}, q*_{-1}
-    for b in digits:
-        p_new = b * pstar[-1] - pm1
-        q_new = b * qstar[-1] - qm1
-        pm1, qm1 = pstar[-1], qstar[-1]
-        pstar.append(p_new)
-        qstar.append(q_new)
-    return MinusExpansion(x, x0, digits, remainders, pstar, qstar,
-                          betastars, reached_one)
+    steps, remainders, betastars, reached_one = _expansion(
+        x0, Fraction(0), (1, 0, 0, 1), max_digits)
+    # every sign is -1, so from eps_0 = +1 this is the p* recurrence
+    pstar, qstar = _convergents(steps, 1)
+    return MinusExpansion(x, x0, [b for b, _eps in steps], remainders,
+                          pstar, qstar, betastars, reached_one)
 
 
 @dataclass

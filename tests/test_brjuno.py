@@ -19,16 +19,6 @@ G_F = (math.sqrt(5) - 1) / 2
 
 
 class TestWeights:
-    def test_log_suprema(self):
-        u = make_u("log")
-        # x * log(1/x) is increasing on (0, 0.1]
-        assert u.M2 == pytest.approx(0.1 * math.log(10), rel=1e-3)
-        assert u.M3 == pytest.approx(0.1, rel=1e-3)
-
-    def test_inv_sqrt_suprema(self):
-        u = make_u("inv_sqrt")
-        assert u.M2 == pytest.approx(math.sqrt(0.1), rel=1e-3)
-
     def test_power_needs_sigma_above_one(self):
         with pytest.raises(ConditionViolation):
             make_u("power", sigma=1.0)

@@ -9,7 +9,8 @@ bit: ``to_float`` of a Surd is its correctly rounded double, which is the
 double the certified orbit accepts.
 
 The kernel section checks ``alpha._orbit`` step by step against the exact
-``alpha_step``/``minus_step`` chains.  The last section checks the
+``alpha_step``/``minus_step`` chains, and ``alpha_expand``/``minus_expand``
+against expansions built from those chains.  The last section checks the
 certified orbit across carriers: an AdaptiveReal must give exactly what the
 Surd or Fraction it encloses gives.
 """
@@ -307,6 +308,72 @@ def test_kernel_matches_step_chain(inp):
             assert Fraction(num, den) == xn
 
 
+EXPANSION_BUDGETS = (0, 1, 5, 120)
+
+
+def oracle_alpha_expand(x, alpha, max_digits):
+    """alpha_expand's fields from the alpha_step chain: digits up to the
+    budget or a remainder 0, p_n = a_n p_{n-1} + eps_{n-1} p_{n-2}."""
+    n0, eps0, _m = _alpha_seed(x, alpha)
+    cur = eps0 * (x - n0)
+    digits, remainders, betas = [], [cur], [cur]
+    while len(digits) < max_digits and sign_val(cur) != 0:
+        digit, cur = alpha_step(cur, alpha)
+        digits.append((digit.a, digit.eps))
+        remainders.append(cur)
+        betas.append(cur * betas[-1])
+    p_seq, q_seq = [0], [1]
+    pm1, qm1, eps_prev = 1, 0, eps0
+    for a, eps in digits:
+        p_seq.append(a * p_seq[-1] + eps_prev * pm1)
+        q_seq.append(a * q_seq[-1] + eps_prev * qm1)
+        pm1, qm1, eps_prev = p_seq[-2], q_seq[-2], eps
+    return (n0, eps0, digits, remainders, betas, p_seq, q_seq,
+            sign_val(cur) == 0)
+
+
+def oracle_minus_expand(x, max_digits):
+    """minus_expand's fields from the minus_step chain: digits up to the
+    budget or the remainder 1, p*_n = b_n p*_{n-1} - p*_{n-2}."""
+    cur = x0 = _reduce_mod1(x)
+    digits, remainders, betastars = [], [cur], [cur]
+    while len(digits) < max_digits and cur != 1:
+        b, cur = minus_step(cur)
+        digits.append(b)
+        remainders.append(cur)
+        betastars.append(cur * betastars[-1])
+    pstar, qstar = [0], [1]
+    pm1, qm1 = -1, 0
+    for b in digits:
+        pstar.append(b * pstar[-1] - pm1)
+        qstar.append(b * qstar[-1] - qm1)
+        pm1, qm1 = pstar[-2], qstar[-2]
+    return x0, digits, remainders, pstar, qstar, betastars, cur == 1
+
+
+expansion_inputs = st.one_of(
+    kernel_inputs().map(lambda inp: (inp[0], inp[2])),
+    st.tuples(st.sampled_from(KERNEL_ALPHAS), st.just(DEEP)))
+
+
+@given(inp=expansion_inputs, max_digits=st.sampled_from(EXPANSION_BUDGETS))
+@settings(max_examples=200, deadline=None)
+@example(inp=(Fraction(0), Fraction(3)), max_digits=5)
+@example(inp=(Fraction(0), DEEP), max_digits=120)
+@example(inp=(Fraction(1, 2), Fraction(5, 2)), max_digits=1)
+def test_expansions_match_step_chain(inp, max_digits):
+    # the walk steps with the private rule; the public steps must agree,
+    # remainders and betas compared exactly
+    alpha, x = inp
+    exp = alpha_expand(x, alpha, max_digits)
+    assert (exp.integer_part, exp.eps0, [(d.a, d.eps) for d in exp.digits],
+            exp.remainders, exp.betas, exp.p_seq, exp.q_seq,
+            exp.terminated) == oracle_alpha_expand(x, alpha, max_digits)
+    m = minus_expand(x, max_digits)
+    assert (m.x0, m.digits, m.remainders, m.pstar, m.qstar, m.betastars,
+            m.reached_one) == oracle_minus_expand(x, max_digits)
+
+
 # -- the certified orbit across carriers ----------------------------------
 
 def _sums(x):
@@ -324,7 +391,7 @@ def _expansions(x):
     """Digits, signs, convergents and end state of both expansions."""
     m = minus_expand(x, 60)
     out = [(m.digits, m.pstar, m.qstar, m.reached_one)]
-    for alpha in ALPHAS:
+    for alpha in (Fraction(0),) + ALPHAS:
         exp = alpha_expand(x, alpha, 60)
         out.append(([(d.a, d.eps) for d in exp.digits], exp.integer_part,
                     exp.eps0, exp.p_seq, exp.q_seq, exp.terminated))
@@ -342,6 +409,16 @@ def test_adaptive_matches_exact(x):
     assert _expansions(adaptive) == _expansions(x)
     assert agree(_sums(adaptive), _sums(x),
                  1e-15 if isinstance(x, Fraction) else 0.0)
+
+
+def test_adaptive_by_excess_fixed_point():
+    # a point enclosure at alpha = 0 reaches the fixed point 1 and, like
+    # the exact chain, repeats the digit 2 with sign -1 up to the budget
+    for x in (Fraction(7, 2), AdaptiveReal.from_exact(Fraction(7, 2))):
+        exp = alpha_expand(x, 0, 5)
+        assert [(d.a, d.eps) for d in exp.digits] == \
+            [(3, -1)] + [(2, -1)] * 4
+        assert exp.terminated is False
 
 
 def encloses(adaptive, value) -> bool:

@@ -14,6 +14,7 @@ checks the identities and decay bounds they satisfy.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -319,8 +320,9 @@ _GOLDEN = Surd(-1, 1, 2, 5)   # (sqrt(5)-1)/2
 _SILVER = Surd(-1, 1, 1, 2)   # sqrt(2)-1
 
 
-def rho_alpha(alpha) -> RealValue:
-    """Geometric decay rate of beta_n, by regime of alpha."""
+def _rho_power(alpha) -> tuple[RealValue, int]:
+    """(rho^k, k) for rho = rho_alpha(alpha): k = 2 below sqrt(2) - 1, where
+    rho^2 = 1 - 2 alpha is rational, else k = 1 with rho itself."""
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise DomainError("no geometric decay at alpha = 0 "
@@ -328,28 +330,75 @@ def rho_alpha(alpha) -> RealValue:
     if alpha > 1:
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
     if _GOLDEN < alpha:
-        return _GOLDEN
+        return _GOLDEN, 1
     if _SILVER <= alpha:
-        return _SILVER
-    return Surd.sqrt_of(1 - 2 * alpha)
+        return _SILVER, 1
+    return 1 - 2 * alpha, 2
+
+
+def _sqrt_real(value: Fraction) -> AdaptiveReal:
+    """sqrt(value) for a rational value >= 0, certified by math.isqrt; unlike
+    Surd.sqrt_of it factors nothing, so any denominator is cheap."""
+    p, q = value.numerator, value.denominator
+
+    def gen(bits):
+        n, rem = divmod(p << 2 * bits, q)
+        r = math.isqrt(n)   # floor(sqrt(value) * 2**bits)
+        lo = Fraction(r, 1 << bits)
+        if rem == 0 and r * r == n:
+            return lo, lo
+        return lo, Fraction(r + 1, 1 << bits)
+    return AdaptiveReal(gen)
+
+
+def rho_alpha(alpha) -> RealValue:
+    """Geometric decay rate of beta_n, by regime of alpha.
+
+    Below sqrt(2) - 1 this is the Surd sqrt(1 - 2 alpha).  Building it
+    factors (s - 2r) s, for alpha = r/s, by trial division, which takes
+    unbounded time for a large s; brjuno_sum and decay_check go through
+    ``_rho_power`` and build no such Surd.
+    """
+    rate, k = _rho_power(alpha)
+    return rate if k == 1 else Surd.sqrt_of(rate)
+
+
+def _rho_float(alpha) -> float:
+    """The correctly rounded double of rho_alpha(alpha), factoring nothing."""
+    rate, k = _rho_power(alpha)
+    return to_float(rate if k == 1 else _sqrt_real(rate))
+
+
+def _exceeds(beta: RealValue, bound: RealValue, k: int) -> bool:
+    """beta**k > bound for beta >= 0; for k = 2 the bound is rational."""
+    if k == 1:
+        return compare(beta, bound) > 0
+    if is_exact(beta):
+        return compare(beta * beta, bound) > 0
+    return compare(beta, _sqrt_real(bound)) > 0
 
 
 def decay_check(exp: AlphaExpansion, max_index: int = 50) -> bool:
-    """beta_n <= abar * rho^n and 1/q_{n+1} < (1+alpha) abar rho^n."""
+    """beta_n <= abar * rho^n and 1/q_{n+1} < (1+alpha) abar rho^n.
+
+    Below alpha = sqrt(2) - 1 both sides are positive and compared squared,
+    so the right-hand sides stay rational.
+    """
     alpha = exp.alpha
-    abar = alpha_bar(alpha)
-    rho = rho_alpha(alpha)
-    bound: RealValue = Fraction(abar)
+    rate, k = _rho_power(alpha)
+    bound: RealValue = alpha_bar(alpha) ** k
+    q_scale = (1 + alpha) ** k
     for n in range(min(max_index + 1, len(exp.betas))):
         try:
-            if compare(exp.betas[n], bound) > 0:
+            if _exceeds(exp.betas[n], bound, k):
                 return False
         except NeedsPrecision:
             pass  # unseparated at the cap: consistent with <=
         if n + 1 < len(exp.q_seq):
-            if compare(Fraction(1, exp.q_seq[n + 1]), bound * (1 + alpha)) >= 0:
+            if compare(Fraction(1, exp.q_seq[n + 1] ** k),
+                       bound * q_scale) >= 0:
                 return False
-        bound = rho * bound
+        bound = rate * bound
     return True
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .alpha import _alpha_seed, _orbit, alpha_bar, alpha_step, rho_alpha
+from .alpha import _alpha_seed, _orbit, _rho_float, alpha_bar, alpha_step
 from .byexcess import _reduce_mod1, minus_step
 from .exact import (DomainError, RealValue, compare, is_exact, sign_val,
                     to_float)
@@ -31,10 +31,6 @@ def _inv(q: int) -> float:
     if q.bit_length() > 1023:
         return 0.0
     return 1.0 / q
-
-
-def _log_frac(num: int, den: int) -> float:
-    return math.log(num) - math.log(den)
 
 
 @dataclass
@@ -163,7 +159,7 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
         beta_prev *= xf
     if terminated:
         return BrjunoResult(value, n_max, terms, 0.0, True)
-    rho = to_float(rho_alpha(alpha))
+    rho = _rho_float(alpha)
     abar = float(alpha_bar(alpha))
     scale = max(uvals[-5:], default=0.0)
     tail = abar * rho ** n_max / (1.0 - rho) * max(scale, u.M1)
@@ -218,7 +214,15 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
         # rationals keep log(den) - log(num), which the published figures
         # were computed with; on the large num and den of an enclosure end
         # that difference cancels, so irrationals take the certified double
-        term = beta * (_log_frac(den, num) if rational else -math.log(xf))
+        if rational:
+            # den_{n+1} = num_n: log(den) is the previous step's log(num)
+            log_num = math.log(num)
+            if n == 0:
+                log_den = math.log(den)
+            term = beta * (log_den - log_num)
+            log_den = log_num
+        else:
+            term = beta * -math.log(xf)
         value += term
         if b == 2:
             istar += term

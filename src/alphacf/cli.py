@@ -135,10 +135,17 @@ def cmd_dict(args) -> int:
 
 
 def _figure_grid(lo: Fraction, hi: Fraction, points: int) -> list[Fraction]:
+    """x_k = lo + (hi - lo) k / (points - 1), moved off the integers by
+    1/(2*10^9).  For lo = a/b and hi = c/d that is (a d (P-1) + (c b - a d)
+    k) / (b d (P-1)): one Fraction per point."""
     nudge = Fraction(1, 2 * 10 ** 9)
+    a, b = lo.numerator, lo.denominator
+    c, d = hi.numerator, hi.denominator
+    m = points - 1
+    start, step, den = a * d * m, c * b - a * d, b * d * m
     xs = []
     for k in range(points):
-        x = lo + (hi - lo) * k / (points - 1)
+        x = Fraction(start + step * k, den)
         if x.denominator == 1:
             x = x + nudge
         xs.append(x)
@@ -166,9 +173,13 @@ def cmd_figure(args) -> int:
     else:
         u = make_u("log")
         rows = [["x", "b0even", "b1"] if args.which == 3 else ["x", "diff"]]
-        for x in xs:
-            b0e = (semi_brjuno(x, digits, keep_terms=False).value
-                   + semi_brjuno(1 - x, digits, keep_terms=False).value)
+        b0 = [semi_brjuno(x, digits, keep_terms=False).value for x in xs]
+        for k, x in enumerate(xs):
+            # B0 depends only on the value, so B0(1 - x) is read off the
+            # mirror point when 1 - x is on the grid
+            b0_mirror = (b0[-1 - k] if 1 - x == xs[-1 - k] else
+                         semi_brjuno(1 - x, digits, keep_terms=False).value)
+            b0e = b0[k] + b0_mirror
             b1 = brjuno_sum(x, 1, u, n, keep_terms=False).value
             if args.which == 3:
                 rows.append([to_float(x), b0e, b1])

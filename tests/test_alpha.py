@@ -1,14 +1,21 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphacf.alpha import (alpha_expand, alpha_reduce, alpha_step, beta_check,
-                           decay_check, legendre_filter, reconstruction_check,
-                           rho_alpha)
-from alphacf.exact import DomainError, Surd, compare
+from alphacf.alpha import (_rho_float, alpha_expand, alpha_reduce, alpha_step,
+                           beta_check, decay_check, legendre_filter,
+                           reconstruction_check, rho_alpha)
+from alphacf.exact import DomainError, Surd, compare, to_float
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+# sqrt(1 - 2 alpha) would factor a 31-digit radicand by trial division
+TINY_ALPHA = "1/1000000000000037"
 
 G = Surd(-1, 1, 2, 5)
 G_SQ = Surd(3, -1, 2, 5)
@@ -92,6 +99,33 @@ class TestRho:
     def test_alpha_zero_rejected(self):
         with pytest.raises(DomainError):
             rho_alpha(0)
+
+    @pytest.mark.parametrize("alpha", ["1/5", "1/10", "3/10", "1/3", "2/5",
+                                       "3/8", "9/20", "7/10"])
+    def test_float_is_the_surd_double(self, alpha):
+        alpha = Fraction(alpha)
+        assert _rho_float(alpha) == to_float(rho_alpha(alpha))
+        if alpha < Fraction(2, 5):
+            assert _rho_float(alpha) == to_float(Surd.sqrt_of(1 - 2 * alpha))
+
+    @pytest.mark.parametrize("code", [
+        "from alphacf import brjuno_sum, make_u\n"
+        "from alphacf.corpus import GOLDEN\n"
+        f"brjuno_sum(GOLDEN, Fraction('{TINY_ALPHA}'), make_u('log'), 50)",
+        "from alphacf import alpha_expand, decay_check\n"
+        "decay_check(alpha_expand(Fraction(13, 31), "
+        f"Fraction('{TINY_ALPHA}'), 20))",
+        "from alphacf.cli import main\n"
+        "sys.exit(main(['--out', os.devnull, 'brjuno', '--x', "
+        f"'(-1+1*sqrt(5))/2', '--alpha', '{TINY_ALPHA}', '--n', '10']))",
+    ], ids=["brjuno_sum", "decay_check", "cli_brjuno"])
+    def test_large_denominator_alpha_returns(self, code):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        prelude = "import os, sys\nfrom fractions import Fraction\n"
+        proc = subprocess.run([sys.executable, "-c", prelude + code],
+                              env=env, capture_output=True, text=True,
+                              timeout=10)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestIdentities:

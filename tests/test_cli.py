@@ -4,11 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alphacf import exact
 from alphacf.alpha import alpha_expand
+from alphacf.brjuno import brjuno_sum, make_u, semi_brjuno
 from alphacf.byexcess import minus_expand
-from alphacf.cli import main
+from alphacf.cli import _csv_text, _figure_grid, main
 from alphacf.corpus import GOLDEN
 
 # sha256 of `figure --which 1..4` at the default flags (4096 points), the
@@ -19,6 +22,55 @@ FIGURE_SHA256 = {
     3: "a3e35b6a6d28d6d32602664fff031297e741aab6d4e4fa278fc99b14c334c22d",
     4: "fe715d38916151c0864ca168fa75e146c51e330b79264c404f72da15fd6aec75",
 }
+
+
+FIGURE_NUDGE = Fraction(1, 2 * 10 ** 9)
+
+
+def oracle_grid(lo, hi, points):
+    """The figure grid as first written: Fraction arithmetic per point."""
+    xs = []
+    for k in range(points):
+        x = lo + (hi - lo) * k / (points - 1)
+        if x.denominator == 1:
+            x = x + FIGURE_NUDGE
+        xs.append(x)
+    return xs
+
+
+def oracle_even_csv(which, lo, hi, points, digits, n):
+    """Figures 3 and 4 with B0(x) and B0(1 - x) both summed at every point."""
+    u = make_u("log")
+    rows = [["x", "b0even", "b1"] if which == 3 else ["x", "diff"]]
+    for x in oracle_grid(lo, hi, points):
+        b0e = (semi_brjuno(x, digits, keep_terms=False).value
+               + semi_brjuno(1 - x, digits, keep_terms=False).value)
+        b1 = brjuno_sum(x, 1, u, n, keep_terms=False).value
+        if which == 3:
+            rows.append([float(x), b0e, b1])
+        else:
+            rows.append([float(x),
+                         float(f"{b1:.15g}") - float(f"{b0e:.15g}")])
+    return _csv_text(rows)
+
+
+@st.composite
+def grid_ends(draw):
+    """lo < hi, possibly negative, with equal, coprime or random
+    denominators."""
+    b = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("equal", "coprime", "random")))
+    if kind == "equal":
+        d = b
+    elif kind == "coprime":
+        d = b + 1
+    else:
+        d = draw(st.integers(1, 40))
+    lo = Fraction(draw(st.integers(-4 * b, 4 * b)), b)
+    hi = Fraction(draw(st.integers(-4 * d, 4 * d)), d)
+    if lo == hi:
+        hi += 1
+    return min(lo, hi), max(lo, hi)
 
 
 def run(capsys, *argv):
@@ -177,6 +229,30 @@ class TestFigure:
         assert main(["figure", "--which", str(which), "--out", str(out)]) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == FIGURE_SHA256[which]
+
+    @given(ends=grid_ends(), points=st.sampled_from((2, 3, 17, 4096)))
+    @settings(max_examples=60, deadline=None)
+    @example(ends=(Fraction(0), Fraction(1)), points=4096)
+    @example(ends=(Fraction(-2), Fraction(3)), points=11)
+    @example(ends=(Fraction(-1, 3), Fraction(5, 3)), points=3)
+    def test_grid_matches_fraction_formula(self, ends, points):
+        lo, hi = ends
+        assert _figure_grid(lo, hi, points) == oracle_grid(lo, hi, points)
+
+    # symmetric grids reuse B0 at the mirror point; on the other two, 1 - x
+    # is off the grid or, at the integers, not the mirror value
+    @pytest.mark.parametrize("which", [3, 4])
+    @pytest.mark.parametrize("grid", [
+        ("0", "1", 33), ("0", "1", 34), ("1/3", "2", 40), ("-1", "1", 33),
+    ], ids=["sym33", "sym34", "offgrid", "shifted"])
+    def test_even_part_matches_pointwise(self, tmp_path, which, grid):
+        lo, hi, points = grid
+        out = tmp_path / "fig.csv"
+        assert main(["figure", "--which", str(which), "--lo", lo, "--hi", hi,
+                     "--points", str(points), "--digits", "2000",
+                     "--out", str(out)]) == 0
+        assert out.read_text() == oracle_even_csv(
+            which, Fraction(lo), Fraction(hi), points, 2000, 200)
 
     def test_unwritable_out(self, capsys):
         code = main(["figure", "--which", "2", "--points", "8",

@@ -3,10 +3,11 @@ expansion-based reference they replaced.
 
 The oracles below recompute each sum the way it was computed before the
 integer-state orbits existed: ``brjuno_sum`` and ``q_series`` from
-``alpha_expand``, ``semi_brjuno`` from ``minus_expand`` and ``_log_frac``
-(``to_float`` and the 1e-22 cut for surds).  Every input must agree bit for
-bit: ``to_float`` of a Surd is its correctly rounded double, which is the
-double the certified orbit accepts.
+``alpha_expand``, ``semi_brjuno`` from ``minus_expand`` and two logs per
+term, log(den) - log(num), each taken afresh (``to_float`` and the 1e-22
+cut for surds).  Every input must agree bit for bit: ``to_float`` of a Surd
+is its correctly rounded double, which is the double the certified orbit
+accepts.
 
 The kernel section checks ``alpha._orbit`` step by step against the exact
 ``alpha_step``/``minus_step`` chains, and ``alpha_expand``/``minus_expand``
@@ -25,8 +26,8 @@ from hypothesis import strategies as st
 
 from alphacf import exact
 from alphacf.alpha import (_alpha_seed, _orbit, alpha_bar, alpha_expand,
-                          alpha_reduce, alpha_step, rho_alpha)
-from alphacf.brjuno import (BrjunoResult, _inv, _log_frac, _logq_vs_loga,
+                          alpha_reduce, alpha_step, decay_check, rho_alpha)
+from alphacf.brjuno import (BrjunoResult, _inv, _logq_vs_loga,
                             brjuno_sum, log_denominator_sum, make_u,
                             q_series, semi_brjuno)
 from alphacf.byexcess import _reduce_mod1, minus_expand, minus_step
@@ -38,6 +39,7 @@ ALPHAS = (Fraction(1), Fraction(1, 2), Fraction(1, 5), Fraction(3, 7),
 WEIGHTS = {name: make_u(name) for name in ("log", "inv_sqrt")}
 N_MAX = (0, 1, 5, 200)
 NUDGE = Fraction(1, 10 ** 9)
+FIGURE_NUDGE = Fraction(1, 2 * 10 ** 9)   # what `figure` adds at integers
 DEEP = Fraction(4999, 5000)   # 4998 by-excess 2's before the orbit hits 1
 # F_150/F_151: beta* falls below 1e-22 long before the orbit ends, which
 # cuts surd sums but not rational ones
@@ -101,7 +103,7 @@ def oracle_semi_brjuno(x, n_max, keep_terms=True, with_q_series=False):
             break
         xf = to_float(xn)
         if isinstance(xn, Fraction):
-            term = beta * _log_frac(xn.denominator, xn.numerator)
+            term = beta * (math.log(xn.denominator) - math.log(xn.numerator))
         else:
             term = beta * -math.log(xf)
         value += term
@@ -120,6 +122,24 @@ def oracle_semi_brjuno(x, n_max, keep_terms=True, with_q_series=False):
                         reached_one or tail < 1e-12,
                         companion_q_series=qs if with_q_series else None,
                         istar_sum=istar)
+
+
+def oracle_decay_check(exp, max_index=50):
+    """The decay bounds against the Surd powers abar * rho^n, unsquared."""
+    rho = rho_alpha(exp.alpha)
+    bound = alpha_bar(exp.alpha)
+    for n in range(min(max_index + 1, len(exp.betas))):
+        try:
+            if exact.compare(exp.betas[n], bound) > 0:
+                return False
+        except exact.NeedsPrecision:
+            pass
+        if n + 1 < len(exp.q_seq):
+            if exact.compare(Fraction(1, exp.q_seq[n + 1]),
+                             bound * (1 + exp.alpha)) >= 0:
+                return False
+        bound = rho * bound
+    return True
 
 
 def oracle_log_denominator_sum(x, n_max):
@@ -221,6 +241,11 @@ def test_q_series_matches_oracle(inp, u_name, n_max):
 @example(x=Fraction(1, 2), n_max=1, keep_terms=True, with_q=True)
 @example(x=DEEP, n_max=10 ** 4, keep_terms=False, with_q=True)
 @example(x=FIB, n_max=200, keep_terms=True, with_q=True)
+# the figures' long run, an empty orbit, and the first (n = 0) log of den
+@example(x=1 - FIGURE_NUDGE, n_max=10 ** 4, keep_terms=False, with_q=True)
+@example(x=Fraction(3), n_max=5, keep_terms=True, with_q=True)
+@example(x=Fraction(-7, 3), n_max=0, keep_terms=True, with_q=True)
+@example(x=Fraction(-7, 3), n_max=1, keep_terms=True, with_q=True)
 def test_semi_brjuno_matches_oracle(x, n_max, keep_terms, with_q):
     assert agree(fingerprint(semi_brjuno(x, n_max, keep_terms, with_q)),
                  fingerprint(oracle_semi_brjuno(x, n_max, keep_terms,
@@ -243,10 +268,34 @@ def test_reached_one_only_within_budget():
     assert (full.converged, full.tail_estimate) == (True, 0.0)
 
 
+# both regimes of rho: sqrt(1 - 2 alpha) below sqrt(2) - 1, then the silver
+# and golden constants
+DECAY_ALPHAS = (Fraction(1, 5), Fraction(1, 10), Fraction(3, 10),
+                Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(1))
+
+
+@given(alpha=st.sampled_from(DECAY_ALPHAS), x=reals,
+       carrier=st.sampled_from(("exact", "adaptive")),
+       depth=st.sampled_from((0, 3, 25)),
+       scale=st.sampled_from((Fraction(1), Fraction(3, 2))),
+       q_div=st.sampled_from((1, 3)))
+@settings(max_examples=200, deadline=None)
+def test_decay_check_matches_oracle(alpha, x, carrier, depth, scale, q_div):
+    # scaled betas and shrunk q's make either bound fail, so both answers
+    # of the squared comparisons are exercised
+    if carrier == "adaptive":
+        x = AdaptiveReal.from_exact(x)
+    exp = alpha_expand(x, alpha, depth)
+    exp.betas = [b.mobius(scale.numerator, 0, 0, scale.denominator)
+                 if isinstance(b, AdaptiveReal) else b * scale
+                 for b in exp.betas]
+    exp.q_seq = [max(1, q // q_div) for q in exp.q_seq]
+    assert decay_check(exp) == oracle_decay_check(exp)
+
+
 # -- the orbit kernel against the exact step chains -----------------------
 
 KERNEL_ALPHAS = (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1))
-FIGURE_NUDGE = Fraction(1, 2 * 10 ** 9)   # what `figure` adds at integers
 KERNEL_STEPS = 30
 
 

@@ -105,7 +105,7 @@ class TestRho:
     def test_float_is_the_surd_double(self, alpha):
         alpha = Fraction(alpha)
         assert _rho_float(alpha) == to_float(rho_alpha(alpha))
-        if alpha < Fraction(2, 5):
+        if alpha <= Fraction(2, 5):   # below sqrt(2) - 1
             assert _rho_float(alpha) == to_float(Surd.sqrt_of(1 - 2 * alpha))
 
     @pytest.mark.parametrize("code", [

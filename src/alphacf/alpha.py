@@ -191,25 +191,71 @@ def _step(x: RealValue, alpha: Fraction) -> tuple[int, int, RealValue]:
     return a, eps, abs(diff)
 
 
+def _surd_orbit(x: Surd, alpha: Fraction, m: tuple):
+    """The A_alpha orbit of a Surd x from the seed matrix m, in integers:
+    yields (x_n, a_{n+1}, eps_{n+1}) for n = 0, 1, ... (it never ends).
+
+    x_n = (P + sqrt(D))/Q with Q | D - P^2, so 1/x_n = (P1 + sqrt(D))/Q1
+    for P1 = -P and the integer Q1 = (D - P^2)/Q.  For alpha = r/s and
+    X = s P1 + (s - r) Q1 the digit floor(1/x_n + 1 - alpha) is
+    floor((X + s sqrt(D))/(s Q1)).  s sqrt(D) lies strictly between
+    R = isqrt(s^2 D) and R + 1, so the digit is (X + R) // (s Q1) for
+    Q1 > 0 and (X + R + 1) // (s Q1) for Q1 < 0.
+    """
+    r, s = alpha.numerator, alpha.denominator
+    A, B, _C, _D = m
+    x0 = A * x + B
+    d = x0.d
+    # (a + b sqrt(d))/c = (P + k sqrt(d))/Q with k = |b| c, P = +-a c and
+    # Q = +-c^2, so that Q divides D - P^2 = c^2 (b^2 d - a^2)
+    sgn = 1 if x0.b > 0 else -1
+    k = abs(x0.b) * x0.c
+    P, Q = sgn * x0.a * x0.c, sgn * x0.c * x0.c
+    D = k * k * d
+    R = math.isqrt(s * s * D)
+    while True:
+        xn = Surd._field(P, k, Q, d)
+        Q1 = (D - P * P) // Q
+        X = (s - r) * Q1 - s * P + R
+        a = (X if Q1 > 0 else X + 1) // (s * Q1)
+        P = -P - a * Q1
+        # eps is the sign of 1/x_n - a = (P + sqrt(D))/Q1
+        eps = 1 if (P >= 0 or P * P < D) == (Q1 > 0) else -1
+        yield xn, a, eps
+        Q = eps * Q1
+
+
 def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
     """(steps, remainders, betas, ended): the A_alpha orbit of x_0 = m(x).
 
     steps are the (a, eps) of at most max_digits steps, remainders x_0 ..
     x_D and betas x_0 ... x_n; ended says the orbit reached 0 (a
     terminating expansion) or 1 (the by-excess fixed point) within the
-    budget.  Fraction and Surd walk the exact step chain from m(x) = A x +
-    B, which A_alpha keeps in its domain.  AdaptiveReal walks the kernel,
-    with x_n = m_n(x) and x_0 ... x_n = A_n x + B_n as Moebius images.
+    budget.  A Fraction walks the exact step chain from m(x) = A x + B,
+    which A_alpha keeps in its domain.  A Surd walks its (P, Q, D) states
+    and an AdaptiveReal the certified kernel.  For both, x_n = m_n(x), and
+    beta_n = A_n x + B_n is the image of the num row of m_n, which is
+    +-(q_n, -p_n) on x - n_0: Lemma 1, beta_n = |q_n x' - p_n|, with no
+    product chain.
     """
-    if isinstance(x, AdaptiveReal):
-        steps = [(a, eps) for _num, _den, a, eps
-                 in islice(_orbit(x, alpha, m), max_digits + 1)]
-        remainders, betas = [], []
-        for a, eps in steps:
+    if not isinstance(x, (int, Fraction)):
+        surd = isinstance(x, Surd)
+        walk = (_surd_orbit(x, alpha, m) if surd else
+                ((None, a, eps)
+                 for _num, _den, a, eps in _orbit(x, alpha, m)))
+        steps, remainders, betas = [], [], []
+        for xn, a, eps in islice(walk, max_digits + 1):
             A, B, C, D = m
-            remainders.append(x.mobius(A, B, C, D))
-            # the den row of m_{n+1} is the num row of m_n, and m_0 has den 1
-            betas.append(x.mobius(A, B, 0, 1))
+            # beta_n = A x + B: the den row of m_{n+1} is the num row of
+            # m_n, and m_0 has den 1
+            if surd:
+                remainders.append(xn)
+                betas.append(Surd._field(A * x.a + B * x.c, A * x.b, x.c,
+                                         x.d))
+            else:
+                remainders.append(x.mobius(A, B, C, D))
+                betas.append(x.mobius(A, B, 0, 1))
+            steps.append((a, eps))
             m = eps * (C - a * A), eps * (D - a * B), A, B
         ended = len(steps) <= max_digits
         if ended:
@@ -260,9 +306,9 @@ def alpha_expand(x: RealValue, alpha, max_digits: int) -> AlphaExpansion:
     Stops early when a remainder hits zero (rational input); at alpha = 0
     the fixed point 1 repeats the digit 2 with sign -1 up to the budget.
     Convergents follow p_n = a_n p_{n-1} + eps_{n-1} p_{n-2} from the
-    identity seed.  AdaptiveReal input follows the certified integer-matrix
-    orbit, with beta_n = |q_n x' - p_n| (Lemma 1) in place of the product
-    chain.
+    identity seed.  Surd input follows its exact (P, Q, D) states and
+    AdaptiveReal input the certified integer-matrix orbit; both take
+    beta_n = |q_n x' - p_n| (Lemma 1) in place of the product chain.
     """
     if max_digits < 0:
         raise ValueError("max_digits must be >= 0")

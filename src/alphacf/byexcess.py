@@ -100,8 +100,9 @@ def minus_expand(x: RealValue, max_digits: int) -> MinusExpansion:
     The input is reduced mod 1 into (0, 1] first (integers map to 1).
     Convergents satisfy p*_n = b_n p*_{n-1} - p*_{n-2} with seeds fixed by
     p*_1/q*_1 = 1/b_1 and unimodularity p*_n q*_{n-1} - p*_{n-1} q*_n = 1.
-    AdaptiveReal input follows the certified integer-matrix orbit of x_0,
-    with beta*_n = q*_n x_0 - p*_n in place of the product chain.
+    Surd input follows its exact (P, Q, D) states and AdaptiveReal input
+    the certified integer-matrix orbit of x_0; both take
+    beta*_n = q*_n x_0 - p*_n in place of the product chain.
     """
     if max_digits < 0:
         raise ValueError("max_digits must be >= 0")

@@ -174,11 +174,19 @@ def cmd_figure(args) -> int:
         u = make_u("log")
         rows = [["x", "b0even", "b1"] if args.which == 3 else ["x", "diff"]]
         b0 = [semi_brjuno(x, digits, keep_terms=False).value for x in xs]
+        off_grid = {}
         for k, x in enumerate(xs):
-            # B0 depends only on the value, so B0(1 - x) is read off the
-            # mirror point when 1 - x is on the grid
-            b0_mirror = (b0[-1 - k] if 1 - x == xs[-1 - k] else
-                         semi_brjuno(1 - x, digits, keep_terms=False).value)
+            # B0 depends only on the value mod 1, so B0(1 - x) is read off
+            # the mirror point when 1 - x is on the grid; the mirrors of
+            # the nudged ends, 1 - nudge and -nudge, share one orbit
+            if 1 - x == xs[-1 - k]:
+                b0_mirror = b0[-1 - k]
+            else:
+                key = (1 - x) % 1
+                if key not in off_grid:
+                    off_grid[key] = semi_brjuno(key, digits,
+                                                keep_terms=False).value
+                b0_mirror = off_grid[key]
             b0e = b0[k] + b0_mirror
             b1 = brjuno_sum(x, 1, u, n, keep_terms=False).value
             if args.which == 3:

@@ -106,15 +106,18 @@ class Surd:
         if d <= 0:
             raise InvalidRadicand(f"radicand must be positive, got {d}")
         s, f = _square_free_split(d)
-        b *= s
-        d = f
-        if d == 1:
-            raise NotASurd(f"({a}+{b})/{c} is rational; use Fraction")
+        if f == 1:
+            raise NotASurd(f"({a}+{b * s})/{c} is rational; use Fraction")
         if b == 0:
             raise NotASurd(f"{a}/{c} is rational; use Fraction")
+        self._set(a, b * s, c, f)
+
+    def _set(self, a: int, b: int, c: int, d: int) -> None:
         if c < 0:
             a, b, c = -a, -b, -c
-        g = math.gcd(math.gcd(abs(a), abs(b)), c)
+        # c first: it is small where a and b can be long (a beta of a deep
+        # orbit), and gcd stops at the first argument that brings it to 1
+        g = math.gcd(c, a, b)
         object.__setattr__(self, "a", a // g)
         object.__setattr__(self, "b", b // g)
         object.__setattr__(self, "c", c // g)
@@ -123,26 +126,29 @@ class Surd:
     def __setattr__(self, name, value):
         raise AttributeError("Surd is immutable")
 
-    @staticmethod
-    def _make(a: int, b: int, c: int, d: int) -> Union["Surd", Fraction]:
-        """Build a surd, demoting to Fraction if the value is rational."""
-        try:
-            return Surd(a, b, c, d)
-        except NotASurd:
-            s, f = _square_free_split(d)
-            if f == 1:
-                return Fraction(a + b * s, c)
+    @classmethod
+    def _field(cls, a: int, b: int, c: int, d: int) -> Union["Surd", Fraction]:
+        """(a + b*sqrt(d))/c for a d that is already square-free, as a
+        Surd, or a Fraction when b = 0.  Unlike the constructor it does not
+        factor d, so arithmetic inside one field costs a gcd, not a trial
+        division."""
+        if b == 0:
             return Fraction(a, c)
+        out = cls.__new__(cls)
+        out._set(a, b, c, d)
+        return out
 
     @classmethod
     def sqrt_of(cls, value: Fraction) -> Union["Surd", Fraction]:
         """Exact square root of a positive rational, as surd or rational."""
         value = Fraction(value)
-        if value < 0:
-            raise InvalidRadicand("negative radicand")
+        if value <= 0:
+            raise InvalidRadicand(f"radicand must be positive, got {value}")
         # sqrt(p/q) = sqrt(p*q)/q
-        return cls._make(0, 1, value.denominator,
-                         value.numerator * value.denominator)
+        s, f = _square_free_split(value.numerator * value.denominator)
+        if f == 1:
+            return Fraction(s, value.denominator)
+        return cls._field(0, s, value.denominator, f)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -152,20 +158,21 @@ class Surd:
         return None
 
     def __neg__(self):
-        return Surd(-self.a, -self.b, self.c, self.d)
+        return self._field(-self.a, -self.b, self.c, self.d)
 
     def __add__(self, other):
         if isinstance(other, Surd):
             if other.d != self.d:
                 return NotImplemented
-            return self._make(self.a * other.c + other.a * self.c,
-                              self.b * other.c + other.b * self.c,
-                              self.c * other.c, self.d)
+            return self._field(self.a * other.c + other.a * self.c,
+                               self.b * other.c + other.b * self.c,
+                               self.c * other.c, self.d)
         r = self._coerce(other)
         if r is None:
             return NotImplemented
-        return Surd(self.a * r.denominator + r.numerator * self.c,
-                    self.b * r.denominator, self.c * r.denominator, self.d)
+        return self._field(self.a * r.denominator + r.numerator * self.c,
+                           self.b * r.denominator, self.c * r.denominator,
+                           self.d)
 
     __radd__ = __add__
 
@@ -184,23 +191,21 @@ class Surd:
         if isinstance(other, Surd):
             if other.d != self.d:
                 return NotImplemented
-            return self._make(self.a * other.a + self.b * other.b * self.d,
-                              self.a * other.b + self.b * other.a,
-                              self.c * other.c, self.d)
+            return self._field(self.a * other.a + self.b * other.b * self.d,
+                               self.a * other.b + self.b * other.a,
+                               self.c * other.c, self.d)
         r = self._coerce(other)
         if r is None:
             return NotImplemented
-        if r == 0:
-            return Fraction(0)
-        return Surd(self.a * r.numerator, self.b * r.numerator,
-                    self.c * r.denominator, self.d)
+        return self._field(self.a * r.numerator, self.b * r.numerator,
+                           self.c * r.denominator, self.d)
 
     __rmul__ = __mul__
 
     def recip(self) -> "Surd":
         """Exact reciprocal via the conjugate."""
         norm = self.a * self.a - self.b * self.b * self.d
-        return Surd(self.a * self.c, -self.b * self.c, norm, self.d)
+        return self._field(self.a * self.c, -self.b * self.c, norm, self.d)
 
     def __truediv__(self, other):
         if isinstance(other, Surd):

@@ -16,6 +16,8 @@ from alphacf.exact import DomainError, Surd, compare, to_float
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 # sqrt(1 - 2 alpha) would factor a 31-digit radicand by trial division
 TINY_ALPHA = "1/1000000000000037"
+# a prime radicand just below MAX_RADICAND: one trial division takes ~60 ms
+BIG_SURD = "(0+1*sqrt(999999999989))/1000000"
 
 G = Surd(-1, 1, 2, 5)
 G_SQ = Surd(3, -1, 2, 5)
@@ -120,12 +122,32 @@ class TestRho:
         f"'(-1+1*sqrt(5))/2', '--alpha', '{TINY_ALPHA}', '--n', '10']))",
     ], ids=["brjuno_sum", "decay_check", "cli_brjuno"])
     def test_large_denominator_alpha_returns(self, code):
-        env = dict(os.environ, PYTHONPATH=SRC)
-        prelude = "import os, sys\nfrom fractions import Fraction\n"
-        proc = subprocess.run([sys.executable, "-c", prelude + code],
-                              env=env, capture_output=True, text=True,
-                              timeout=10)
-        assert proc.returncode == 0, proc.stderr
+        run_within_10s(code)
+
+
+def run_within_10s(code: str) -> None:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    prelude = "import os, sys\nfrom fractions import Fraction\n"
+    proc = subprocess.run([sys.executable, "-c", prelude + code],
+                          env=env, capture_output=True, text=True,
+                          timeout=10)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("code", [
+    "from alphacf.cli import main\n"
+    "sys.exit(main(['--out', os.devnull, 'expand', '--x', "
+    f"'{BIG_SURD}', '--alpha', '1/2', '--n', '400']))",
+    "from alphacf import (alpha_expand, beta_check, minus_expand,\n"
+    "                     parse_real, reconstruction_check)\n"
+    f"x = parse_real('{BIG_SURD}')\n"
+    "exp = alpha_expand(x, Fraction(1, 2), 200)\n"
+    "assert beta_check(exp).all_ok and reconstruction_check(exp)\n"
+    "assert len(minus_expand(x, 200).digits) == 200",
+], ids=["cli_expand", "checks"])
+def test_large_radicand_returns(code):
+    # same-field arithmetic must not factor the radicand again
+    run_within_10s(code)
 
 
 class TestIdentities:

@@ -17,6 +17,7 @@ Surd or Fraction it encloses gives.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import islice
 
@@ -32,7 +33,7 @@ from alphacf.brjuno import (BrjunoResult, _inv, _logq_vs_loga,
                             q_series, semi_brjuno)
 from alphacf.byexcess import _reduce_mod1, minus_expand, minus_step
 from alphacf.corpus import surd_corpus
-from alphacf.exact import AdaptiveReal, is_exact, sign_val, to_float
+from alphacf.exact import AdaptiveReal, Surd, is_exact, sign_val, to_float
 
 ALPHAS = (Fraction(1), Fraction(1, 2), Fraction(1, 5), Fraction(3, 7),
           Fraction(9, 10))
@@ -297,6 +298,15 @@ def test_decay_check_matches_oracle(alpha, x, carrier, depth, scale, q_div):
 
 KERNEL_ALPHAS = (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1))
 KERNEL_STEPS = 30
+# (a + b sqrt(d))/c with b in {+-1, +-2} and c in 1..4: a seeded sample,
+# plus the members whose two roots both lie in (0, 1), (2 +- sqrt(2))/4 and
+# (2 +- sqrt(3))/4, on which the (P + sqrt(D))/Q walk of x - floor(x)
+# starts with Q_1 < 0
+Q1_NEGATIVE = [Surd(2, b, 4, d) for d in (2, 3) for b in (1, -1)]
+_rng = random.Random(8)
+MIXED_SURDS = [Surd(_rng.randint(-9, 9), _rng.choice((1, -1, 2, -2)),
+                    _rng.randint(1, 4), _rng.choice((2, 3, 5, 6, 7, 10, 11)))
+               for _ in range(24)] + Q1_NEGATIVE
 
 
 @st.composite
@@ -307,7 +317,7 @@ def kernel_inputs(draw):
     kind = draw(st.sampled_from(
         ("n+alpha", "n+1-alpha", "integer", "surd", "adaptive")))
     if kind in ("surd", "adaptive"):
-        x = n + draw(st.sampled_from(SURDS))
+        x = n + draw(st.sampled_from(SURDS + MIXED_SURDS))
         return alpha, (AdaptiveReal.from_exact(x) if kind == "adaptive"
                        else x), x
     base = {"n+alpha": n + alpha, "n+1-alpha": n + 1 - alpha,
@@ -410,6 +420,7 @@ expansion_inputs = st.one_of(
 @example(inp=(Fraction(0), Fraction(3)), max_digits=5)
 @example(inp=(Fraction(0), DEEP), max_digits=120)
 @example(inp=(Fraction(1, 2), Fraction(5, 2)), max_digits=1)
+@example(inp=(Fraction(0), Q1_NEGATIVE[0]), max_digits=5)
 def test_expansions_match_step_chain(inp, max_digits):
     # the walk steps with the private rule; the public steps must agree,
     # remainders and betas compared exactly

@@ -21,8 +21,9 @@ from itertools import islice
 from typing import Optional
 
 from .exact import (AdaptiveReal, DomainError, ExactnessUnavailable,
-                    NeedsPrecision, RealValue, Surd, _resolve_bits, compare,
-                    floor_shift, is_exact, recip, sign_val, to_float)
+                    NeedsPrecision, RealValue, Surd, _resolve_bits,
+                    _surd_double, compare, floor_shift, is_exact, recip,
+                    sign_val, to_float)
 
 
 def alpha_bar(alpha) -> Fraction:
@@ -133,11 +134,13 @@ def _orbit(x: RealValue, alpha, m: tuple):
     x_n = m_n(x) = (A x + B)/(C x + D) for integer matrices m_n.  For each
     x_n in (0, 1) this yields (num, den, a_{n+1}, eps_{n+1}), num/den = x_n
     for a rational x; the orbit ends at a remainder 0 (a terminating
-    expansion) or 1 (the by-excess fixed point).  A Surd or AdaptiveReal
-    walks the rational orbits of both ends of one enclosure in lockstep and
-    yields the lower end's num/den: a step is accepted when the ends give
-    the same digit, sign and double (all monotone in x_n), else the
-    precision doubles, with NeedsPrecision past the cap.
+    expansion) or 1 (the by-excess fixed point).  A Surd walks its exact
+    (P, Q, D) states and yields the correctly rounded double of x_n over 1,
+    computed once per distinct state.  An AdaptiveReal walks the rational
+    orbits of both ends of one enclosure in lockstep and yields the lower
+    end's num/den: a step is accepted when the ends give the same digit,
+    sign and double (all monotone in x_n), else the precision doubles, with
+    NeedsPrecision past the cap.
     """
     r, s = alpha.numerator, alpha.denominator
     if not 0 <= r <= s:
@@ -155,6 +158,15 @@ def _orbit(x: RealValue, alpha, m: tuple):
             yield num, den, a, eps
             num, den = eps * rem, num
         return
+    if isinstance(x, Surd):
+        P0, Q0, k, d = _surd_state(x, m)
+        D = k * k * d
+        doubles: dict[tuple[int, int], float] = {}
+        for P, Q, a, eps in _surd_orbit(P0, Q0, D, alpha):
+            xf = doubles.get((P, Q))
+            if xf is None:
+                xf = doubles[P, Q] = _surd_double(P, D, Q)
+            yield xf, 1, a, eps
     bits, cap = _resolve_bits(None, None)
     while True:
         lo, hi = x.enclosure(bits)
@@ -191,38 +203,40 @@ def _step(x: RealValue, alpha: Fraction) -> tuple[int, int, RealValue]:
     return a, eps, abs(diff)
 
 
-def _surd_orbit(x: Surd, alpha: Fraction, m: tuple):
-    """The A_alpha orbit of a Surd x from the seed matrix m, in integers:
-    yields (x_n, a_{n+1}, eps_{n+1}) for n = 0, 1, ... (it never ends).
-
-    x_n = (P + sqrt(D))/Q with Q | D - P^2, so 1/x_n = (P1 + sqrt(D))/Q1
-    for P1 = -P and the integer Q1 = (D - P^2)/Q.  For alpha = r/s and
-    X = s P1 + (s - r) Q1 the digit floor(1/x_n + 1 - alpha) is
-    floor((X + s sqrt(D))/(s Q1)).  s sqrt(D) lies strictly between
-    R = isqrt(s^2 D) and R + 1, so the digit is (X + R) // (s Q1) for
-    Q1 > 0 and (X + R + 1) // (s Q1) for Q1 < 0.
-    """
-    r, s = alpha.numerator, alpha.denominator
+def _surd_state(x: Surd, m: tuple) -> tuple[int, int, int, int]:
+    """(P, Q, k, d) with m(x) = (P + k sqrt(d))/Q and Q | k^2 d - P^2, for
+    a seed matrix m = (A, B, 0, 1)."""
     A, B, _C, _D = m
     x0 = A * x + B
-    d = x0.d
     # (a + b sqrt(d))/c = (P + k sqrt(d))/Q with k = |b| c, P = +-a c and
-    # Q = +-c^2, so that Q divides D - P^2 = c^2 (b^2 d - a^2)
+    # Q = +-c^2, so that Q divides k^2 d - P^2 = c^2 (b^2 d - a^2)
     sgn = 1 if x0.b > 0 else -1
-    k = abs(x0.b) * x0.c
-    P, Q = sgn * x0.a * x0.c, sgn * x0.c * x0.c
-    D = k * k * d
+    return sgn * x0.a * x0.c, sgn * x0.c * x0.c, abs(x0.b) * x0.c, x0.d
+
+
+def _surd_orbit(P: int, Q: int, D: int, alpha):
+    """The A_alpha orbit of x_0 = (P + sqrt(D))/Q, Q | D - P^2, in integers:
+    yields (P_n, Q_n, a_{n+1}, eps_{n+1}) with x_n = (P_n + sqrt(D))/Q_n
+    for n = 0, 1, ... (it never ends).
+
+    1/x_n = (P1 + sqrt(D))/Q1 for P1 = -P_n and the integer
+    Q1 = (D - P_n^2)/Q_n.  For alpha = r/s and X = s P1 + (s - r) Q1 the
+    digit floor(1/x_n + 1 - alpha) is floor((X + s sqrt(D))/(s Q1)).
+    s sqrt(D) lies strictly between R = isqrt(s^2 D) and R + 1, so the
+    digit is (X + R) // (s Q1) for Q1 > 0 and (X + R + 1) // (s Q1) for
+    Q1 < 0.
+    """
+    r, s = alpha.numerator, alpha.denominator
     R = math.isqrt(s * s * D)
     while True:
-        xn = Surd._field(P, k, Q, d)
         Q1 = (D - P * P) // Q
         X = (s - r) * Q1 - s * P + R
         a = (X if Q1 > 0 else X + 1) // (s * Q1)
-        P = -P - a * Q1
-        # eps is the sign of 1/x_n - a = (P + sqrt(D))/Q1
-        eps = 1 if (P >= 0 or P * P < D) == (Q1 > 0) else -1
-        yield xn, a, eps
-        Q = eps * Q1
+        P1 = -P - a * Q1
+        # eps is the sign of 1/x_n - a = (P1 + sqrt(D))/Q1
+        eps = 1 if (P1 >= 0 or P1 * P1 < D) == (Q1 > 0) else -1
+        yield P, Q, a, eps
+        P, Q = P1, eps * Q1
 
 
 def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
@@ -240,9 +254,13 @@ def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
     """
     if not isinstance(x, (int, Fraction)):
         surd = isinstance(x, Surd)
-        walk = (_surd_orbit(x, alpha, m) if surd else
-                ((None, a, eps)
-                 for _num, _den, a, eps in _orbit(x, alpha, m)))
+        if surd:
+            P0, Q0, k, d = _surd_state(x, m)
+            walk = ((Surd._field(P, k, Q, d), a, eps)
+                    for P, Q, a, eps in _surd_orbit(P0, Q0, k * k * d, alpha))
+        else:
+            walk = ((None, a, eps)
+                    for _num, _den, a, eps in _orbit(x, alpha, m))
         steps, remainders, betas = [], [], []
         for xn, a, eps in islice(walk, max_digits + 1):
             A, B, C, D = m
@@ -410,9 +428,15 @@ def rho_alpha(alpha) -> RealValue:
 
 
 def _rho_float(alpha) -> float:
-    """The correctly rounded double of rho_alpha(alpha), factoring nothing."""
+    """The correctly rounded double of rho_alpha(alpha), in integers: it
+    factors nothing and does not depend on the precision cap."""
     rate, k = _rho_power(alpha)
-    return to_float(rate if k == 1 else _sqrt_real(rate))
+    if k == 1:
+        return to_float(rate)
+    # sqrt(p/q) = sqrt(p q)/q
+    pq, q = rate.numerator * rate.denominator, rate.denominator
+    root = math.isqrt(pq)
+    return root / q if root * root == pq else _surd_double(0, pq, q)
 
 
 def _exceeds(beta: RealValue, bound: RealValue, k: int) -> bool:

@@ -112,7 +112,10 @@ class BrjunoResult:
 def _orbit_record(x: RealValue, alpha, n_max: int):
     """(xs, digits, q_seq, terminated) of the A_alpha orbit of x: x_0 .. x_n
     (n <= n_max) as doubles, the digit a_{k+1} of each x_k, q_0 .. q_{n+1},
-    and whether the orbit reached 0 within the budget."""
+    and whether the orbit reached 0 within the budget.  Every double is
+    correctly rounded: num/den of a rational state, the integer-rounded
+    double of a Surd's (P, Q, D) state, or the certified double of an
+    AdaptiveReal's enclosure."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _n0, _eps0, m = _alpha_seed(x, alpha)
@@ -212,8 +215,9 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
         num, den, b, _eps = step
         xf = num / den
         # rationals keep log(den) - log(num), which the published figures
-        # were computed with; on the large num and den of an enclosure end
-        # that difference cancels, so irrationals take the certified double
+        # were computed with; irrationals take the double: a Surd yields
+        # it over 1, and on the large num and den of an enclosure end that
+        # difference cancels
         if rational:
             # den_{n+1} = num_n: log(den) is the previous step's log(num)
             log_num = math.log(num)

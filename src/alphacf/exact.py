@@ -118,10 +118,11 @@ class Surd:
         # c first: it is small where a and b can be long (a beta of a deep
         # orbit), and gcd stops at the first argument that brings it to 1
         g = math.gcd(c, a, b)
-        object.__setattr__(self, "a", a // g)
-        object.__setattr__(self, "b", b // g)
-        object.__setattr__(self, "c", c // g)
-        object.__setattr__(self, "d", d)
+        # the slot descriptors store directly, past the __setattr__ guard
+        Surd.a.__set__(self, a // g)
+        Surd.b.__set__(self, b // g)
+        Surd.c.__set__(self, c // g)
+        Surd.d.__set__(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Surd is immutable")
@@ -292,7 +293,10 @@ class Surd:
         return (self.a + t_lo) / self.c, (self.a + t_hi) / self.c
 
     def __float__(self):
-        return _nearest_float(self)
+        # (a + b sqrt(d))/c = (+-a + sqrt(b^2 d))/(+-c), the sign of b
+        sgn = 1 if self.b > 0 else -1
+        return _surd_double(sgn * self.a, self.b * self.b * self.d,
+                            sgn * self.c)
 
     def __floor__(self) -> int:
         lo, _hi = self.enclosure(64)
@@ -387,7 +391,27 @@ class AdaptiveReal:
 RealValue = Union[Fraction, Surd, AdaptiveReal]
 
 
-def _nearest_float(x: Union[Surd, AdaptiveReal]) -> float:
+def _surd_double(P: int, D: int, Q: int) -> float:
+    """The correctly rounded double of (P + sqrt(D))/Q for a D that is not
+    a square.
+
+    With n = P 2^t + isqrt(D 4^t) the value lies strictly between
+    n/(Q 2^t) and (n + 1)/(Q 2^t), and int/int division rounds correctly,
+    so once both ends give the same double (rounding is monotone) that is
+    the value's double.  An irrational value is no rounding midpoint, so
+    doubling t ends the loop without a cap.
+    """
+    t = 64
+    while True:
+        n = (P << t) + math.isqrt(D << 2 * t)
+        den = Q << t
+        f = n / den
+        if f == (n + 1) / den:
+            return f
+        t *= 2
+
+
+def _nearest_float(x: AdaptiveReal) -> float:
     """The correctly rounded double of x: the precision doubles until both
     ends of an enclosure round to the same double (rounding is monotone);
     at the cap the lower end's double is returned."""

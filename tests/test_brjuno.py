@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from alphacf import exact
 from alphacf.brjuno import (ConditionViolation, b0_even, b0_qseries,
                             brjuno_sum, diff_report, functional_residual,
                             log_denominator_sum, make_u, q_series,
@@ -119,6 +120,34 @@ class TestBudgets:
     def test_negative_budget_rejected(self, call):
         with pytest.raises(ValueError):
             call()
+
+
+class TestPrecisionIndependence:
+    def test_surd_sums_ignore_the_cap(self, monkeypatch):
+        # a surd walks exact (P, Q, D) states and rounds each double in
+        # integers, so no enclosure needs the precision cap
+        u = make_u("log")
+
+        def run():
+            return [(r.value.hex(), r.terms, r.tail_estimate, r.converged)
+                    for r in (brjuno_sum(G, Fraction(1, 2), u, 400),
+                              semi_brjuno(Surd(2, 1, 4, 2), 10 ** 4))]
+
+        want = run()
+        monkeypatch.setattr(exact, "PRECISION_CAP", 128)
+        assert run() == want
+
+    def test_tail_rate_ignores_the_cap(self, monkeypatch):
+        # below alpha = sqrt(2) - 1 the tail takes sqrt(1 - 2 alpha), which
+        # is rounded in integers too: a 2-bit cap used to give 3/4 for 0.7746
+        u = make_u("log")
+        x = Surd(-1, 1, 3, 7)
+        want = [brjuno_sum(x, alpha, u, 200).tail_estimate
+                for alpha in (Fraction(1, 5), Fraction(3, 8))]
+        monkeypatch.setattr(exact, "DEFAULT_BITS", 2)
+        monkeypatch.setattr(exact, "PRECISION_CAP", 2)
+        assert [brjuno_sum(x, alpha, u, 200).tail_estimate
+                for alpha in (Fraction(1, 5), Fraction(3, 8))] == want
 
 
 class TestFunctionalEquations:

@@ -322,6 +322,12 @@ class TestPrecisionFlags:
         assert main(["--precision-bits", "64", "--precision-cap", "64",
                      "expand", "--x", "5/7", "--alpha", "1"]) == 0
 
+    def test_surd_sum_at_the_lowest_cap(self, capsys):
+        # a surd sum refines no enclosure, so a cap of 128 bits suffices
+        assert main(["--precision-bits", "128", "--precision-cap", "128",
+                     "brjuno", "--x", "(-1+1*sqrt(5))/2", "--alpha", "1/2",
+                     "--n", "400"]) == 0
+
     @pytest.mark.parametrize("x", ["5/7", "oops"])
     def test_precision_restored_after_run(self, capsys, x):
         # the flags hold for one run only, whether it succeeds or fails

@@ -6,14 +6,15 @@ integer-state orbits existed: ``brjuno_sum`` and ``q_series`` from
 ``alpha_expand``, ``semi_brjuno`` from ``minus_expand`` and two logs per
 term, log(den) - log(num), each taken afresh (``to_float`` and the 1e-22
 cut for surds).  Every input must agree bit for bit: ``to_float`` of a Surd
-is its correctly rounded double, which is the double the certified orbit
-accepts.
+is its correctly rounded double, which is the double the orbit reads off
+each (P, Q, D) state.
 
 The kernel section checks ``alpha._orbit`` step by step against the exact
 ``alpha_step``/``minus_step`` chains, and ``alpha_expand``/``minus_expand``
 against expansions built from those chains.  The last section checks the
-certified orbit across carriers: an AdaptiveReal must give exactly what the
-Surd or Fraction it encloses gives.
+orbit across carriers: an AdaptiveReal, which walks a certified enclosure,
+must give exactly what the Surd or Fraction it encloses gives, and the
+integer-rounded double of a Surd must be the double its enclosures certify.
 """
 
 import math
@@ -22,7 +23,7 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alphacf import exact
@@ -47,6 +48,15 @@ DEEP = Fraction(4999, 5000)   # 4998 by-excess 2's before the orbit hits 1
 FIB = Fraction(9969216677189303386214405760200,
                16130531424904581415797907386349)
 SURDS = surd_corpus(20)
+# (a + b sqrt(d))/c with b in {+-1, +-2} and c in 1..4: a seeded sample,
+# plus the members whose two roots both lie in (0, 1), (2 +- sqrt(2))/4 and
+# (2 +- sqrt(3))/4, on which the (P + sqrt(D))/Q walk of x - floor(x)
+# starts with Q_1 < 0
+Q1_NEGATIVE = [Surd(2, b, 4, d) for d in (2, 3) for b in (1, -1)]
+_rng = random.Random(8)
+MIXED_SURDS = [Surd(_rng.randint(-9, 9), _rng.choice((1, -1, 2, -2)),
+                    _rng.randint(1, 4), _rng.choice((2, 3, 5, 6, 7, 10, 11)))
+               for _ in range(24)] + Q1_NEGATIVE
 
 
 # -- oracles ---------------------------------------------------------------
@@ -192,7 +202,7 @@ def alpha_inputs(draw):
     if kind == "int":
         return alpha, n
     if kind == "surd":
-        return alpha, draw(st.sampled_from(SURDS))
+        return alpha, draw(st.sampled_from(SURDS + MIXED_SURDS))
     base = {"n+alpha": n + alpha, "n+1-alpha": n + 1 - alpha,
             "integer": Fraction(n), "deep": DEEP}[kind]
     return alpha, base + draw(st.sampled_from((0, NUDGE, -NUDGE)))
@@ -206,7 +216,7 @@ rationals = st.one_of(
               st.integers(1, 50), st.sampled_from((0, NUDGE, -NUDGE))),
     st.sampled_from((DEEP, 1 - DEEP, -DEEP, FIB)),
 )
-reals = st.one_of(rationals, st.sampled_from(SURDS))
+reals = st.one_of(rationals, st.sampled_from(SURDS + MIXED_SURDS))
 
 
 # -- properties ------------------------------------------------------------
@@ -247,6 +257,7 @@ def test_q_series_matches_oracle(inp, u_name, n_max):
 @example(x=Fraction(3), n_max=5, keep_terms=True, with_q=True)
 @example(x=Fraction(-7, 3), n_max=0, keep_terms=True, with_q=True)
 @example(x=Fraction(-7, 3), n_max=1, keep_terms=True, with_q=True)
+@example(x=Q1_NEGATIVE[0], n_max=200, keep_terms=True, with_q=True)
 def test_semi_brjuno_matches_oracle(x, n_max, keep_terms, with_q):
     assert agree(fingerprint(semi_brjuno(x, n_max, keep_terms, with_q)),
                  fingerprint(oracle_semi_brjuno(x, n_max, keep_terms,
@@ -298,15 +309,6 @@ def test_decay_check_matches_oracle(alpha, x, carrier, depth, scale, q_div):
 
 KERNEL_ALPHAS = (Fraction(0), Fraction(1, 5), Fraction(1, 2), Fraction(1))
 KERNEL_STEPS = 30
-# (a + b sqrt(d))/c with b in {+-1, +-2} and c in 1..4: a seeded sample,
-# plus the members whose two roots both lie in (0, 1), (2 +- sqrt(2))/4 and
-# (2 +- sqrt(3))/4, on which the (P + sqrt(D))/Q walk of x - floor(x)
-# starts with Q_1 < 0
-Q1_NEGATIVE = [Surd(2, b, 4, d) for d in (2, 3) for b in (1, -1)]
-_rng = random.Random(8)
-MIXED_SURDS = [Surd(_rng.randint(-9, 9), _rng.choice((1, -1, 2, -2)),
-                    _rng.randint(1, 4), _rng.choice((2, 3, 5, 6, 7, 10, 11)))
-               for _ in range(24)] + Q1_NEGATIVE
 
 
 @st.composite
@@ -353,6 +355,8 @@ def step_chain(x, alpha, steps):
 @example(inp=(Fraction(0), Fraction(3) - FIGURE_NUDGE,
               Fraction(3) - FIGURE_NUDGE))
 @example(inp=(Fraction(1, 5), Fraction(-2, 5), Fraction(-2, 5)))
+# (2 + sqrt(3))/4 starts on Q_1 = -1, where the Q_1 < 0 floor needs its + 1
+@example(inp=(Fraction(0), Q1_NEGATIVE[2], Q1_NEGATIVE[2]))
 def test_kernel_matches_step_chain(inp):
     alpha, x, exact_x = inp
     # B0 seeds the by-excess orbit with x - floor(x), the alpha = 1 seed
@@ -458,10 +462,11 @@ def _expansions(x):
     return out
 
 
-@pytest.mark.parametrize("x", SURDS + [Fraction(13, 31), Fraction(4)],
-                         ids=str)
+@pytest.mark.parametrize(
+    "x", SURDS + Q1_NEGATIVE + [Fraction(13, 31), Fraction(4)], ids=str)
 def test_adaptive_matches_exact(x):
-    # surds and adaptive values share the certified orbit, so every float
+    # a surd walks its exact states and an adaptive value the certified
+    # enclosure orbit; both read correctly rounded doubles, so every float
     # agrees bit for bit.  A point enclosure follows the rational orbit
     # digit for digit; its B0 terms are -log(x_n) where the rational path
     # takes log(den) - log(num), so they may differ in the last bit
@@ -469,6 +474,36 @@ def test_adaptive_matches_exact(x):
     assert _expansions(adaptive) == _expansions(x)
     assert agree(_sums(adaptive), _sums(x),
                  1e-15 if isinstance(x, Fraction) else 0.0)
+
+
+@st.composite
+def surd_args(draw):
+    """(a, b, c, d) of a surd (a + b sqrt(d))/c, b of either sign.  Half the
+    draws take d = k^2 + j and a = -b k, so that a + b sqrt(d), about
+    b j/(2k), cancels far below 1 and a 64-bit root leaves its double
+    uncertain."""
+    b = draw(st.integers(-1000, 1000).filter(bool))
+    c = draw(st.integers(1, 10 ** 6))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 999999))
+        d = k * k + draw(st.sampled_from((-2, -1, 1, 2)))
+        a = -b * k
+    else:
+        d = draw(st.integers(2, 999999999989))
+        a = draw(st.integers(-10 ** 15, 10 ** 15))
+    assume(d >= 2 and math.isqrt(d) ** 2 != d)
+    return a, b, c, d
+
+
+@given(args=surd_args())
+@settings(max_examples=200, deadline=None)
+@example(args=(-999999, 1, 1, 999998000002))
+@example(args=(2999997, -3, 10 ** 6, 999998000002))
+@example(args=(2, -1, 4, 2))
+def test_surd_float_matches_enclosure(args):
+    s = Surd(*args)
+    want = exact._nearest_float(AdaptiveReal.from_exact(s))
+    assert float(s).hex() == want.hex()
 
 
 def test_adaptive_by_excess_fixed_point():

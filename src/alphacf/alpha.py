@@ -133,14 +133,15 @@ def _orbit(x: RealValue, alpha, m: tuple):
 
     x_n = m_n(x) = (A x + B)/(C x + D) for integer matrices m_n.  For each
     x_n in (0, 1) this yields (num, den, a_{n+1}, eps_{n+1}), num/den = x_n
-    for a rational x; the orbit ends at a remainder 0 (a terminating
-    expansion) or 1 (the by-excess fixed point).  A Surd walks its exact
-    (P, Q, D) states and yields the correctly rounded double of x_n over 1,
-    computed once per distinct state.  An AdaptiveReal walks the rational
-    orbits of both ends of one enclosure in lockstep and yields the lower
-    end's num/den: a step is accepted when the ends give the same digit,
-    sign and double (all monotone in x_n), else the precision doubles, with
-    NeedsPrecision past the cap.
+    for a rational x, ending at a remainder 0 (a terminating expansion) or
+    1 (the by-excess fixed point); at alpha = 0 a run of 2's (x_n > 1/2)
+    keeps den - num fixed and steps with no division.  A Surd walks its
+    exact (P, Q, D) states and yields the correctly rounded double of x_n
+    over 1, taken once per distinct state from one root of D.  An
+    AdaptiveReal walks the rational orbits of both ends of one enclosure in
+    lockstep and yields the lower end's num/den: a step is accepted when
+    the ends give the same digit, sign and double (all monotone in x_n),
+    else the precision doubles, with NeedsPrecision past the cap.
     """
     r, s = alpha.numerator, alpha.denominator
     if not 0 <= r <= s:
@@ -150,6 +151,12 @@ def _orbit(x: RealValue, alpha, m: tuple):
         p, q = x.numerator, x.denominator
         num, den = A * p + B * q, C * p + D * q
         while 0 < num < den:
+            if not r and 2 * num > den:
+                c = den - num
+                while num > c:
+                    yield num, num + c, 2, -1
+                    num -= c
+                den = num + c
             # step rule: num/den -> |den - a*num| / num with
             # a = floor(den/num + 1 - alpha); gcd(num, den) never changes
             a = (s * den + (s - r) * num) // (s * num)
@@ -161,11 +168,12 @@ def _orbit(x: RealValue, alpha, m: tuple):
     if isinstance(x, Surd):
         P0, Q0, k, d = _surd_state(x, m)
         D = k * k * d
+        root = math.isqrt(D << 128)
         doubles: dict[tuple[int, int], float] = {}
         for P, Q, a, eps in _surd_orbit(P0, Q0, D, alpha):
             xf = doubles.get((P, Q))
             if xf is None:
-                xf = doubles[P, Q] = _surd_double(P, D, Q)
+                xf = doubles[P, Q] = _surd_double(P, D, Q, root)
             yield xf, 1, a, eps
     bits, cap = _resolve_bits(None, None)
     while True:

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Optional, Sequence
 
 from .alpha import _alpha_seed, _orbit, _rho_float, alpha_bar, alpha_step
@@ -110,28 +112,19 @@ class BrjunoResult:
 
 
 def _orbit_record(x: RealValue, alpha, n_max: int):
-    """(xs, digits, q_seq, terminated) of the A_alpha orbit of x: x_0 .. x_n
-    (n <= n_max) as doubles, the digit a_{k+1} of each x_k, q_0 .. q_{n+1},
-    and whether the orbit reached 0 within the budget.  Every double is
-    correctly rounded: num/den of a rational state, the integer-rounded
-    double of a Surd's (P, Q, D) state, or the certified double of an
-    AdaptiveReal's enclosure."""
+    """(digits, q_seq) of the A_alpha orbit of x: the digit a_{k+1} of each
+    x_k (k <= n_max) and q_0 .. q_{n+1}."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _n0, _eps0, m = _alpha_seed(x, alpha)
-    xs: list[float] = []
-    digits: list[int] = []
-    q_seq = [1]
+    digits, q_seq = [], [1]
     q_prev, eps_prev = 0, 1
-    for num, den, a, eps in _orbit(x, alpha, m):
-        xs.append(num / den)  # correctly rounded, as float(Fraction)
+    for _num, _den, a, eps in islice(_orbit(x, alpha, m), n_max + 1):
         digits.append(a)
         q_cur = q_seq[-1]
         q_seq.append(a * q_cur + eps_prev * q_prev)
         q_prev, eps_prev = q_cur, eps
-        if len(xs) > n_max:
-            return xs, digits, q_seq, False
-    return xs, digits, q_seq, True
+    return digits, q_seq
 
 
 def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
@@ -139,34 +132,37 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
     """Truncated B_{alpha,u}(x), alpha in (0, 1].
 
     The input is reduced by x0 = |x - floor(x+1-alpha)| first; rational
-    orbits terminate and contribute only their finite terms.
+    orbits terminate and contribute only their finite terms.  One pass over
+    the orbit reads each x_n as its correctly rounded double; it computes
+    no q_n, which only ``q_series`` reads.
     """
     alpha = Fraction(alpha)
     if alpha == 0:
         raise DomainError("alpha = 0 has no (alpha,u)-sum here; "
                           "use semi_brjuno for the log weight")
-    xs, _digits, _q_seq, terminated = _orbit_record(x, alpha, n_max)
-    beta_prev = 1.0
-    value = 0.0
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    _n0, _eps0, m = _alpha_seed(x, alpha)
+    beta_prev, value = 1.0, 0.0
     terms = []
-    uvals = []
-    last_term = math.inf
-    for n, xf in enumerate(xs):
+    recent: deque[float] = deque(maxlen=5)   # u of the last five x_n
+    n = -1
+    for n, (num, den, _a, _eps) in enumerate(
+            islice(_orbit(x, alpha, m), n_max + 1)):
+        xf = num / den
         uval = u.eval(xf)
         term = beta_prev * uval
         value += term
-        last_term = term
-        uvals.append(uval)
+        recent.append(uval)
         if keep_terms:
             terms.append((n, beta_prev, xf, term))
         beta_prev *= xf
-    if terminated:
+    if n < n_max:   # the orbit reached 0 within the budget
         return BrjunoResult(value, n_max, terms, 0.0, True)
     rho = _rho_float(alpha)
     abar = float(alpha_bar(alpha))
-    scale = max(uvals[-5:], default=0.0)
-    tail = abar * rho ** n_max / (1.0 - rho) * max(scale, u.M1)
-    converged = last_term < 1e-12 and tail < 1e-6
+    tail = abar * rho ** n_max / (1.0 - rho) * max(max(recent), u.M1)
+    converged = term < 1e-12 and tail < 1e-6
     return BrjunoResult(value, n_max, terms, tail, converged)
 
 
@@ -176,7 +172,7 @@ def q_series(x: RealValue, alpha, u: SingularityU, n_max: int) -> float:
     if alpha == 0:
         raise DomainError("alpha = 0: use b0_qseries")
     # term n uses digit a_{n+1}
-    _xs, digits, q_seq, _terminated = _orbit_record(x, alpha, n_max)
+    digits, q_seq = _orbit_record(x, alpha, n_max)
     total = 0.0
     for n, a in enumerate(digits):
         total += u.eval(1.0 / a) * _inv(q_seq[n])
@@ -190,29 +186,24 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
     """Truncated semi-Brjuno sum B0(x) = sum beta*_{n-1} log(1/x_n).
 
     The terms run over x_0 .. x_{n_max} of the by-excess orbit of
-    x - floor(x).  Once the orbit reaches 1 every later term vanishes, so
-    rational inputs produce exact finite sums.  The tail estimate is the
-    run-block bound 2 * beta* at the truncation index (there is no
-    geometric rate).
+    x - floor(x), in one pass.  Once the orbit reaches 1 every later term
+    vanishes, so rational inputs produce exact finite sums.  The tail
+    estimate is the run-block bound 2 * beta* at the truncation index (no
+    geometric rate).  Only with_q_series runs the q*-recurrence and the
+    companion series sum log(b_{n+1} - 1)/q*_n.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     rational = isinstance(x, (int, Fraction))
-    value = 0.0
-    istar = 0.0
-    qs = 0.0
+    value = istar = qs = 0.0
     beta = 1.0
     q_prev, q_cur = 0, 1
     terms = []
     done = False
     _n0, _eps0, m = _alpha_seed(x, 1)
-    orbit = _orbit(x, 0, m)
-    for n in range(n_max + 1):
-        step = next(orbit, None)
-        if step is None:   # remainder 1 (0 at an integer x)
-            done = True
-            break
-        num, den, b, _eps = step
+    n = -1
+    for n, (num, den, b, _eps) in enumerate(islice(_orbit(x, 0, m),
+                                                   n_max + 1)):
         xf = num / den
         # rationals keep log(den) - log(num), which the published figures
         # were computed with; irrationals take the double: a Surd yields
@@ -230,16 +221,19 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
         value += term
         if b == 2:
             istar += term
-        else:
+        elif with_q_series:
             qs += math.log(b - 1) * _inv(q_cur)
         if keep_terms:
             terms.append((n, beta, xf, term))
         beta *= xf
-        q_prev, q_cur = q_cur, b * q_cur - q_prev
+        if with_q_series:
+            q_prev, q_cur = q_cur, b * q_cur - q_prev
         if not rational and beta < 1e-22:
             # contributions below double precision; the q-series tail is
             # dominated by 1/q* which shrinks at least as fast
             break
+    else:
+        done = n < n_max   # remainder 1 (0 at an integer x) within the budget
     tail = 0.0 if done else 2.0 * beta
     return BrjunoResult(value, n_max, terms, tail, done or tail < 1e-12,
                         companion_q_series=qs if with_q_series else None,
@@ -332,12 +326,12 @@ class BoundReport:
 
 def log_denominator_sum(x: RealValue, n_max: int = 200) -> float:
     """sum log(q_n)/q_n over the regular (alpha=1) convergents of x."""
-    _xs, _digits, q_seq, _terminated = _orbit_record(x, 1, n_max)
+    _digits, q_seq = _orbit_record(x, 1, n_max)
     return sum(math.log(q) * _inv(q) for q in q_seq[1:n_max + 1] if q > 1)
 
 
 def _logq_vs_loga(x: RealValue, n_max: int) -> float:
-    _xs, digits, q_seq, _terminated = _orbit_record(x, 1, n_max)
+    digits, q_seq = _orbit_record(x, 1, n_max)
     s_q = 0.0
     s_a = 0.0
     for n, a in enumerate(digits[:n_max]):

@@ -65,18 +65,13 @@ def _csv_text(rows) -> str:
 def cmd_expand(args) -> int:
     x = parse_real(args.x)
     alpha = Fraction(args.alpha)
-    if alpha == 0:
-        exp = minus_expand(x, args.n)
-        if args.format == "json":
-            _write_out(exp.to_json() + "\n", args.out)
-        else:
-            _write_out(_csv_text(exp.to_csv_rows()), args.out)
-        return 0
-    aexp = alpha_expand(x, alpha, args.n)
+    # alpha = 0 prints the by-excess expansion with its symbolic 2-tail
+    exp = (minus_expand(x, args.n) if alpha == 0
+           else alpha_expand(x, alpha, args.n))
     if args.format == "json":
-        _write_out(aexp.to_json() + "\n", args.out)
+        _write_out(exp.to_json() + "\n", args.out)
     else:
-        _write_out(_csv_text(aexp.to_csv_rows()), args.out)
+        _write_out(_csv_text(exp.to_csv_rows()), args.out)
     return 0
 
 

@@ -391,7 +391,7 @@ class AdaptiveReal:
 RealValue = Union[Fraction, Surd, AdaptiveReal]
 
 
-def _surd_double(P: int, D: int, Q: int) -> float:
+def _surd_double(P: int, D: int, Q: int, root: int = None) -> float:
     """The correctly rounded double of (P + sqrt(D))/Q for a D that is not
     a square.
 
@@ -399,16 +399,18 @@ def _surd_double(P: int, D: int, Q: int) -> float:
     n/(Q 2^t) and (n + 1)/(Q 2^t), and int/int division rounds correctly,
     so once both ends give the same double (rounding is monotone) that is
     the value's double.  An irrational value is no rounding midpoint, so
-    doubling t ends the loop without a cap.
+    doubling t ends the loop without a cap.  An orbit of fixed D passes
+    the t = 64 root isqrt(D 4^64), taken once for all its states.
     """
-    t = 64
+    t, root = 64, root or math.isqrt(D << 128)
     while True:
-        n = (P << t) + math.isqrt(D << 2 * t)
+        n = (P << t) + root
         den = Q << t
         f = n / den
         if f == (n + 1) / den:
             return f
         t *= 2
+        root = math.isqrt(D << 2 * t)
 
 
 def _nearest_float(x: AdaptiveReal) -> float:

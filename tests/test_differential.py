@@ -4,10 +4,12 @@ expansion-based reference they replaced.
 The oracles below recompute each sum the way it was computed before the
 integer-state orbits existed: ``brjuno_sum`` and ``q_series`` from
 ``alpha_expand``, ``semi_brjuno`` from ``minus_expand`` and two logs per
-term, log(den) - log(num), each taken afresh (``to_float`` and the 1e-22
-cut for surds).  Every input must agree bit for bit: ``to_float`` of a Surd
-is its correctly rounded double, which is the double the orbit reads off
-each (P, Q, D) state.
+term, log(den) - log(num), each taken afresh (and the 1e-22 cut for
+surds).  A Surd's orbit comes from the public ``alpha_step``/``minus_step``
+chain instead, and each of its doubles from an ``AdaptiveReal`` enclosure,
+so the oracle shares neither the (P, Q, D) walk nor the integer-rounded
+double with the code under test.  Every input must agree bit for bit: both
+doubles are correctly rounded.
 
 The kernel section checks ``alpha._orbit`` step by step against the exact
 ``alpha_step``/``minus_step`` chains, and ``alpha_expand``/``minus_expand``
@@ -57,23 +59,44 @@ _rng = random.Random(8)
 MIXED_SURDS = [Surd(_rng.randint(-9, 9), _rng.choice((1, -1, 2, -2)),
                     _rng.randint(1, 4), _rng.choice((2, 3, 5, 6, 7, 10, 11)))
                for _ in range(24)] + Q1_NEGATIVE
+NEAR_ONE = Surd(0, 1, 1000, 999999)   # 1 - 5e-7: a long by-excess run of 2's
 
 
 # -- oracles ---------------------------------------------------------------
 
+def oracle_float(xn):
+    """The double of a remainder; a Surd's is certified by its enclosures."""
+    if isinstance(xn, Surd):
+        return exact._nearest_float(AdaptiveReal.from_exact(xn))
+    return to_float(xn)
+
+
+def expansion_fields(x, alpha, max_digits):
+    """(digits, remainders, q_seq, terminated) of alpha_expand; for a Surd,
+    of the alpha_step chain, which does not walk (P, Q, D) states."""
+    if isinstance(x, Surd):
+        _n0, _eps0, steps, remainders, _betas, _p_seq, q_seq, ended = \
+            oracle_alpha_expand(x, alpha, max_digits)
+        return [a for a, _eps in steps], remainders, q_seq, ended
+    exp = alpha_expand(x, alpha, max_digits)
+    return ([d.a for d in exp.digits], exp.remainders, exp.q_seq,
+            exp.terminated)
+
+
 def oracle_brjuno_sum(x, alpha, u, n_max, keep_terms=True):
     alpha = Fraction(alpha)
-    exp = alpha_expand(x, alpha, n_max)
+    _digits, remainders, _q_seq, terminated = expansion_fields(x, alpha,
+                                                               n_max)
     beta_prev = 1.0
     value = 0.0
     terms = []
     u_recent = []
     last_term = math.inf
-    for n, xn in enumerate(exp.remainders):
+    for n, xn in enumerate(remainders):
         if is_exact(xn) and sign_val(xn) == 0:
             last_term = 0.0
             break
-        xf = to_float(xn)
+        xf = oracle_float(xn)
         uval = u.eval(xf)
         term = beta_prev * uval
         value += term
@@ -86,43 +109,50 @@ def oracle_brjuno_sum(x, alpha, u, n_max, keep_terms=True):
     abar = float(alpha_bar(alpha))
     scale = max(u_recent, default=0.0)
     tail = abar * rho ** n_max / (1.0 - rho) * max(scale, u.M1)
-    if exp.terminated:
+    if terminated:
         tail = 0.0
-    converged = exp.terminated or (last_term < 1e-12 and tail < 1e-6)
+    converged = terminated or (last_term < 1e-12 and tail < 1e-6)
     return BrjunoResult(value, n_max, terms, tail, converged)
 
 
 def oracle_q_series(x, alpha, u, n_max):
-    exp = alpha_expand(x, Fraction(alpha), n_max + 1)
+    digits, _rem, q_seq, _ended = expansion_fields(x, Fraction(alpha),
+                                                   n_max + 1)
     total = 0.0
-    for n, digit in enumerate(exp.digits):
-        total += u.eval(1.0 / digit.a) * _inv(exp.q_seq[n])
+    for n, a in enumerate(digits):
+        total += u.eval(1.0 / a) * _inv(q_seq[n])
     return total
 
 
 def oracle_semi_brjuno(x, n_max, keep_terms=True, with_q_series=False):
-    """The by-excess orbit read off minus_expand; surds stop at beta < 1e-22."""
+    """The by-excess orbit read off minus_expand, or for a Surd off the
+    minus_step chain; surds stop at beta < 1e-22."""
     # the sum looks at x_0 .. x_{n_max} and the digit after each of them
-    m = minus_expand(x, n_max + 1)
+    if isinstance(x, Surd):
+        _x0, digits, remainders, _pstar, qstar, _betas, _one = \
+            oracle_minus_expand(x, n_max + 1)
+    else:
+        m = minus_expand(x, n_max + 1)
+        digits, remainders, qstar = m.digits, m.remainders, m.qstar
     value = qs = istar = 0.0
     beta = 1.0
     terms = []
     reached_one = False
-    for n, xn in enumerate(m.remainders[:n_max + 1]):
+    for n, xn in enumerate(remainders[:n_max + 1]):
         if xn == 1:
             reached_one = True
             break
-        xf = to_float(xn)
+        xf = oracle_float(xn)
         if isinstance(xn, Fraction):
             term = beta * (math.log(xn.denominator) - math.log(xn.numerator))
         else:
             term = beta * -math.log(xf)
         value += term
-        b = m.digits[n]
+        b = digits[n]
         if b == 2:
             istar += term
         else:
-            qs += math.log(b - 1) * _inv(m.qstar[n])
+            qs += math.log(b - 1) * _inv(qstar[n])
         if keep_terms:
             terms.append((n, beta, xf, term))
         beta *= xf
@@ -154,16 +184,16 @@ def oracle_decay_check(exp, max_index=50):
 
 
 def oracle_log_denominator_sum(x, n_max):
-    exp = alpha_expand(x, 1, n_max)
-    return sum(math.log(q) * _inv(q) for q in exp.q_seq[1:] if q > 1)
+    _digits, _rem, q_seq, _ended = expansion_fields(x, Fraction(1), n_max)
+    return sum(math.log(q) * _inv(q) for q in q_seq[1:] if q > 1)
 
 
 def oracle_logq_vs_loga(x, n_max):
-    exp = alpha_expand(x, 1, n_max)
+    digits, _rem, q_seq, _ended = expansion_fields(x, Fraction(1), n_max)
     s_q = s_a = 0.0
-    for n, digit in enumerate(exp.digits):
-        s_q += math.log(exp.q_seq[n + 1]) * _inv(exp.q_seq[n])
-        s_a += math.log(digit.a) * _inv(exp.q_seq[n])
+    for n, a in enumerate(digits):
+        s_q += math.log(q_seq[n + 1]) * _inv(q_seq[n])
+        s_a += math.log(a) * _inv(q_seq[n])
     return abs(s_q - s_a)
 
 
@@ -227,6 +257,9 @@ reals = st.one_of(rationals, st.sampled_from(SURDS + MIXED_SURDS))
 @example(inp=(Fraction(1), DEEP), u_name="log", n_max=200, keep_terms=True)
 @example(inp=(Fraction(1, 2), Fraction(1, 2)), u_name="inv_sqrt", n_max=0,
          keep_terms=True)
+# (2 + sqrt(3))/4 meets Q_1 < 0 at alpha = 1, where the floor needs its + 1
+@example(inp=(Fraction(1), Q1_NEGATIVE[2]), u_name="log", n_max=200,
+         keep_terms=True)
 def test_brjuno_sum_matches_oracle(inp, u_name, n_max, keep_terms):
     alpha, x = inp
     u = WEIGHTS[u_name]
@@ -238,6 +271,7 @@ def test_brjuno_sum_matches_oracle(inp, u_name, n_max, keep_terms):
 @given(inp=alpha_inputs(), u_name=st.sampled_from(sorted(WEIGHTS)),
        n_max=st.sampled_from(N_MAX))
 @settings(max_examples=200, deadline=None)
+@example(inp=(Fraction(1), Q1_NEGATIVE[2]), u_name="log", n_max=200)
 def test_q_series_matches_oracle(inp, u_name, n_max):
     alpha, x = inp
     u = WEIGHTS[u_name]
@@ -258,6 +292,11 @@ def test_q_series_matches_oracle(inp, u_name, n_max):
 @example(x=Fraction(-7, 3), n_max=0, keep_terms=True, with_q=True)
 @example(x=Fraction(-7, 3), n_max=1, keep_terms=True, with_q=True)
 @example(x=Q1_NEGATIVE[0], n_max=200, keep_terms=True, with_q=True)
+@example(x=Q1_NEGATIVE[2], n_max=200, keep_terms=True, with_q=False)
+# the q*-recurrence runs only on request; a budget that cuts a run of 2's
+@example(x=DEEP, n_max=10 ** 4, keep_terms=True, with_q=False)
+@example(x=1 - FIGURE_NUDGE, n_max=10 ** 4, keep_terms=False, with_q=False)
+@example(x=DEEP, n_max=200, keep_terms=True, with_q=True)
 def test_semi_brjuno_matches_oracle(x, n_max, keep_terms, with_q):
     assert agree(fingerprint(semi_brjuno(x, n_max, keep_terms, with_q)),
                  fingerprint(oracle_semi_brjuno(x, n_max, keep_terms,
@@ -357,6 +396,13 @@ def step_chain(x, alpha, steps):
 @example(inp=(Fraction(1, 5), Fraction(-2, 5), Fraction(-2, 5)))
 # (2 + sqrt(3))/4 starts on Q_1 = -1, where the Q_1 < 0 floor needs its + 1
 @example(inp=(Fraction(0), Q1_NEGATIVE[2], Q1_NEGATIVE[2]))
+# by-excess runs of 2's: one that ends exactly at x = 1/2 (num = den - num),
+# x = 1/2 itself, which starts none, one that the step budget cuts, and the
+# run of sqrt(999999)/1000 on both ends of its enclosures
+@example(inp=(Fraction(0), Fraction(5, 6), Fraction(5, 6)))
+@example(inp=(Fraction(0), Fraction(-1, 2), Fraction(-1, 2)))
+@example(inp=(Fraction(0), Fraction(99, 100), Fraction(99, 100)))
+@example(inp=(Fraction(0), AdaptiveReal.from_exact(NEAR_ONE), NEAR_ONE))
 def test_kernel_matches_step_chain(inp):
     alpha, x, exact_x = inp
     # B0 seeds the by-excess orbit with x - floor(x), the alpha = 1 seed
@@ -553,6 +599,24 @@ def cube_root(n: int) -> AdaptiveReal:
         k = _icbrt(n << 3 * bits)
         return Fraction(k, 1 << bits), Fraction(k + 1, 1 << bits)
     return AdaptiveReal(gen)
+
+
+def test_semi_brjuno_flags_do_not_change_the_sum():
+    # 9988 of the first 10^4 by-excess digits of the cube root of 122 are
+    # 2's; the ledger and the q*-recurrence run only on request and change
+    # no other field
+    x = cube_root(122)
+    runs = {(keep, with_q): semi_brjuno(x, 10 ** 4, keep, with_q)
+            for keep in (False, True) for with_q in (False, True)}
+    want = runs[True, True]
+    for (keep, with_q), res in runs.items():
+        assert agree((res.value, res.tail_estimate, res.converged,
+                      res.istar_sum),
+                     (want.value, want.tail_estimate, want.converged,
+                      want.istar_sum))
+        assert agree(res.terms, want.terms if keep else [])
+        assert agree(res.companion_q_series,
+                     want.companion_q_series if with_q else None)
 
 
 def test_deep_cube_root_orbit(monkeypatch):

@@ -408,43 +408,14 @@ def _rho_power(alpha) -> tuple[RealValue, int]:
     return 1 - 2 * alpha, 2
 
 
-def _sqrt_real(value: Fraction) -> AdaptiveReal:
-    """sqrt(value) for a rational value >= 0, certified by math.isqrt; unlike
-    Surd.sqrt_of it factors nothing, so any denominator is cheap."""
-    p, q = value.numerator, value.denominator
-
-    def gen(bits):
-        n, rem = divmod(p << 2 * bits, q)
-        r = math.isqrt(n)   # floor(sqrt(value) * 2**bits)
-        lo = Fraction(r, 1 << bits)
-        if rem == 0 and r * r == n:
-            return lo, lo
-        return lo, Fraction(r + 1, 1 << bits)
-    return AdaptiveReal(gen)
-
-
 def rho_alpha(alpha) -> RealValue:
     """Geometric decay rate of beta_n, by regime of alpha.
 
-    Below sqrt(2) - 1 this is the Surd sqrt(1 - 2 alpha).  Building it
-    factors (s - 2r) s, for alpha = r/s, by trial division, which takes
-    unbounded time for a large s; brjuno_sum and decay_check go through
-    ``_rho_power`` and build no such Surd.
+    Below sqrt(2) - 1 this is sqrt(1 - 2 alpha): for alpha = r/s a Surd
+    over the radicand (s - 2r) s, or a rational.
     """
     rate, k = _rho_power(alpha)
     return rate if k == 1 else Surd.sqrt_of(rate)
-
-
-def _rho_float(alpha) -> float:
-    """The correctly rounded double of rho_alpha(alpha), in integers: it
-    factors nothing and does not depend on the precision cap."""
-    rate, k = _rho_power(alpha)
-    if k == 1:
-        return to_float(rate)
-    # sqrt(p/q) = sqrt(p q)/q
-    pq, q = rate.numerator * rate.denominator, rate.denominator
-    root = math.isqrt(pq)
-    return root / q if root * root == pq else _surd_double(0, pq, q)
 
 
 def _exceeds(beta: RealValue, bound: RealValue, k: int) -> bool:
@@ -453,7 +424,7 @@ def _exceeds(beta: RealValue, bound: RealValue, k: int) -> bool:
         return compare(beta, bound) > 0
     if is_exact(beta):
         return compare(beta * beta, bound) > 0
-    return compare(beta, _sqrt_real(bound)) > 0
+    return compare(beta, Surd.sqrt_of(bound)) > 0
 
 
 def decay_check(exp: AlphaExpansion, max_index: int = 50) -> bool:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Optional, Sequence
 
-from .alpha import _alpha_seed, _orbit, _rho_float, alpha_bar, alpha_step
+from .alpha import _alpha_seed, _orbit, alpha_bar, alpha_step, rho_alpha
 from .byexcess import _reduce_mod1, minus_step
 from .exact import (DomainError, RealValue, compare, is_exact, sign_val,
                     to_float)
@@ -159,7 +159,7 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
         beta_prev *= xf
     if n < n_max:   # the orbit reached 0 within the budget
         return BrjunoResult(value, n_max, terms, 0.0, True)
-    rho = _rho_float(alpha)
+    rho = to_float(rho_alpha(alpha))
     abar = float(alpha_bar(alpha))
     tail = abar * rho ** n_max / (1.0 - rho) * max(max(recent), u.M1)
     converged = term < 1e-12 and tail < 1e-6

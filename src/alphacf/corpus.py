@@ -38,7 +38,14 @@ def surd_corpus(count: int = 20) -> list[Surd]:
 
 def rational_corpus(size: int, qmax: int = 10 ** 6,
                     seed: int = 0) -> list[Fraction]:
-    """`size` random reduced rationals p/q in (0, 1) with q <= qmax."""
+    """`size` random reduced rationals p/q in (0, 1) with q <= qmax; a
+    ValueError when there are fewer than `size` of them."""
+    if size < 0 or qmax < 2:
+        raise ValueError(f"need size >= 0 and qmax >= 2, got {size}, {qmax}")
+    # the fractions 1/q alone give qmax - 1 distinct values
+    if size >= qmax and size > _reduced_count(qmax):
+        raise ValueError(f"only {_reduced_count(qmax)} reduced fractions in "
+                         f"(0, 1) have q <= {qmax}; {size} rationals asked")
     rng = random.Random(seed)
     out: list[Fraction] = []
     seen = set()
@@ -52,13 +59,26 @@ def rational_corpus(size: int, qmax: int = 10 ** 6,
     return out
 
 
+def _reduced_count(qmax: int) -> int:
+    """The number of reduced p/q in (0, 1) with q <= qmax: phi(2) + ... +
+    phi(qmax), by a totient sieve."""
+    phi = list(range(qmax + 1))
+    for p in range(2, qmax + 1):
+        if phi[p] == p:   # p is prime
+            for k in range(p, qmax + 1, p):
+                phi[k] -= phi[k] // p
+    return sum(phi[2:])
+
+
 def mixed_corpus(size: int, qmax: int = 10 ** 6, seed: int = 0,
                  surds: int = 5) -> list[RealValue]:
     """Rationals plus `surds` corpus surds, deterministic in the seed."""
+    if size < 0:
+        raise ValueError(f"corpus size must be >= 0, got {size}")
     out: list[RealValue] = list(rational_corpus(max(size - surds, 0),
                                                 qmax, seed))
     out.extend(surd_corpus(surds))
-    return out[:size] if size else []
+    return out[:size]
 
 
 def alpha_grid(points: int = 20) -> list[Fraction]:

@@ -53,30 +53,12 @@ class ExactnessUnavailable(TypeError):
     """An exact-only check was requested on an adaptive value."""
 
 
-def _square_free_split(d: int) -> tuple[int, int]:
-    """Write d = s**2 * f with f square-free; return (s, f)."""
-    s, f = 1, 1
-    n = d
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            s *= p ** (k // 2)
-            if k % 2:
-                f *= p
-        p += 1 if p == 2 else 2
-    return s, f * n
-
-
 def _sign_int(n) -> int:
     return (n > 0) - (n < 0)
 
 
 def _surd_sign(a: int, b: int, d: int) -> int:
-    """Sign of a + b*sqrt(d) for square-free d >= 2."""
+    """Sign of a + b*sqrt(d) for d >= 0."""
     if b == 0:
         return _sign_int(a)
     if a >= 0 and b > 0:
@@ -91,11 +73,13 @@ def _surd_sign(a: int, b: int, d: int) -> int:
 
 
 class Surd:
-    """Quadratic surd (a + b*sqrt(d)) / c in canonical form.
+    """Quadratic surd (a + b*sqrt(d)) / c with c > 0, gcd(a, b, c) = 1,
+    b != 0 and d a positive non-square, kept as given.
 
-    Canonical means: c > 0, gcd(a, b, c) = 1, d square-free, b != 0.
-    Arithmetic that leaves the field Q(sqrt(d)) is rejected; arithmetic
-    whose result is rational is returned as a ``Fraction``.
+    Radicands d and d' span one field Q(sqrt(d)) when d d' is a square;
+    arithmetic rewrites the other operand over this radicand and rejects
+    operands from another field.  A result that is rational is returned
+    as a ``Fraction``.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -105,12 +89,10 @@ class Surd:
             raise ZeroDivisionError("surd denominator is zero")
         if d <= 0:
             raise InvalidRadicand(f"radicand must be positive, got {d}")
-        s, f = _square_free_split(d)
-        if f == 1:
-            raise NotASurd(f"({a}+{b * s})/{c} is rational; use Fraction")
-        if b == 0:
-            raise NotASurd(f"{a}/{c} is rational; use Fraction")
-        self._set(a, b * s, c, f)
+        if b == 0 or math.isqrt(d) ** 2 == d:
+            raise NotASurd(f"({a}+{b}*sqrt({d}))/{c} is rational; "
+                           "use Fraction")
+        self._set(a, b, c, d)
 
     def _set(self, a: int, b: int, c: int, d: int) -> None:
         if c < 0:
@@ -129,10 +111,9 @@ class Surd:
 
     @classmethod
     def _field(cls, a: int, b: int, c: int, d: int) -> Union["Surd", Fraction]:
-        """(a + b*sqrt(d))/c for a d that is already square-free, as a
-        Surd, or a Fraction when b = 0.  Unlike the constructor it does not
-        factor d, so arithmetic inside one field costs a gcd, not a trial
-        division."""
+        """(a + b*sqrt(d))/c for a d known to be no square, as a Surd, or
+        a Fraction when b = 0; unlike the constructor it does not check
+        d."""
         if b == 0:
             return Fraction(a, c)
         out = cls.__new__(cls)
@@ -146,60 +127,58 @@ class Surd:
         if value <= 0:
             raise InvalidRadicand(f"radicand must be positive, got {value}")
         # sqrt(p/q) = sqrt(p*q)/q
-        s, f = _square_free_split(value.numerator * value.denominator)
-        if f == 1:
-            return Fraction(s, value.denominator)
-        return cls._field(0, s, value.denominator, f)
+        pq, q = value.numerator * value.denominator, value.denominator
+        r = math.isqrt(pq)
+        if r * r == pq:
+            return Fraction(r, q)
+        return cls._field(0, 1, q, pq)
 
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):
+        """other's (a, b, c) over this radicand d, for a rational or a surd
+        of the same field, else None: for d d' = r^2, sqrt(d') is
+        (r/d) sqrt(d)."""
         if isinstance(other, (int, Fraction)):
-            return Fraction(other)
-        return None
+            return other.numerator, 0, other.denominator
+        if not isinstance(other, Surd):
+            return None
+        if other.d == self.d:
+            return other.a, other.b, other.c
+        dd = self.d * other.d
+        r = math.isqrt(dd)
+        if r * r != dd:
+            return None
+        return other.a * self.d, other.b * r, other.c * self.d
 
     def __neg__(self):
         return self._field(-self.a, -self.b, self.c, self.d)
 
     def __add__(self, other):
-        if isinstance(other, Surd):
-            if other.d != self.d:
-                return NotImplemented
-            return self._field(self.a * other.c + other.a * self.c,
-                               self.b * other.c + other.b * self.c,
-                               self.c * other.c, self.d)
-        r = self._coerce(other)
-        if r is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self._field(self.a * r.denominator + r.numerator * self.c,
-                           self.b * r.denominator, self.c * r.denominator,
-                           self.d)
+        a, b, c = o
+        return self._field(self.a * c + a * self.c, self.b * c + b * self.c,
+                           self.c * c, self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Surd):
+        if isinstance(other, (int, Fraction, Surd)):
             return self.__add__(-other)
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return self.__add__(-r)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, Surd):
-            if other.d != self.d:
-                return NotImplemented
-            return self._field(self.a * other.a + self.b * other.b * self.d,
-                               self.a * other.b + self.b * other.a,
-                               self.c * other.c, self.d)
-        r = self._coerce(other)
-        if r is None:
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self._field(self.a * r.numerator, self.b * r.numerator,
-                           self.c * r.denominator, self.d)
+        a, b, c = o
+        return self._field(self.a * a + self.b * b * self.d,
+                           self.a * b + self.b * a, self.c * c, self.d)
 
     __rmul__ = __mul__
 
@@ -210,19 +189,15 @@ class Surd:
 
     def __truediv__(self, other):
         if isinstance(other, Surd):
-            if other.d != self.d:
-                return NotImplemented
-            return self * other.recip()
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return self * (1 / r)
+            return self.__mul__(other.recip())
+        if isinstance(other, (int, Fraction)):
+            return self.__mul__(1 / Fraction(other))
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return self.recip() * r
+        if isinstance(other, (int, Fraction)):
+            return self.recip().__mul__(other)
+        return NotImplemented
 
     def __pow__(self, n: int):
         if n < 0:
@@ -247,27 +222,29 @@ class Surd:
 
     def _cmp(self, other) -> int:
         """Exact comparison against a rational or a same-field surd."""
-        if isinstance(other, Surd):
-            if other.d != self.d:
-                raise TypeError("cannot compare surds over different radicands "
-                                "exactly; use compare()")
-            diff = self - other
-            if isinstance(diff, Fraction):
-                return _sign_int(diff)
-            return diff.sign()
-        r = Fraction(other)
-        return _surd_sign(self.a * r.denominator - r.numerator * self.c,
-                          self.b * r.denominator, self.d)
+        o = self._coerce(other)
+        if o is None:
+            raise TypeError(f"cannot compare {self} with {other!r} exactly; "
+                            "use compare()")
+        a, b, c = o
+        # self - other has the positive denominator c self.c
+        return _surd_sign(self.a * c - a * self.c, self.b * c - b * self.c,
+                          self.d)
 
     def __eq__(self, other):
-        if isinstance(other, Surd) and other.d != self.d:
-            return False  # equal values in distinct quadratic fields are rational
-        if isinstance(other, (Surd, int, Fraction)):
-            return self._cmp(other) == 0
-        return NotImplemented
+        if not isinstance(other, (int, Fraction, Surd)):
+            return NotImplemented
+        o = self._coerce(other)
+        if o is None:
+            return False   # a surd of another field
+        a, b, c = o
+        # sqrt(d) is irrational, so equal values have proportional parts
+        return self.a * c == a * self.c and self.b * c == b * self.c
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
+        # equal values over d and over k^2 d share their correctly
+        # rounded double
+        return hash(float(self))
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -463,19 +440,18 @@ def compare(x: RealValue, y: RealValue, start_bits: int = None,
             cap: int = None) -> int:
     """Total order: -1, 0 or +1.
 
-    Exact for rational/rational, rational/surd and same-field surd pairs.
+    Exact for rational/rational, rational/surd and same-field surd pairs
+    (radicands d and d' with d d' a square).
     Everything else falls back to enclosure refinement and raises
     ``NeedsPrecision`` when the values stay unseparated at the cap
     (potential equality; the caller decides).
     """
     if isinstance(x, (int, Fraction)) and isinstance(y, (int, Fraction)):
         return _sign_int(Fraction(x) - Fraction(y))
-    if isinstance(x, Surd) and isinstance(y, (int, Fraction)):
+    if isinstance(x, Surd) and x._coerce(y):
         return x._cmp(y)
-    if isinstance(y, Surd) and isinstance(x, (int, Fraction)):
+    if isinstance(y, Surd) and y._coerce(x):
         return -y._cmp(x)
-    if isinstance(x, Surd) and isinstance(y, Surd) and x.d == y.d:
-        return x._cmp(y)
     p, cap = _resolve_bits(start_bits, cap)
     while True:
         xlo, xhi = enclosure(x, p)
@@ -525,24 +501,16 @@ def to_float(x: RealValue) -> float:
 
 # -- parsing ---------------------------------------------------------------
 
-# _square_free_split is trial division: O(sqrt(d)) steps per radicand
-MAX_RADICAND = 10 ** 12
-
 _SURD_RE = re.compile(
     r"^\(\s*(-?\d+)\s*([+-])\s*(\d+)\s*\*\s*sqrt\(\s*(\d+)\s*\)\s*\)\s*/\s*(-?\d+)$")
 
 
 def parse_real(text: str) -> RealValue:
-    """Parse 'p/q', '(a+b*sqrt(d))/c' or a decimal string, exactly.
-
-    Radicands above MAX_RADICAND are rejected with a ValueError.
-    """
+    """Parse 'p/q', '(a+b*sqrt(d))/c' or a decimal string, exactly."""
     text = text.strip().replace("−", "-")
     m = _SURD_RE.match(text)
     if m:
         a, op, b, d, c = m.groups()
-        if int(d) > MAX_RADICAND:
-            raise ValueError(f"radicand {d} exceeds {MAX_RADICAND}")
         b = int(b) if op == "+" else -int(b)
         return Surd(int(a), b, int(c), int(d))
     try:

@@ -8,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphacf.alpha import (_rho_float, alpha_expand, alpha_reduce, alpha_step,
-                           beta_check, decay_check, legendre_filter,
-                           reconstruction_check, rho_alpha)
-from alphacf.exact import DomainError, Surd, compare, to_float
+from alphacf import exact
+from alphacf.alpha import (alpha_expand, alpha_reduce, alpha_step, beta_check,
+                           decay_check, legendre_filter, reconstruction_check,
+                           rho_alpha)
+from alphacf.exact import AdaptiveReal, DomainError, Surd, compare, to_float
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-# sqrt(1 - 2 alpha) would factor a 31-digit radicand by trial division
+# sqrt(1 - 2 alpha) is a surd over a 31-digit radicand
 TINY_ALPHA = "1/1000000000000037"
-# a prime radicand just below MAX_RADICAND: one trial division takes ~60 ms
+# a 12-digit prime radicand, and a 30-digit one, 10^29 + 319
 BIG_SURD = "(0+1*sqrt(999999999989))/1000000"
+HUGE_SURD = "(1+1*sqrt(100000000000000000000000000319))/2"
 
 G = Surd(-1, 1, 2, 5)
 G_SQ = Surd(3, -1, 2, 5)
@@ -105,10 +107,10 @@ class TestRho:
     @pytest.mark.parametrize("alpha", ["1/5", "1/10", "3/10", "1/3", "2/5",
                                        "3/8", "9/20", "7/10"])
     def test_float_is_the_surd_double(self, alpha):
-        alpha = Fraction(alpha)
-        assert _rho_float(alpha) == to_float(rho_alpha(alpha))
-        if alpha <= Fraction(2, 5):   # below sqrt(2) - 1
-            assert _rho_float(alpha) == to_float(Surd.sqrt_of(1 - 2 * alpha))
+        # the rate brjuno_sum reads is the correctly rounded double
+        rho = rho_alpha(Fraction(alpha))
+        assert to_float(rho) == \
+            exact._nearest_float(AdaptiveReal.from_exact(rho))
 
     @pytest.mark.parametrize("code", [
         "from alphacf import brjuno_sum, make_u\n"
@@ -120,7 +122,10 @@ class TestRho:
         "from alphacf.cli import main\n"
         "sys.exit(main(['--out', os.devnull, 'brjuno', '--x', "
         f"'(-1+1*sqrt(5))/2', '--alpha', '{TINY_ALPHA}', '--n', '10']))",
-    ], ids=["brjuno_sum", "decay_check", "cli_brjuno"])
+        "from alphacf import rho_alpha\n"
+        f"rho = rho_alpha(Fraction('{TINY_ALPHA}'))\n"
+        f"assert rho * rho == 1 - 2 * Fraction('{TINY_ALPHA}')",
+    ], ids=["brjuno_sum", "decay_check", "cli_brjuno", "rho_alpha"])
     def test_large_denominator_alpha_returns(self, code):
         run_within_10s(code)
 
@@ -138,15 +143,18 @@ def run_within_10s(code: str) -> None:
     "from alphacf.cli import main\n"
     "sys.exit(main(['--out', os.devnull, 'expand', '--x', "
     f"'{BIG_SURD}', '--alpha', '1/2', '--n', '400']))",
+    "from alphacf.cli import main\n"
+    "sys.exit(main(['--out', os.devnull, 'expand', '--x', "
+    f"'{HUGE_SURD}', '--alpha', '1/2', '--n', '400']))",
     "from alphacf import (alpha_expand, beta_check, minus_expand,\n"
     "                     parse_real, reconstruction_check)\n"
     f"x = parse_real('{BIG_SURD}')\n"
     "exp = alpha_expand(x, Fraction(1, 2), 200)\n"
     "assert beta_check(exp).all_ok and reconstruction_check(exp)\n"
     "assert len(minus_expand(x, 200).digits) == 200",
-], ids=["cli_expand", "checks"])
+], ids=["cli_expand", "cli_expand_30_digits", "checks"])
 def test_large_radicand_returns(code):
-    # same-field arithmetic must not factor the radicand again
+    # no step factors a radicand, however large
     run_within_10s(code)
 
 

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +15,7 @@ from alphacf.alpha import alpha_expand
 from alphacf.brjuno import brjuno_sum, make_u, semi_brjuno
 from alphacf.byexcess import minus_expand
 from alphacf.cli import _csv_text, _figure_grid, main
-from alphacf.corpus import GOLDEN
+from alphacf.corpus import GOLDEN, rational_corpus
 
 # sha256 of `figure --which 1..4` at the default flags (4096 points), the
 # digests the benchmark reference holds
@@ -126,10 +129,16 @@ class TestExpand:
     def test_parse_error(self, capsys):
         assert run(capsys, "expand", "--x", "oops", "--alpha", "1")[0] == 2
 
-    def test_huge_radicand_rejected(self, capsys):
-        # factoring a 30-digit radicand by trial division would not return
-        x = "(1+1*sqrt(" + "9" * 29 + "7))/2"
-        assert run(capsys, "expand", "--x", x, "--alpha", "1")[0] == 2
+    def test_huge_radicand_expands(self, capsys):
+        # 10^29 + 319 is prime; the surd keeps it and expands like any other
+        x = "(1+1*sqrt(100000000000000000000000000319))/2"
+        code, out = run(capsys, "expand", "--x", x, "--alpha", "1/2",
+                        "--n", "40")
+        assert code == 0
+        exp = alpha_expand(exact.parse_real(x), Fraction(1, 2), 40)
+        assert [line.split(",")[:5] for line in out.splitlines()[1:]] == \
+            [[str(n), str(d.a), str(d.eps), str(exp.p_seq[n]),
+              str(exp.q_seq[n])] for n, d in enumerate(exp.digits, start=1)]
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "expand", "--bogus", "1")[0] == 2
@@ -190,6 +199,28 @@ class TestSweep:
         doc = json.loads(out)
         assert code == 0
         assert doc["observed_sup"] == 0.0 and doc["corpus_size"] == 0
+
+    @pytest.mark.parametrize("flags", [
+        ["--qmax", "2", "--corpus-size", "10"],
+        ["--corpus-size", "-3"],
+        ["--qmax", "1", "--corpus-size", "0"],
+    ], ids=["past_the_count", "negative_size", "qmax_1"])
+    def test_impossible_corpus_rejected(self, flags):
+        # a corpus larger than the reduced fractions with q <= qmax would
+        # look for a new one forever
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "alphacf.cli", "sweep", "--kind",
+             "logq_vs_loga", *flags],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=10)
+        assert proc.returncode == 2, proc.stderr
+
+    def test_corpus_of_every_fraction(self):
+        every = {Fraction(p, q) for q in range(2, 21) for p in range(1, q)}
+        assert set(rational_corpus(len(every), qmax=20)) == every
+        with pytest.raises(ValueError):
+            rational_corpus(len(every) + 1, qmax=20)
 
     def test_passing_sweep(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -60,6 +60,8 @@ MIXED_SURDS = [Surd(_rng.randint(-9, 9), _rng.choice((1, -1, 2, -2)),
                     _rng.randint(1, 4), _rng.choice((2, 3, 5, 6, 7, 10, 11)))
                for _ in range(24)] + Q1_NEGATIVE
 NEAR_ONE = Surd(0, 1, 1000, 999999)   # 1 - 5e-7: a long by-excess run of 2's
+# the golden mean written over a radicand that is not square-free
+GOLDEN_20 = Surd(-2, 1, 4, 20)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -358,7 +360,7 @@ def kernel_inputs(draw):
     kind = draw(st.sampled_from(
         ("n+alpha", "n+1-alpha", "integer", "surd", "adaptive")))
     if kind in ("surd", "adaptive"):
-        x = n + draw(st.sampled_from(SURDS + MIXED_SURDS))
+        x = n + draw(st.sampled_from(SURDS + MIXED_SURDS + [GOLDEN_20]))
         return alpha, (AdaptiveReal.from_exact(x) if kind == "adaptive"
                        else x), x
     base = {"n+alpha": n + alpha, "n+1-alpha": n + 1 - alpha,
@@ -403,6 +405,9 @@ def step_chain(x, alpha, steps):
 @example(inp=(Fraction(0), Fraction(-1, 2), Fraction(-1, 2)))
 @example(inp=(Fraction(0), Fraction(99, 100), Fraction(99, 100)))
 @example(inp=(Fraction(0), AdaptiveReal.from_exact(NEAR_ONE), NEAR_ONE))
+# the (P, Q, D) walk of a radicand that is not square-free
+@example(inp=(Fraction(1, 2), GOLDEN_20, GOLDEN_20))
+@example(inp=(Fraction(0), GOLDEN_20, GOLDEN_20))
 def test_kernel_matches_step_chain(inp):
     alpha, x, exact_x = inp
     # B0 seeds the by-excess orbit with x - floor(x), the alpha = 1 seed
@@ -471,6 +476,8 @@ expansion_inputs = st.one_of(
 @example(inp=(Fraction(0), DEEP), max_digits=120)
 @example(inp=(Fraction(1, 2), Fraction(5, 2)), max_digits=1)
 @example(inp=(Fraction(0), Q1_NEGATIVE[0]), max_digits=5)
+@example(inp=(Fraction(1, 5), GOLDEN_20), max_digits=120)
+@example(inp=(Fraction(0), GOLDEN_20 + 2), max_digits=120)
 def test_expansions_match_step_chain(inp, max_digits):
     # the walk steps with the private rule; the public steps must agree,
     # remainders and betas compared exactly
@@ -524,18 +531,23 @@ def test_adaptive_matches_exact(x):
 
 @st.composite
 def surd_args(draw):
-    """(a, b, c, d) of a surd (a + b sqrt(d))/c, b of either sign.  Half the
-    draws take d = k^2 + j and a = -b k, so that a + b sqrt(d), about
-    b j/(2k), cancels far below 1 and a 64-bit root leaves its double
-    uncertain."""
+    """(a, b, c, d) of a surd (a + b sqrt(d))/c, b of either sign, d any
+    non-square up to 10^30.  A third of the draws take d = k^2 + j and
+    a = -b k, so that a + b sqrt(d), about b j/(2k), cancels far below 1
+    and a 64-bit root leaves its double uncertain; a third take d = k^2 f,
+    which is not square-free."""
     b = draw(st.integers(-1000, 1000).filter(bool))
     c = draw(st.integers(1, 10 ** 6))
-    if draw(st.booleans()):
-        k = draw(st.integers(1, 999999))
+    kind = draw(st.sampled_from(("cancel", "any", "k^2 f")))
+    if kind == "cancel":
+        k = draw(st.integers(1, 10 ** 15))
         d = k * k + draw(st.sampled_from((-2, -1, 1, 2)))
         a = -b * k
+    elif kind == "any":
+        d = draw(st.integers(2, 10 ** 30))
+        a = draw(st.integers(-10 ** 15, 10 ** 15))
     else:
-        d = draw(st.integers(2, 999999999989))
+        d = draw(st.integers(2, 10 ** 6)) ** 2 * draw(st.integers(2, 10 ** 18))
         a = draw(st.integers(-10 ** 15, 10 ** 15))
     assume(d >= 2 and math.isqrt(d) ** 2 != d)
     return a, b, c, d

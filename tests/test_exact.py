@@ -19,9 +19,19 @@ class TestSurdCanonical:
         s = Surd(2, 2, 4, 5)
         assert (s.a, s.b, s.c, s.d) == (1, 1, 2, 5)
 
-    def test_square_free_extraction(self):
-        s = Surd(0, 1, 1, 8)  # sqrt(8) = 2 sqrt(2)
-        assert (s.b, s.d) == (2, 2)
+    def test_one_value_over_d_and_4d(self):
+        # sqrt(8) = 2 sqrt(2): the radicand is kept as given, and values over
+        # radicands whose product is a square share one field
+        s, t = Surd(0, 1, 1, 8), Surd(0, 2, 1, 2)
+        assert (s.b, s.d) == (1, 8)
+        assert s == t and hash(s) == hash(t)
+        diff = s - t
+        assert isinstance(diff, Fraction) and diff == 0
+        # exact in the field: no enclosure refinement, so no NeedsPrecision
+        assert compare(s, t, cap=8) == 0 and compare(t, s, cap=8) == 0
+        assert s * t == 8 and s / t == 1 and s < t + Fraction(1, 10 ** 30)
+        with pytest.raises(TypeError):
+            s + Surd(0, 1, 1, 3)
 
     def test_negative_denominator_normalized(self):
         s = Surd(1, 1, -2, 3)
@@ -59,6 +69,19 @@ class TestSurdArithmetic:
     def test_mixed_field_add_rejected(self):
         with pytest.raises(TypeError):
             Surd(0, 1, 1, 2) + Surd(0, 1, 1, 3)
+        with pytest.raises(TypeError):
+            Surd(0, 1, 1, 2) < Surd(0, 1, 1, 3)
+        assert Surd(0, 1, 1, 2) != Surd(0, 1, 1, 3)
+
+    @given(a=st.integers(-30, 30), b=st.integers(-30, 30).filter(bool),
+           c=st.integers(1, 30), d=st.sampled_from([2, 3, 5, 6, 8, 12]),
+           k=st.integers(2, 9))
+    def test_equal_over_scaled_radicand(self, a, b, c, d, k):
+        # (a + b k sqrt(d))/c = (a + b sqrt(k^2 d))/c
+        s, t = Surd(a, b * k, c, d), Surd(a, b, c, k * k * d)
+        assert s == t and t == s and hash(s) == hash(t)
+        assert s - t == 0 and compare(s, t, cap=8) == 0
+        assert s * recip(t) == 1
 
     @given(a=st.integers(-30, 30), b=st.integers(-30, 30).filter(bool),
            c=st.integers(1, 30), d=st.sampled_from([2, 3, 5, 7, 11]))
@@ -197,13 +220,13 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_real("sqrt(banana)")
 
-    def test_radicand_bound(self):
-        # returns at once: the bound is checked before any factoring
-        assert isinstance(parse_real("(0+1*sqrt(999999999999))/7"), Surd)
-        with pytest.raises(ValueError):
-            parse_real("(0+1*sqrt(1000000000001))/7")
-        with pytest.raises(ValueError):
-            parse_real("(1+1*sqrt(" + "9" * 29 + "7))/2")
+    def test_large_radicand(self):
+        # the radicand is checked by one isqrt and kept: 10^29 + 319 is prime
+        s = parse_real("(1+1*sqrt(100000000000000000000000000319))/2")
+        assert (s.a, s.b, s.c, s.d) == (1, 1, 2, 10 ** 29 + 319)
+        assert float(s) == pytest.approx((1 + math.sqrt(1e29)) / 2)
+        with pytest.raises(NotASurd):
+            parse_real("(1+1*sqrt(" + str((10 ** 15 + 37) ** 2) + "))/2")
 
 
 def test_canonicalize_surd_passthrough():

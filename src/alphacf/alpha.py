@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import cycle, islice
 from typing import Optional
 
 from .exact import (AdaptiveReal, DomainError, ExactnessUnavailable,
@@ -136,8 +136,9 @@ def _orbit(x: RealValue, alpha, m: tuple):
     for a rational x, ending at a remainder 0 (a terminating expansion) or
     1 (the by-excess fixed point); at alpha = 0 a run of 2's (x_n > 1/2)
     keeps den - num fixed and steps with no division.  A Surd walks its
-    exact (P, Q, D) states and yields the correctly rounded double of x_n
-    over 1, taken once per distinct state from one root of D.  An
+    exact (P, Q, D) states (_surd_orbit) and yields the correctly rounded
+    double of x_n over 1, taken once per distinct state from one root of
+    D; from the first repeated state on it replays the stored period.  An
     AdaptiveReal walks the rational orbits of both ends of one enclosure in
     lockstep and yields the lower end's num/den: a step is accepted when
     the ends give the same digit, sign and double (all monotone in x_n),
@@ -169,12 +170,9 @@ def _orbit(x: RealValue, alpha, m: tuple):
         P0, Q0, k, d = _surd_state(x, m)
         D = k * k * d
         root = math.isqrt(D << 128)
-        doubles: dict[tuple[int, int], float] = {}
-        for P, Q, a, eps in _surd_orbit(P0, Q0, D, alpha):
-            xf = doubles.get((P, Q))
-            if xf is None:
-                xf = doubles[P, Q] = _surd_double(P, D, Q, root)
-            yield xf, 1, a, eps
+        yield from _surd_orbit(
+            P0, Q0, D, alpha,
+            lambda P, Q, a, eps: (_surd_double(P, D, Q, root), 1, a, eps))
     bits, cap = _resolve_bits(None, None)
     while True:
         lo, hi = x.enclosure(bits)
@@ -222,28 +220,37 @@ def _surd_state(x: Surd, m: tuple) -> tuple[int, int, int, int]:
     return sgn * x0.a * x0.c, sgn * x0.c * x0.c, abs(x0.b) * x0.c, x0.d
 
 
-def _surd_orbit(P: int, Q: int, D: int, alpha):
-    """The A_alpha orbit of x_0 = (P + sqrt(D))/Q, Q | D - P^2, in integers:
-    yields (P_n, Q_n, a_{n+1}, eps_{n+1}) with x_n = (P_n + sqrt(D))/Q_n
-    for n = 0, 1, ... (it never ends).
+def _surd_orbit(P: int, Q: int, D: int, alpha, make):
+    """make(P_n, Q_n, a_{n+1}, eps_{n+1}) along the A_alpha orbit of
+    x_0 = (P + sqrt(D))/Q, Q | D - P^2, with x_n = (P_n + sqrt(D))/Q_n,
+    called once per distinct state (it never ends).
 
     1/x_n = (P1 + sqrt(D))/Q1 for P1 = -P_n and the integer
     Q1 = (D - P_n^2)/Q_n.  For alpha = r/s and X = s P1 + (s - r) Q1 the
     digit floor(1/x_n + 1 - alpha) is floor((X + s sqrt(D))/(s Q1)).
     s sqrt(D) lies strictly between R = isqrt(s^2 D) and R + 1, so the
     digit is (X + R) // (s Q1) for Q1 > 0 and (X + R + 1) // (s Q1) for
-    Q1 < 0.
+    Q1 < 0.  A state fixes the rest of the orbit, so once the state first
+    seen at index i comes back (Lagrange) the walk replays its steps from
+    i on with no arithmetic; walk keeps them in first-visit order, so the
+    position of a state is its first index.
     """
     r, s = alpha.numerator, alpha.denominator
     R = math.isqrt(s * s * D)
+    walk: dict[tuple[int, int], tuple] = {}
     while True:
+        state = P, Q
+        if state in walk:
+            i = list(walk).index(state)
+            yield from cycle(list(walk.values())[i:])
         Q1 = (D - P * P) // Q
         X = (s - r) * Q1 - s * P + R
         a = (X if Q1 > 0 else X + 1) // (s * Q1)
         P1 = -P - a * Q1
         # eps is the sign of 1/x_n - a = (P1 + sqrt(D))/Q1
         eps = 1 if (P1 >= 0 or P1 * P1 < D) == (Q1 > 0) else -1
-        yield P, Q, a, eps
+        step = walk[state] = make(P, Q, a, eps)
+        yield step
         P, Q = P1, eps * Q1
 
 
@@ -254,18 +261,21 @@ def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
     x_D and betas x_0 ... x_n; ended says the orbit reached 0 (a
     terminating expansion) or 1 (the by-excess fixed point) within the
     budget.  A Fraction walks the exact step chain from m(x) = A x + B,
-    which A_alpha keeps in its domain.  A Surd walks its (P, Q, D) states
-    and an AdaptiveReal the certified kernel.  For both, x_n = m_n(x), and
-    beta_n = A_n x + B_n is the image of the num row of m_n, which is
-    +-(q_n, -p_n) on x - n_0: Lemma 1, beta_n = |q_n x' - p_n|, with no
-    product chain.
+    which A_alpha keeps in its domain.  A Surd walks its (P, Q, D) states,
+    one remainder per distinct state, replayed with its period after the
+    first repeated state; an AdaptiveReal walks the certified kernel.  For
+    both, x_n = m_n(x), and beta_n = A_n x + B_n is the image of the num
+    row of m_n, which is +-(q_n, -p_n) on x - n_0: Lemma 1,
+    beta_n = |q_n x' - p_n|, with no product chain.
     """
     if not isinstance(x, (int, Fraction)):
         surd = isinstance(x, Surd)
         if surd:
             P0, Q0, k, d = _surd_state(x, m)
-            walk = ((Surd._field(P, k, Q, d), a, eps)
-                    for P, Q, a, eps in _surd_orbit(P0, Q0, k * k * d, alpha))
+            # Surd is immutable, so a replayed step shares its remainder
+            walk = _surd_orbit(
+                P0, Q0, k * k * d, alpha,
+                lambda P, Q, a, eps: (Surd._field(P, k, Q, d), a, eps))
         else:
             walk = ((None, a, eps)
                     for _num, _den, a, eps in _orbit(x, alpha, m))

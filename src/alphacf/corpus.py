@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -39,14 +40,22 @@ def surd_corpus(count: int = 20) -> list[Surd]:
 def rational_corpus(size: int, qmax: int = 10 ** 6,
                     seed: int = 0) -> list[Fraction]:
     """`size` random reduced rationals p/q in (0, 1) with q <= qmax; a
-    ValueError when there are fewer than `size` of them."""
+    ValueError when there are fewer than `size` of them.  Past half of
+    them, a sample of the enumerated fractions replaces the rejection
+    draws, which would need ever more tries for each new fraction."""
     if size < 0 or qmax < 2:
         raise ValueError(f"need size >= 0 and qmax >= 2, got {size}, {qmax}")
-    # the fractions 1/q alone give qmax - 1 distinct values
-    if size >= qmax and size > _reduced_count(qmax):
-        raise ValueError(f"only {_reduced_count(qmax)} reduced fractions in "
-                         f"(0, 1) have q <= {qmax}; {size} rationals asked")
     rng = random.Random(seed)
+    # the fractions 1/q alone give qmax - 1 distinct values
+    if size >= qmax:
+        count = _reduced_count(qmax)
+        if size > count:
+            raise ValueError(f"only {count} reduced fractions in (0, 1) "
+                             f"have q <= {qmax}; {size} rationals asked")
+        if 2 * size > count:
+            return rng.sample([Fraction(p, q) for q in range(2, qmax + 1)
+                               for p in range(1, q) if math.gcd(p, q) == 1],
+                              size)
     out: list[Fraction] = []
     seen = set()
     while len(out) < size:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from alphacf.alpha import alpha_expand
 from alphacf.brjuno import brjuno_sum, make_u, semi_brjuno
 from alphacf.byexcess import minus_expand
 from alphacf.cli import _csv_text, _figure_grid, main
-from alphacf.corpus import GOLDEN, rational_corpus
+from alphacf.corpus import GOLDEN, _reduced_count, rational_corpus
 
 # sha256 of `figure --which 1..4` at the default flags (4096 points), the
 # digests the benchmark reference holds
@@ -221,6 +222,15 @@ class TestSweep:
         assert set(rational_corpus(len(every), qmax=20)) == every
         with pytest.raises(ValueError):
             rational_corpus(len(every) + 1, qmax=20)
+
+    def test_corpus_of_every_fraction_is_fast(self):
+        # drawing with rejection would be a coupon-collector run (9.5 s)
+        count = _reduced_count(400)
+        start = time.process_time()
+        corpus = rational_corpus(count, 400)
+        assert time.process_time() - start < 1.0
+        assert len(set(corpus)) == count
+        assert all(0 < f < 1 and f.denominator <= 400 for f in corpus)
 
     def test_passing_sweep(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

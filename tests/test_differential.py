@@ -422,6 +422,40 @@ def test_kernel_matches_step_chain(inp):
             assert Fraction(num, den) == xn
 
 
+# A surd walk replays its period from the first repeated (P, Q) state.
+# These repeat late: by excess, (-3 + 2 sqrt(10))/4 has pre-period 1 and
+# period 73; sqrt(919) - 30 has period 60 at alpha = 1 and 40 at
+# alpha = 1/2, and P alone repeats before (P, Q) on each of them.
+# (1 + sqrt(10^29 + 319))/2 repeats no state within the budget.  160 steps
+# cover the pre-period and two periods.
+REPLAY_STEPS = 160
+SQRT919 = Surd(-30, 1, 1, 919)
+REPLAYED = [(Fraction(0), Surd(-3, 2, 4, 10)), (Fraction(1), SQRT919),
+            (Fraction(1, 2), SQRT919),
+            (Fraction(1, 2), Surd(1, 1, 2, 10 ** 29 + 319))]
+
+
+@pytest.mark.parametrize("alpha, x", REPLAYED, ids=str)
+def test_replayed_orbit_matches_step_chain(alpha, x):
+    _n0, _eps0, m = _alpha_seed(x, alpha or Fraction(1))
+    got = list(islice(_orbit(x, alpha, m), REPLAY_STEPS))
+    want = step_chain(x, alpha, REPLAY_STEPS)
+    assert len(want) == REPLAY_STEPS
+    assert [(a, eps) for _num, _den, a, eps in got] == \
+        [(a, eps) for _xn, a, eps in want]
+    assert [(num / den).hex() for num, den, _a, _eps in got] == \
+        [oracle_float(xn).hex() for xn, _a, _eps in want]
+    exp = alpha_expand(x, alpha, REPLAY_STEPS)
+    assert repr((exp.integer_part, exp.eps0,
+                 [(d.a, d.eps) for d in exp.digits], exp.remainders,
+                 exp.betas, exp.p_seq, exp.q_seq, exp.terminated)) == \
+        repr(oracle_alpha_expand(x, alpha, REPLAY_STEPS))
+    mexp = minus_expand(x, REPLAY_STEPS)
+    assert repr((mexp.x0, mexp.digits, mexp.remainders, mexp.pstar,
+                 mexp.qstar, mexp.betastars, mexp.reached_one)) == \
+        repr(oracle_minus_expand(x, REPLAY_STEPS))
+
+
 EXPANSION_BUDGETS = (0, 1, 5, 120)
 
 

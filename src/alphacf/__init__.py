@@ -5,8 +5,8 @@ from .alpha import (AlphaDigit, AlphaExpansion, alpha_bar, alpha_expand,
                     legendre_filter, reconstruction_check, rho_alpha)
 from .brjuno import (BoundReport, BrjunoResult, ConditionViolation,
                      SingularityU, b0_even, b0_qseries, brjuno_sum,
-                     diff_report, functional_residual, log_denominator_sum,
-                     make_u, q_series, semi_brjuno)
+                     diff_report, figure_rows, functional_residual,
+                     log_denominator_sum, make_u, q_series, semi_brjuno)
 from .byexcess import (MalformedStream, MinusExpansion, SideMismatch,
                        complement_regular, minus_expand, minus_step,
                        minus_to_regular, regular_to_minus, run_decomposition)
@@ -21,13 +21,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveReal", "AlphaDigit", "AlphaExpansion", "BoundReport",
     "BrjunoResult", "ConditionViolation", "DomainError",
-    "ExactnessUnavailable", "Fraction", "HolderEstimate",
-    "InsufficientScales", "InvalidRadicand", "MalformedStream",
-    "MinusExpansion", "NeedsPrecision", "NotASurd", "SideMismatch",
-    "SingularityU", "Surd", "alpha_bar", "alpha_expand", "alpha_reduce",
-    "alpha_step", "b0_even", "b0_qseries", "beta_check", "brjuno_sum",
-    "compare", "complement_regular", "decay_check", "diff_report",
-    "estimate_holder", "floor_shift", "functional_residual", "is_exact",
+    "ExactnessUnavailable", "HolderEstimate", "InsufficientScales",
+    "InvalidRadicand", "MalformedStream", "MinusExpansion", "NeedsPrecision",
+    "NotASurd", "SideMismatch", "SingularityU", "Surd", "alpha_bar",
+    "alpha_expand", "alpha_reduce", "alpha_step", "b0_even", "b0_qseries",
+    "beta_check", "brjuno_sum", "compare", "complement_regular",
+    "decay_check", "diff_report", "estimate_holder", "figure_rows",
+    "floor_shift", "functional_residual", "is_exact",
     "legendre_filter", "log_denominator_sum", "make_u", "minus_expand",
     "minus_step", "minus_to_regular", "parse_real", "q_series", "recip",
     "reconstruction_check", "regular_to_minus", "rho_alpha",

@@ -4,8 +4,8 @@
 alpha-continued fraction orbit of x, for a positive C^1 weight u singular
 at 0.  ``semi_brjuno`` is the alpha=0, u=-log case, summed over the
 by-excess orbit, where convergence is driven by the run structure instead
-of a geometric decay.  Companion q-series, functional-equation residuals
-and corpus-wide difference reports live here too.
+of a geometric decay.  Companion q-series, functional-equation residuals,
+corpus-wide difference reports and the rows of figures 1-4 live here too.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, Optional, Sequence
@@ -35,7 +35,7 @@ def _inv(q: int) -> float:
     return 1.0 / q
 
 
-@dataclass
+@dataclass(frozen=True)
 class SingularityU:
     """A positive C^1 weight on (0,1), singular at the origin.
 
@@ -45,9 +45,7 @@ class SingularityU:
 
     name: str
     eval: Callable[[float], float]
-    deriv: Callable[[float], float]
-    delta: float = 0.1
-    M1: float = field(default=0.0)
+    M1: float
 
 
 def _grid_sup(f: Callable[[float], float], lo: float, hi: float,
@@ -95,9 +93,7 @@ def make_u(name: str, sigma: Optional[float] = None, delta: float = 0.1,
     else:
         raise ValueError(f"unknown weight {name!r} and no custom (eval, deriv)")
     _check_conditions(ev, dv, delta)
-    out = SingularityU(name, ev, dv, delta)
-    out.M1 = _grid_sup(ev, delta / (1 + delta), 1.0)
-    return out
+    return SingularityU(name, ev, _grid_sup(ev, delta / (1 + delta), 1.0))
 
 
 @dataclass
@@ -109,6 +105,9 @@ class BrjunoResult:
     converged: bool
     companion_q_series: Optional[float] = None
     istar_sum: Optional[float] = None  # by-excess only: sum over the 2-digit indices
+
+    def to_csv_rows(self) -> list[list]:
+        return [["n", "beta_prev", "x_n", "term"], *map(list, self.terms)]
 
 
 def _orbit_record(x: RealValue, alpha, n_max: int):
@@ -256,6 +255,78 @@ def b0_even(x: RealValue, n_max: int) -> float:
     return a + b
 
 
+# -- figure grids ----------------------------------------------------------
+
+def _figure_grid(lo: Fraction, hi: Fraction, points: int) -> list[Fraction]:
+    """x_k = lo + (hi - lo) k / (points - 1), moved off the integers by
+    1/(2*10^9).  For lo = a/b and hi = c/d that is (a d (P-1) + (c b - a d)
+    k) / (b d (P-1)): one Fraction per point."""
+    nudge = Fraction(1, 2 * 10 ** 9)
+    a, b = lo.numerator, lo.denominator
+    c, d = hi.numerator, hi.denominator
+    m = points - 1
+    start, step, den = a * d * m, c * b - a * d, b * d * m
+    xs = []
+    for k in range(points):
+        x = Fraction(start + step * k, den)
+        if x.denominator == 1:
+            x = x + nudge
+        xs.append(x)
+    return xs
+
+
+def figure_rows(which: int, lo, hi, points: int, n: int,
+                digits: int) -> list[list]:
+    """Header and data rows of figure ``which`` on ``points`` grid points in
+    [lo, hi]: 1 is B_{1,u} for u = x^(-1/2), 2 is B0, 3 the even part
+    B0(x) + B0(-x) and B_{1,log}, 4 their difference.  B_1 takes n terms
+    and B0 ``digits`` terms."""
+    if which not in (1, 2, 3, 4):
+        raise ValueError(f"no figure {which!r}")
+    lo, hi = Fraction(lo), Fraction(hi)
+    if not lo < hi or points < 2:
+        raise ValueError("need lo < hi and points >= 2")
+    xs = _figure_grid(lo, hi, points)
+    if which == 1:
+        u = make_u("inv_sqrt")
+        rows = [["x", "value"]]
+        for x in xs:
+            rows.append([to_float(x), brjuno_sum(x, 1, u, n,
+                                                 keep_terms=False).value])
+    elif which == 2:
+        rows = [["x", "value"]]
+        for x in xs:
+            rows.append([to_float(x),
+                         semi_brjuno(x, digits, keep_terms=False).value])
+    else:
+        u = make_u("log")
+        rows = [["x", "b0even", "b1"] if which == 3 else ["x", "diff"]]
+        b0 = [semi_brjuno(x, digits, keep_terms=False).value for x in xs]
+        off_grid = {}
+        for k, x in enumerate(xs):
+            # B0 depends only on the value mod 1, so B0(1 - x) is read off
+            # the mirror point when 1 - x is on the grid; the mirrors of
+            # the nudged ends, 1 - nudge and -nudge, share one orbit
+            if 1 - x == xs[-1 - k]:
+                b0_mirror = b0[-1 - k]
+            else:
+                key = (1 - x) % 1
+                if key not in off_grid:
+                    off_grid[key] = semi_brjuno(key, digits,
+                                                keep_terms=False).value
+                b0_mirror = off_grid[key]
+            b0e = b0[k] + b0_mirror
+            b1 = brjuno_sum(x, 1, u, n, keep_terms=False).value
+            if which == 3:
+                rows.append([to_float(x), b0e, b1])
+            else:
+                # difference of the 15-digit values figure 3 publishes, so
+                # the two CSVs agree bit-for-bit
+                rows.append([to_float(x),
+                             float(f"{b1:.15g}") - float(f"{b0e:.15g}")])
+    return rows
+
+
 # -- functional equations --------------------------------------------------
 
 def functional_residual(kind: str, x: RealValue, alpha=None,
@@ -295,6 +366,7 @@ def functional_residual(kind: str, x: RealValue, alpha=None,
 # -- corpus difference reports --------------------------------------------
 
 DIFF_KINDS = ("alpha_vs_1", "b0_vs_qseries", "b1_vs_b0even", "logq_vs_loga")
+STABILITY_TOL = 1e-6   # see diff_report
 
 
 @dataclass
@@ -342,27 +414,29 @@ def _logq_vs_loga(x: RealValue, n_max: int) -> float:
 
 def diff_report(kind: str, corpus: Sequence[RealValue], alpha=None,
                 u: Optional[SingularityU] = None, n_max: int = 200,
-                threshold: Optional[float] = None,
-                stability_tol: float = 1e-6) -> BoundReport:
+                threshold: Optional[float] = None) -> BoundReport:
     """Evaluate a bounded-difference statement over a corpus.
 
     The report records the observed supremum at the given truncation and a
-    stability flag: the sup moved by less than stability_tol*(1+sup) when
-    the truncation was doubled.
+    stability flag: the sup moved by less than STABILITY_TOL*(1+sup) when
+    the truncation was doubled.  alpha_vs_1 and b1_vs_b0even weigh their
+    B_{alpha,u} sums with u (default: the log weight) and name it.
     """
     if kind not in DIFF_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
+    weight = None
+    if kind in ("alpha_vs_1", "b1_vs_b0even"):
+        weight = u if u is not None else make_u("log")
 
     def sample(x: RealValue, n: int) -> float:
         if kind == "alpha_vs_1":
-            return abs(brjuno_sum(x, alpha, u, n, keep_terms=False).value
-                       - brjuno_sum(x, 1, u, n, keep_terms=False).value)
+            return abs(brjuno_sum(x, alpha, weight, n, keep_terms=False).value
+                       - brjuno_sum(x, 1, weight, n, keep_terms=False).value)
         if kind == "b0_vs_qseries":
             res = semi_brjuno(x, n, keep_terms=False, with_q_series=True)
             return abs(res.value - res.companion_q_series)
         if kind == "b1_vs_b0even":
-            b1 = brjuno_sum(x, 1, u or make_u("log"), n,
-                            keep_terms=False).value
+            b1 = brjuno_sum(x, 1, weight, n, keep_terms=False).value
             return abs(b1 - b0_even(x, n))
         return _logq_vs_loga(x, n)
 
@@ -370,10 +444,10 @@ def diff_report(kind: str, corpus: Sequence[RealValue], alpha=None,
     vals2 = [sample(x, 2 * n_max) for x in corpus]
     sup = max(vals, default=0.0)
     sup2 = max(vals2, default=0.0)
-    stable = abs(sup2 - sup) < stability_tol * (1.0 + sup)
+    stable = abs(sup2 - sup) < STABILITY_TOL * (1.0 + sup)
     worst = None
     if vals:
         worst = str(corpus[max(range(len(vals)), key=vals.__getitem__)])
     return BoundReport(kind, Fraction(alpha) if alpha is not None else None,
-                       u.name if u is not None else None, n_max, len(corpus),
-                       vals, sup, threshold, stable, worst)
+                       weight.name if weight is not None else None, n_max,
+                       len(corpus), vals, sup, threshold, stable, worst)

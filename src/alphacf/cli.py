@@ -1,4 +1,4 @@
-"""Command line front end.
+"""Command line front end: each subcommand parses, calls the library, writes.
 
 Subcommands: expand | brjuno | b0 | dict | sweep | figure | holder | bench.
 CSV output is comma separated with a header row, LF line endings and 15
@@ -15,26 +15,22 @@ import math
 import statistics
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import exact
 from .alpha import alpha_expand
-from .brjuno import brjuno_sum, diff_report, make_u, q_series, semi_brjuno
+from .brjuno import (brjuno_sum, diff_report, figure_rows, make_u, q_series,
+                     semi_brjuno)
 from .byexcess import minus_expand, minus_to_regular, regular_to_minus
 from .corpus import SILVER, mixed_corpus
-from .exact import AdaptiveReal, NeedsPrecision, parse_real, to_float
-from .holder import InsufficientScales, estimate_holder
+from .exact import AdaptiveReal, NeedsPrecision, parse_real
+from .holder import estimate_holder
 
 EXIT_PARSE = 2
 EXIT_PRECISION = 3
 EXIT_UNWRITABLE = 4
 EXIT_THRESHOLD = 5
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.15g}"
-    return str(v)
 
 
 def _write_out(text: str, out_path) -> None:
@@ -56,7 +52,8 @@ def _csv_text(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+        writer.writerow([f"{v:.15g}" if isinstance(v, float) else v
+                         for v in row])
     return buf.getvalue()
 
 
@@ -81,8 +78,7 @@ def cmd_brjuno(args) -> int:
     u = make_u(args.u, sigma=args.sigma)
     res = brjuno_sum(x, alpha, u, args.n)
     if args.ledger:
-        rows = [["n", "beta_prev", "x_n", "term"]] + [list(t) for t in res.terms]
-        _write_out(_csv_text(rows), args.out)
+        _write_out(_csv_text(res.to_csv_rows()), args.out)
         return 0
     _write_out(json.dumps({
         "x": args.x, "alpha": str(alpha), "u": u.name, "N": res.n_max,
@@ -97,8 +93,7 @@ def cmd_b0(args) -> int:
     x = parse_real(args.x)
     res = semi_brjuno(x, args.n, with_q_series=True)
     if args.ledger:
-        rows = [["n", "beta_prev", "x_n", "term"]] + [list(t) for t in res.terms]
-        _write_out(_csv_text(rows), args.out)
+        _write_out(_csv_text(res.to_csv_rows()), args.out)
         return 0
     _write_out(json.dumps({
         "x": args.x, "N": res.n_max, "value": res.value,
@@ -129,68 +124,9 @@ def cmd_dict(args) -> int:
     return 0
 
 
-def _figure_grid(lo: Fraction, hi: Fraction, points: int) -> list[Fraction]:
-    """x_k = lo + (hi - lo) k / (points - 1), moved off the integers by
-    1/(2*10^9).  For lo = a/b and hi = c/d that is (a d (P-1) + (c b - a d)
-    k) / (b d (P-1)): one Fraction per point."""
-    nudge = Fraction(1, 2 * 10 ** 9)
-    a, b = lo.numerator, lo.denominator
-    c, d = hi.numerator, hi.denominator
-    m = points - 1
-    start, step, den = a * d * m, c * b - a * d, b * d * m
-    xs = []
-    for k in range(points):
-        x = Fraction(start + step * k, den)
-        if x.denominator == 1:
-            x = x + nudge
-        xs.append(x)
-    return xs
-
-
 def cmd_figure(args) -> int:
-    lo, hi = Fraction(args.lo), Fraction(args.hi)
-    if not lo < hi or args.points < 2:
-        raise ValueError("need lo < hi and points >= 2")
-    xs = _figure_grid(lo, hi, args.points)
-    n = args.n
-    digits = args.digits
-    if args.which == 1:
-        u = make_u("inv_sqrt")
-        rows = [["x", "value"]]
-        for x in xs:
-            rows.append([to_float(x), brjuno_sum(x, 1, u, n,
-                                                 keep_terms=False).value])
-    elif args.which == 2:
-        rows = [["x", "value"]]
-        for x in xs:
-            rows.append([to_float(x),
-                         semi_brjuno(x, digits, keep_terms=False).value])
-    else:
-        u = make_u("log")
-        rows = [["x", "b0even", "b1"] if args.which == 3 else ["x", "diff"]]
-        b0 = [semi_brjuno(x, digits, keep_terms=False).value for x in xs]
-        off_grid = {}
-        for k, x in enumerate(xs):
-            # B0 depends only on the value mod 1, so B0(1 - x) is read off
-            # the mirror point when 1 - x is on the grid; the mirrors of
-            # the nudged ends, 1 - nudge and -nudge, share one orbit
-            if 1 - x == xs[-1 - k]:
-                b0_mirror = b0[-1 - k]
-            else:
-                key = (1 - x) % 1
-                if key not in off_grid:
-                    off_grid[key] = semi_brjuno(key, digits,
-                                                keep_terms=False).value
-                b0_mirror = off_grid[key]
-            b0e = b0[k] + b0_mirror
-            b1 = brjuno_sum(x, 1, u, n, keep_terms=False).value
-            if args.which == 3:
-                rows.append([to_float(x), b0e, b1])
-            else:
-                # difference of the 15-digit values figure 3 publishes, so
-                # the two CSVs agree bit-for-bit
-                rows.append([to_float(x),
-                             float(f"{b1:.15g}") - float(f"{b0e:.15g}")])
+    rows = figure_rows(args.which, args.lo, args.hi, args.points, args.n,
+                       args.digits)
     _write_out(_csv_text(rows), args.out)
     return 0
 
@@ -198,8 +134,6 @@ def cmd_figure(args) -> int:
 def cmd_sweep(args) -> int:
     corpus = mixed_corpus(args.corpus_size, qmax=args.qmax, seed=args.seed)
     u = make_u(args.u) if args.u else None
-    if args.kind == "alpha_vs_1" and u is None:
-        u = make_u("log")
     report = diff_report(args.kind, corpus, alpha=Fraction(args.alpha),
                          u=u, n_max=args.n, threshold=args.threshold)
     _write_out(report.to_json() + "\n", args.out)
@@ -219,12 +153,7 @@ def cmd_holder(args) -> int:
     except (OSError, ValueError, StopIteration, IndexError) as exc:
         print(f"error: malformed CSV input: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    est = estimate_holder(values)
-    _write_out(json.dumps({
-        "exponent": est.exponent,
-        "scales_used": est.scales_used,
-        "r2": est.r2,
-    }) + "\n", args.out)
+    _write_out(json.dumps(asdict(estimate_holder(values))) + "\n", args.out)
     return 0
 
 
@@ -361,12 +290,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
-    for key, val in _GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, val)
     if args.precision_bits < 1 or args.precision_cap < args.precision_bits:
         print("error: need 1 <= --precision-bits <= --precision-cap",
               file=sys.stderr)
@@ -382,9 +308,6 @@ def main(argv=None) -> int:
     except _Unwritable as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
-    except InsufficientScales as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

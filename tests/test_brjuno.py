@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from alphacf import exact
+import alphacf
+from alphacf import brjuno, exact
 from alphacf.brjuno import (ConditionViolation, b0_even, b0_qseries,
-                            brjuno_sum, diff_report, functional_residual,
-                            log_denominator_sum, make_u, q_series,
-                            semi_brjuno)
+                            brjuno_sum, diff_report, figure_rows,
+                            functional_residual, log_denominator_sum, make_u,
+                            q_series, semi_brjuno)
 from alphacf.corpus import rational_corpus, surd_corpus
 from alphacf.exact import DomainError, Surd
 
@@ -184,3 +185,53 @@ class TestReports:
     def test_diff_report_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             diff_report("nope", [G])
+
+    def test_alpha_vs_1_defaults_to_the_log_weight(self):
+        corpus = rational_corpus(10, qmax=10 ** 4, seed=3) + surd_corpus(3)
+        alpha = Fraction(1, 5)
+        got = diff_report("alpha_vs_1", corpus, alpha=alpha)
+        want = diff_report("alpha_vs_1", corpus, alpha=alpha,
+                           u=make_u("log"))
+        assert [v.hex() for v in got.per_sample] == \
+            [v.hex() for v in want.per_sample]
+        assert got.observed_sup.hex() == want.observed_sup.hex()
+        assert got.u_name == want.u_name == "log"
+
+    def test_b1_vs_b0even_builds_one_weight(self, monkeypatch):
+        built = []
+
+        def counting_make_u(*args, **kwargs):
+            built.append(args)
+            return make_u(*args, **kwargs)
+
+        monkeypatch.setattr(brjuno, "make_u", counting_make_u)
+        corpus = rational_corpus(10, qmax=10 ** 4, seed=3) + surd_corpus(3)
+        rep = diff_report("b1_vs_b0even", corpus)
+        assert len(built) <= 1
+        assert rep.u_name == "log"
+
+    def test_reports_without_a_weight_name_none(self):
+        rep = diff_report("logq_vs_loga", [G], u=make_u("inv_sqrt"))
+        assert rep.u_name is None
+
+
+class TestFigureRows:
+    def test_header_and_length(self):
+        rows = figure_rows(3, 0, 1, 9, 80, 400)
+        assert rows[0] == ["x", "b0even", "b1"]
+        assert len(rows) == 10
+
+    @pytest.mark.parametrize("args", [
+        (5, 0, 1, 9, 80, 400), (1, 1, 0, 9, 80, 400), (2, 0, 1, 1, 80, 400),
+    ], ids=["no_such_figure", "empty_range", "one_point"])
+    def test_rejected(self, args):
+        with pytest.raises(ValueError):
+            figure_rows(*args)
+
+
+def test_all_lists_supported_names():
+    for name in alphacf.__all__:
+        assert hasattr(alphacf, name), name
+    assert "figure_rows" in alphacf.__all__
+    assert "Fraction" not in alphacf.__all__
+    assert alphacf.Fraction is Fraction   # still importable

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from alphacf import exact
 from alphacf.alpha import alpha_expand
-from alphacf.brjuno import brjuno_sum, make_u, semi_brjuno
+from alphacf.brjuno import _figure_grid, brjuno_sum, make_u, semi_brjuno
 from alphacf.byexcess import minus_expand
-from alphacf.cli import _csv_text, _figure_grid, main
+from alphacf.cli import _csv_text, main
 from alphacf.corpus import GOLDEN, _reduced_count, rational_corpus
 
 # sha256 of `figure --which 1..4` at the default flags (4096 points), the
@@ -25,6 +25,19 @@ FIGURE_SHA256 = {
     2: "ff3e3da77391a85f43b09d695aeb0a73679b5ba405eec14380e7d00bf7956b4d",
     3: "a3e35b6a6d28d6d32602664fff031297e741aab6d4e4fa278fc99b14c334c22d",
     4: "fe715d38916151c0864ca168fa75e146c51e330b79264c404f72da15fd6aec75",
+}
+
+# sha256 of the `sweep` JSON at the default flags (100 samples, qmax 10^6,
+# N = 200); alpha_vs_1 at its default alpha = 1 has sup 0, so it runs at 1/5
+SWEEP_SHA256 = {
+    "b0_vs_qseries":
+        "362ddbf072b3d1beab8a4d08072751b1df88838f4880c991636338e6d5814f5b",
+    "logq_vs_loga":
+        "c02ac69c46d399d17c1115c1d6c7bdbc1405e563fb6f9ba289750378b38cde0f",
+    "b1_vs_b0even":
+        "45e8e348550e4c657ce74fcfe44a9c42f0177a9f749172422c191c901ebf29e7",
+    "alpha_vs_1":
+        "96f85335173f92d23c0baae474f62bd7272908facd4eed36a08b140448aec2d8",
 }
 
 
@@ -166,6 +179,20 @@ class TestScalarCommands:
         assert code == 0
         assert out.splitlines()[0] == "n,beta_prev,x_n,term"
 
+    def test_brjuno_ledger_csv(self, capsys):
+        # the Gauss orbit of 5/7 is 5/7, 2/5, 1/2, then 0: three terms
+        code, out = run(capsys, "brjuno", "--x", "5/7", "--ledger")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "n,beta_prev,x_n,term"
+        rows = [[float(c) for c in line.split(",")] for line in lines[1:]]
+        assert [r[0] for r in rows] == [0, 1, 2]
+        assert [r[2] for r in rows] == [float(f"{v:.15g}")
+                                        for v in (5 / 7, 2 / 5, 1 / 2)]
+        _code, out = run(capsys, "brjuno", "--x", "5/7")
+        assert sum(r[3] for r in rows) == \
+            pytest.approx(json.loads(out)["value"], rel=1e-14)
+
     @pytest.mark.parametrize("argv", [
         ["b0", "--x", "5/7", "--n", "-1"],
         ["b0", "--x", "(-1+1*sqrt(5))/2", "--n", "-1"],
@@ -231,6 +258,15 @@ class TestSweep:
         assert time.process_time() - start < 1.0
         assert len(set(corpus)) == count
         assert all(0 < f < 1 and f.denominator <= 400 for f in corpus)
+
+    @pytest.mark.parametrize("kind", sorted(SWEEP_SHA256))
+    def test_sweep_bytes(self, tmp_path, kind):
+        out = tmp_path / "report.json"
+        flags = ["--alpha", "1/5"] if kind == "alpha_vs_1" else []
+        assert main(["sweep", "--kind", kind, *flags,
+                     "--out", str(out)]) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == SWEEP_SHA256[kind]
 
     def test_passing_sweep(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"
@@ -358,6 +394,15 @@ class TestPrecisionFlags:
         assert main(flags + ["bench", "--digits", "10"]) == 2
         assert "--precision-bits" in capsys.readouterr().err
         assert (exact.DEFAULT_BITS, exact.PRECISION_CAP) == before
+
+    def test_global_flags_before_or_after_the_subcommand(self, capsys):
+        argv = ["expand", "--x", "5/7", "--alpha", "1"]
+        before = run(capsys, "--format", "json", *argv)
+        assert before == run(capsys, *argv, "--format", "json")
+        assert json.loads(before[1])["terminated"] is True
+        # the value after the subcommand wins
+        assert run(capsys, "--format", "json", *argv, "--format", "csv") == \
+            run(capsys, *argv)
 
     def test_equal_bits_and_cap_accepted(self, capsys):
         assert main(["--precision-bits", "64", "--precision-cap", "64",

@@ -131,18 +131,26 @@ def _alpha_seed(x: RealValue, alpha) -> tuple[int, int, tuple]:
 def _orbit(x: RealValue, alpha, m: tuple):
     """The A_alpha orbit of any carrier x from the seed matrix m.
 
-    x_n = m_n(x) = (A x + B)/(C x + D) for integer matrices m_n.  For each
-    x_n in (0, 1) this yields (num, den, a_{n+1}, eps_{n+1}), num/den = x_n
-    for a rational x, ending at a remainder 0 (a terminating expansion) or
-    1 (the by-excess fixed point); at alpha = 0 a run of 2's (x_n > 1/2)
-    keeps den - num fixed and steps with no division.  A Surd walks its
-    exact (P, Q, D) states (_surd_orbit) and yields the correctly rounded
-    double of x_n over 1, taken once per distinct state from one root of
-    D; from the first repeated state on it replays the stored period.  An
+    x_n = m_n(x) = (A x + B)/(C x + D) for integer matrices m_n.  The walk
+    yields records (num, den, a, eps, k) for x_n in (0, 1): k consecutive
+    steps from x_n = num/den, each with the digit a and the sign eps.  k is
+    1 except in a by-excess run of 2's: at alpha = 0, while x_n > 1/2 the
+    digit is 2, c = den - num stays fixed and num falls by c, so the whole
+    run is one record with k = (num - 1) // c.  A rational x steps on
+    num/den = x_n itself and ends at a remainder 0 (a terminating
+    expansion) or 1 (the by-excess fixed point).  A Surd walks its exact
+    (P, Q, D) states (_surd_orbit) and yields the correctly rounded double
+    of x_n over 1, taken once per distinct state from one root of D; from
+    the first repeated state on it replays the stored period.  An
     AdaptiveReal walks the rational orbits of both ends of one enclosure in
-    lockstep and yields the lower end's num/den: a step is accepted when
+    lockstep, a pair of run records in one frame.  A step is accepted when
     the ends give the same digit, sign and double (all monotone in x_n),
-    else the precision doubles, with NeedsPrecision past the cap.
+    and the walk yields that certified double over 1.  Else the precision
+    doubles, with NeedsPrecision past the cap, and the walk goes on from
+    m_n: m_{n-1} is solved from the two ends' last certified states,
+    [num; den] = m_{n-1} [p; q] for each end p/q, and stepped by that
+    step's digit.  No matrix is kept per step.  A point enclosure (lo = hi)
+    walks the same lockstep to the end of its orbit.
     """
     r, s = alpha.numerator, alpha.denominator
     if not 0 <= r <= s:
@@ -154,16 +162,16 @@ def _orbit(x: RealValue, alpha, m: tuple):
         while 0 < num < den:
             if not r and 2 * num > den:
                 c = den - num
-                while num > c:
-                    yield num, num + c, 2, -1
-                    num -= c
+                k = (num - 1) // c   # the steps with num > c
+                yield num, den, 2, -1, k
+                num -= k * c
                 den = num + c
             # step rule: num/den -> |den - a*num| / num with
             # a = floor(den/num + 1 - alpha); gcd(num, den) never changes
             a = (s * den + (s - r) * num) // (s * num)
             rem = den - a * num
             eps = -1 if rem < 0 else 1   # +1 on a terminating step
-            yield num, den, a, eps
+            yield num, den, a, eps, 1
             num, den = eps * rem, num
         return
     if isinstance(x, Surd):
@@ -172,22 +180,53 @@ def _orbit(x: RealValue, alpha, m: tuple):
         root = math.isqrt(D << 128)
         yield from _surd_orbit(
             P0, Q0, D, alpha,
-            lambda P, Q, a, eps: (_surd_double(P, D, Q, root), 1, a, eps))
+            lambda P, Q, a, eps: (_surd_double(P, D, Q, root), 1, a, eps, 1))
     bits, cap = _resolve_bits(None, None)
     while True:
         lo, hi = x.enclosure(bits)
-        if lo == hi:
-            yield from _orbit(lo, alpha, m)
-            return
+        last = None   # both ends' states at the last certified step, a, eps
         # an end that leaves (0, 1) stops its walk and so the zip; both
         # rows stay positive over the enclosure (the new den row is the old
         # num row), so the pole of m_n stays outside it
-        for step, other in zip(_orbit(lo, alpha, m), _orbit(hi, alpha, m)):
-            num, den, a, eps = step
-            if (a, eps) != other[2:] or num / den != other[0] / other[1]:
+        for (num0, den0, a, eps, k0), (num1, den1, a1, eps1, k1) in zip(
+                _orbit(lo, alpha, m), _orbit(hi, alpha, m)):
+            if a != a1 or eps != eps1:
                 break
-            yield step
-            A, B, C, D = m
+            if k0 == k1 == 1:
+                f = num0 / den0
+                if f != num1 / den1:
+                    break
+                yield f, 1, a, eps, 1
+                last = num0, den0, num1, den1, a, eps
+                continue
+            # a run of 2's on both ends, each end with its fixed c
+            c0, c1 = den0 - num0, den1 - num1
+            for _ in range(min(k0, k1)):
+                f = num0 / den0
+                if f != num1 / den1:
+                    break
+                yield f, 1, 2, -1, 1
+                last = num0, den0, num1, den1, 2, -1
+                num0, den0 = num0 - c0, num0
+                num1, den1 = num1 - c1, num1
+            else:
+                if k0 == k1:
+                    continue
+            break
+        else:
+            if lo == hi:
+                return   # a point enclosure: the orbit of x itself ended
+        if last is not None:
+            # m_{n-1} [p; q] = [num; den] on both ends; lo != hi, so the
+            # 2x2 system has the one (integer) solution
+            num0, den0, num1, den1, a, eps = last
+            p0, q0 = lo.numerator, lo.denominator
+            p1, q1 = hi.numerator, hi.denominator
+            det = p0 * q1 - p1 * q0
+            A = (num0 * q1 - num1 * q0) // det
+            B = (num1 * p0 - num0 * p1) // det
+            C = (den0 * q1 - den1 * q0) // det
+            D = (den1 * p0 - den0 * p1) // det
             m = eps * (C - a * A), eps * (D - a * B), A, B
         if bits >= cap:
             raise NeedsPrecision(f"orbit step not certified at {bits} bits")
@@ -278,7 +317,7 @@ def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
                 lambda P, Q, a, eps: (Surd._field(P, k, Q, d), a, eps))
         else:
             walk = ((None, a, eps)
-                    for _num, _den, a, eps in _orbit(x, alpha, m))
+                    for _num, _den, a, eps, _k in _orbit(x, alpha, m))
         steps, remainders, betas = [], [], []
         for xn, a, eps in islice(walk, max_digits + 1):
             A, B, C, D = m

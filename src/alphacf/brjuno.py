@@ -118,7 +118,7 @@ def _orbit_record(x: RealValue, alpha, n_max: int):
     _n0, _eps0, m = _alpha_seed(x, alpha)
     digits, q_seq = [], [1]
     q_prev, eps_prev = 0, 1
-    for _num, _den, a, eps in islice(_orbit(x, alpha, m), n_max + 1):
+    for _num, _den, a, eps, _k in islice(_orbit(x, alpha, m), n_max + 1):
         digits.append(a)
         q_cur = q_seq[-1]
         q_seq.append(a * q_cur + eps_prev * q_prev)
@@ -146,7 +146,7 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
     terms = []
     recent: deque[float] = deque(maxlen=5)   # u of the last five x_n
     n = -1
-    for n, (num, den, _a, _eps) in enumerate(
+    for n, (num, den, _a, _eps, _k) in enumerate(
             islice(_orbit(x, alpha, m), n_max + 1)):
         xf = num / den
         uval = u.eval(xf)
@@ -188,8 +188,10 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
     x - floor(x), in one pass.  Once the orbit reaches 1 every later term
     vanishes, so rational inputs produce exact finite sums.  The tail
     estimate is the run-block bound 2 * beta* at the truncation index (no
-    geometric rate).  Only with_q_series runs the q*-recurrence and the
-    companion series sum log(b_{n+1} - 1)/q*_n.
+    geometric rate).  A run of 2's is one kernel record, summed in one
+    loop; q*_n is an arithmetic progression along it.  Only with_q_series
+    runs the q*-recurrence and the companion series
+    sum log(b_{n+1} - 1)/q*_n.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -200,39 +202,62 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
     terms = []
     done = False
     _n0, _eps0, m = _alpha_seed(x, 1)
-    n = -1
-    for n, (num, den, b, _eps) in enumerate(islice(_orbit(x, 0, m),
-                                                   n_max + 1)):
-        xf = num / den
-        # rationals keep log(den) - log(num), which the published figures
-        # were computed with; irrationals take the double: a Surd yields
-        # it over 1, and on the large num and den of an enclosure end that
-        # difference cancels
-        if rational:
-            # den_{n+1} = num_n: log(den) is the previous step's log(num)
-            log_num = math.log(num)
-            if n == 0:
-                log_den = math.log(den)
-            term = beta * (log_den - log_num)
-            log_den = log_num
+    if rational:
+        # x_0 = num/den has den = x.denominator (the seed's den row is
+        # (0, 1)), and den_{n+1} = num_n: log(den) is the previous log(num)
+        log_den = math.log(x.denominator)
+    n = 0   # the terms summed
+    for num, den, b, _eps, k in _orbit(x, 0, m):
+        if k > 1:
+            # a run of 2's of a rational x, which the budget may cut: the
+            # float operations of k single steps, in their order
+            k = min(k, n_max + 1 - n)
+            c = den - num
+            for num in range(num, num - k * c, -c):
+                xf = num / (num + c)
+                log_num = math.log(num)
+                term = beta * (log_den - log_num)
+                log_den = log_num
+                value += term
+                istar += term
+                if keep_terms:
+                    terms.append((len(terms), beta, xf, term))
+                beta *= xf
+            if with_q_series:
+                # q*_n is an arithmetic progression along the run
+                step = q_cur - q_prev
+                q_cur += k * step
+                q_prev = q_cur - step
         else:
-            term = beta * -math.log(xf)
-        value += term
-        if b == 2:
-            istar += term
-        elif with_q_series:
-            qs += math.log(b - 1) * _inv(q_cur)
-        if keep_terms:
-            terms.append((n, beta, xf, term))
-        beta *= xf
-        if with_q_series:
-            q_prev, q_cur = q_cur, b * q_cur - q_prev
-        if not rational and beta < 1e-22:
-            # contributions below double precision; the q-series tail is
-            # dominated by 1/q* which shrinks at least as fast
+            xf = num / den
+            # rationals keep log(den) - log(num), which the published
+            # figures were computed with; a Surd or an AdaptiveReal yields
+            # its double over 1
+            if rational:
+                log_num = math.log(num)
+                term = beta * (log_den - log_num)
+                log_den = log_num
+            else:
+                term = beta * -math.log(xf)
+            value += term
+            if b == 2:
+                istar += term
+            elif with_q_series:
+                qs += math.log(b - 1) * _inv(q_cur)
+            if keep_terms:
+                terms.append((n, beta, xf, term))
+            beta *= xf
+            if with_q_series:
+                q_prev, q_cur = q_cur, b * q_cur - q_prev
+            if not rational and beta < 1e-22:
+                # contributions below double precision; the q-series tail
+                # is dominated by 1/q* which shrinks at least as fast
+                break
+        n += k
+        if n > n_max:
             break
     else:
-        done = n < n_max   # remainder 1 (0 at an integer x) within the budget
+        done = True   # remainder 1 (0 at an integer x) within the budget
     tail = 0.0 if done else 2.0 * beta
     return BrjunoResult(value, n_max, terms, tail, done or tail < 1e-12,
                         companion_q_series=qs if with_q_series else None,
@@ -257,11 +282,13 @@ def b0_even(x: RealValue, n_max: int) -> float:
 
 # -- figure grids ----------------------------------------------------------
 
+_NUDGE = Fraction(1, 2 * 10 ** 9)
+
+
 def _figure_grid(lo: Fraction, hi: Fraction, points: int) -> list[Fraction]:
     """x_k = lo + (hi - lo) k / (points - 1), moved off the integers by
-    1/(2*10^9).  For lo = a/b and hi = c/d that is (a d (P-1) + (c b - a d)
-    k) / (b d (P-1)): one Fraction per point."""
-    nudge = Fraction(1, 2 * 10 ** 9)
+    _NUDGE = 1/(2*10^9).  For lo = a/b and hi = c/d that is
+    (a d (P-1) + (c b - a d) k) / (b d (P-1)): one Fraction per point."""
     a, b = lo.numerator, lo.denominator
     c, d = hi.numerator, hi.denominator
     m = points - 1
@@ -270,7 +297,7 @@ def _figure_grid(lo: Fraction, hi: Fraction, points: int) -> list[Fraction]:
     for k in range(points):
         x = Fraction(start + step * k, den)
         if x.denominator == 1:
-            x = x + nudge
+            x = x + _NUDGE
         xs.append(x)
     return xs
 
@@ -302,12 +329,15 @@ def figure_rows(which: int, lo, hi, points: int, n: int,
         u = make_u("log")
         rows = [["x", "b0even", "b1"] if which == 3 else ["x", "diff"]]
         b0 = [semi_brjuno(x, digits, keep_terms=False).value for x in xs]
+        # B0 depends only on the value mod 1, so B0(1 - x) is read off the
+        # mirror point xs[-1 - k] = 1 - x of a grid with lo + hi = 1.  A
+        # nudged point n + _NUDGE has a nudged mirror, so it goes off the
+        # grid, where all their mirrors, 1 - _NUDGE mod 1, share one orbit;
+        # any other point of that denominator only takes the same detour
+        mirrored = lo + hi == 1
         off_grid = {}
         for k, x in enumerate(xs):
-            # B0 depends only on the value mod 1, so B0(1 - x) is read off
-            # the mirror point when 1 - x is on the grid; the mirrors of
-            # the nudged ends, 1 - nudge and -nudge, share one orbit
-            if 1 - x == xs[-1 - k]:
+            if mirrored and x.denominator != _NUDGE.denominator:
                 b0_mirror = b0[-1 - k]
             else:
                 key = (1 - x) % 1
@@ -420,7 +450,8 @@ def diff_report(kind: str, corpus: Sequence[RealValue], alpha=None,
     The report records the observed supremum at the given truncation and a
     stability flag: the sup moved by less than STABILITY_TOL*(1+sup) when
     the truncation was doubled.  alpha_vs_1 and b1_vs_b0even weigh their
-    B_{alpha,u} sums with u (default: the log weight) and name it.
+    B_{alpha,u} sums with u (default: the log weight) and name it; only
+    alpha_vs_1 sums an alpha-series, so only it reports alpha.
     """
     if kind not in DIFF_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
@@ -448,6 +479,8 @@ def diff_report(kind: str, corpus: Sequence[RealValue], alpha=None,
     worst = None
     if vals:
         worst = str(corpus[max(range(len(vals)), key=vals.__getitem__)])
+    if kind != "alpha_vs_1":
+        alpha = None
     return BoundReport(kind, Fraction(alpha) if alpha is not None else None,
                        weight.name if weight is not None else None, n_max,
                        len(corpus), vals, sup, threshold, stable, worst)

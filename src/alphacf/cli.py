@@ -76,7 +76,7 @@ def cmd_brjuno(args) -> int:
     x = parse_real(args.x)
     alpha = Fraction(args.alpha)
     u = make_u(args.u, sigma=args.sigma)
-    res = brjuno_sum(x, alpha, u, args.n)
+    res = brjuno_sum(x, alpha, u, args.n, keep_terms=args.ledger)
     if args.ledger:
         _write_out(_csv_text(res.to_csv_rows()), args.out)
         return 0

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,8 +6,8 @@ import pytest
 
 import alphacf
 from alphacf import brjuno, exact
-from alphacf.brjuno import (ConditionViolation, b0_even, b0_qseries,
-                            brjuno_sum, diff_report, figure_rows,
+from alphacf.brjuno import (DIFF_KINDS, ConditionViolation, b0_even,
+                            b0_qseries, brjuno_sum, diff_report, figure_rows,
                             functional_residual, log_denominator_sum, make_u,
                             q_series, semi_brjuno)
 from alphacf.corpus import rational_corpus, surd_corpus
@@ -213,6 +214,15 @@ class TestReports:
     def test_reports_without_a_weight_name_none(self):
         rep = diff_report("logq_vs_loga", [G], u=make_u("inv_sqrt"))
         assert rep.u_name is None
+
+    @pytest.mark.parametrize("kind", DIFF_KINDS)
+    def test_only_alpha_vs_1_reports_alpha(self, kind):
+        rep = diff_report(kind, [Fraction(2, 7)], alpha=Fraction(1, 5),
+                          n_max=20)
+        want = Fraction(1, 5) if kind == "alpha_vs_1" else None
+        assert rep.alpha == want
+        assert json.loads(rep.to_json())["alpha"] == \
+            (None if want is None else "1/5")
 
 
 class TestFigureRows:

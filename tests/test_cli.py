@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alphacf import exact
+from alphacf import cli, exact
 from alphacf.alpha import alpha_expand
 from alphacf.brjuno import _figure_grid, brjuno_sum, make_u, semi_brjuno
 from alphacf.byexcess import minus_expand
@@ -28,14 +28,15 @@ FIGURE_SHA256 = {
 }
 
 # sha256 of the `sweep` JSON at the default flags (100 samples, qmax 10^6,
-# N = 200); alpha_vs_1 at its default alpha = 1 has sup 0, so it runs at 1/5
+# N = 200); alpha_vs_1 at its default alpha = 1 has sup 0, so it runs at 1/5.
+# The other three kinds sum no alpha-series and report "alpha": null
 SWEEP_SHA256 = {
     "b0_vs_qseries":
-        "362ddbf072b3d1beab8a4d08072751b1df88838f4880c991636338e6d5814f5b",
+        "f65d5f85e073ea7c2aa5959a65a39df617f572d59279be56c4eeec2b5183a726",
     "logq_vs_loga":
-        "c02ac69c46d399d17c1115c1d6c7bdbc1405e563fb6f9ba289750378b38cde0f",
+        "8f808fcd9e859f570b7280297000622720e5476fc5d5757aedebae736a0cfc60",
     "b1_vs_b0even":
-        "45e8e348550e4c657ce74fcfe44a9c42f0177a9f749172422c191c901ebf29e7",
+        "bbab44616261aa2b3369af2a089aa2c1c0281b3fd6c8dabf85182e31bef37b9b",
     "alpha_vs_1":
         "96f85335173f92d23c0baae474f62bd7272908facd4eed36a08b140448aec2d8",
 }
@@ -193,6 +194,21 @@ class TestScalarCommands:
         assert sum(r[3] for r in rows) == \
             pytest.approx(json.loads(out)["value"], rel=1e-14)
 
+    def test_brjuno_builds_the_ledger_only_for_ledger(self, capsys,
+                                                     monkeypatch):
+        kept = []
+
+        def spy(*args, **kwargs):
+            res = brjuno_sum(*args, **kwargs)
+            kept.append(len(res.terms))
+            return res
+
+        monkeypatch.setattr(cli, "brjuno_sum", spy)
+        for flags in ([], ["--ledger"]):
+            code, _out = run(capsys, "brjuno", "--x", "5/7", *flags)
+            assert code == 0
+        assert kept == [0, 3]
+
     @pytest.mark.parametrize("argv", [
         ["b0", "--x", "5/7", "--n", "-1"],
         ["b0", "--x", "(-1+1*sqrt(5))/2", "--n", "-1"],
@@ -321,7 +337,10 @@ class TestFigure:
     @pytest.mark.parametrize("which", [3, 4])
     @pytest.mark.parametrize("grid", [
         ("0", "1", 33), ("0", "1", 34), ("1/3", "2", 40), ("-1", "1", 33),
-    ], ids=["sym33", "sym34", "offgrid", "shifted"])
+        # lo + hi = 1 with nudged points inside; lo + hi = 1 - nudge
+        ("-1", "2", 31), ("0", "1999999999/2000000000", 17),
+    ], ids=["sym33", "sym34", "offgrid", "shifted", "sym_nudged",
+            "near_sym"])
     def test_even_part_matches_pointwise(self, tmp_path, which, grid):
         lo, hi, points = grid
         out = tmp_path / "fig.csv"

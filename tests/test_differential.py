@@ -11,8 +11,8 @@ so the oracle shares neither the (P, Q, D) walk nor the integer-rounded
 double with the code under test.  Every input must agree bit for bit: both
 doubles are correctly rounded.
 
-The kernel section checks ``alpha._orbit`` step by step against the exact
-``alpha_step``/``minus_step`` chains, and ``alpha_expand``/``minus_expand``
+The kernel section checks ``alpha._orbit``, its records unrolled into
+steps, step by step against the exact ``alpha_step``/``minus_step`` chains, and ``alpha_expand``/``minus_expand``
 against expansions built from those chains.  The last section checks the
 orbit across carriers: an AdaptiveReal, which walks a certified enclosure,
 must give exactly what the Surd or Fraction it encloses gives, and the
@@ -321,6 +321,19 @@ def test_reached_one_only_within_budget():
     assert (full.converged, full.tail_estimate) == (True, 0.0)
 
 
+# a budget that ends part-way through one run of 2's: 4999/5000 runs 4998
+# steps and 1 - 1/(2*10^9) about 2*10^9, both from the first step on
+@pytest.mark.parametrize("x", [DEEP, 1 - FIGURE_NUDGE], ids=str)
+@pytest.mark.parametrize("n_max", [7, 100, 10 ** 4])
+@pytest.mark.parametrize("keep_terms, with_q",
+                         [(False, False), (False, True), (True, False),
+                          (True, True)])
+def test_budget_cuts_a_run(x, n_max, keep_terms, with_q):
+    assert agree(fingerprint(semi_brjuno(x, n_max, keep_terms, with_q)),
+                 fingerprint(oracle_semi_brjuno(x, n_max, keep_terms,
+                                                with_q)))
+
+
 # both regimes of rho: sqrt(1 - 2 alpha) below sqrt(2) - 1, then the silver
 # and golden constants
 DECAY_ALPHAS = (Fraction(1, 5), Fraction(1, 10), Fraction(3, 10),
@@ -369,6 +382,15 @@ def kernel_inputs(draw):
     return alpha, x, x
 
 
+def unroll(records):
+    """The kernel's steps (num, den, a, eps): a record (num, den, a, eps, k)
+    is k steps, and along a run of 2's c = den - num stays fixed."""
+    for num, den, a, eps, k in records:
+        c = den - num
+        for j in range(k):
+            yield num - j * c, den - j * c, a, eps
+
+
 def step_chain(x, alpha, steps):
     """(x_n, a_{n+1}, eps_{n+1}) of the exact chain the kernel replaces.
 
@@ -412,8 +434,13 @@ def test_kernel_matches_step_chain(inp):
     alpha, x, exact_x = inp
     # B0 seeds the by-excess orbit with x - floor(x), the alpha = 1 seed
     _n0, _eps0, m = _alpha_seed(x, alpha or Fraction(1))
-    got = list(islice(_orbit(x, alpha, m), KERNEL_STEPS))
+    records = list(islice(_orbit(x, alpha, m), KERNEL_STEPS))
+    got = list(islice(unroll(records), KERNEL_STEPS))
     want = step_chain(exact_x, alpha, KERNEL_STEPS)
+    if alpha == 0 and isinstance(x, (int, Fraction)):
+        # a rational run of 2's is one record, so no 2 follows a 2
+        assert all(r[2] != 2 or s[2] != 2
+                   for r, s in zip(records, records[1:]))
     assert [(a, eps) for _num, _den, a, eps in got] == \
         [(a, eps) for _xn, a, eps in want]
     for (num, den, _a, _eps), (xn, _b, _e) in zip(got, want):
@@ -438,7 +465,7 @@ REPLAYED = [(Fraction(0), Surd(-3, 2, 4, 10)), (Fraction(1), SQRT919),
 @pytest.mark.parametrize("alpha, x", REPLAYED, ids=str)
 def test_replayed_orbit_matches_step_chain(alpha, x):
     _n0, _eps0, m = _alpha_seed(x, alpha or Fraction(1))
-    got = list(islice(_orbit(x, alpha, m), REPLAY_STEPS))
+    got = list(islice(unroll(_orbit(x, alpha, m)), REPLAY_STEPS))
     want = step_chain(x, alpha, REPLAY_STEPS)
     assert len(want) == REPLAY_STEPS
     assert [(a, eps) for _num, _den, a, eps in got] == \
@@ -454,6 +481,42 @@ def test_replayed_orbit_matches_step_chain(alpha, x):
     assert repr((mexp.x0, mexp.digits, mexp.remainders, mexp.pstar,
                  mexp.qstar, mexp.betastars, mexp.reached_one)) == \
         repr(oracle_minus_expand(x, REPLAY_STEPS))
+
+
+# by-excess orbits with long runs of 2's.  From a 16-bit start the
+# lockstep restarts at step 0 up to 64 bits; later restarts come where the
+# doubles of the two ends part, some of them inside a run, so m_n is solved
+# from mid-run states (at 128 to 8192 bits on these surds)
+LONG_RUNS = [NEAR_ONE, Surd(0, 1, 10, 99), Surd(-3, 2, 4, 10),
+             Surd(1, 1, 1000, 998004)]
+LONG_RUN_STEPS = 3000
+
+
+def test_adaptive_restarts_inside_runs(monkeypatch):
+    monkeypatch.setattr(exact, "DEFAULT_BITS", 16)
+    inside = 0
+    for s in LONG_RUNS:
+        x = AdaptiveReal.from_exact(s)
+        got, restarts = [], []
+
+        def counted(bits, gen=x.generator):
+            # the steps taken when the lockstep asks for a new enclosure
+            restarts.append(len(got))
+            return gen(bits)
+
+        x.generator = counted
+        _n0, _eps0, m = _alpha_seed(x, Fraction(1))
+        for step in islice(unroll(_orbit(x, Fraction(0), m)),
+                           LONG_RUN_STEPS):
+            got.append(step)
+        want = list(islice(unroll(_orbit(s, Fraction(0), m)),
+                           LONG_RUN_STEPS))
+        assert len(got) == len(want) == LONG_RUN_STEPS
+        assert [(a, eps, (num / den).hex()) for num, den, a, eps in got] == \
+            [(a, eps, (num / den).hex()) for num, den, a, eps in want]
+        inside += sum(1 for n in restarts
+                      if 0 < n < len(got) and got[n - 1][2] == got[n][2] == 2)
+    assert inside >= 2
 
 
 EXPANSION_BUDGETS = (0, 1, 5, 120)

@@ -233,21 +233,6 @@ def _orbit(x: RealValue, alpha, m: tuple):
         bits *= 2
 
 
-def _step(x: RealValue, alpha: Fraction) -> tuple[int, int, RealValue]:
-    """(a, eps, A_alpha(x)) for x in the domain: a = floor(1/x + 1 - alpha)
-    and eps the sign of 1/x - a, +1 with the next remainder 0 on a
-    terminating step."""
-    y = recip(x)
-    a = floor_shift(y, alpha)
-    diff = y - a
-    eps = sign_val(diff)
-    if eps == 0:
-        return a, 1, Fraction(0)
-    if isinstance(x, AdaptiveReal):
-        return a, eps, x.mobius(-eps * a, eps, 1, 0)
-    return a, eps, abs(diff)
-
-
 def _surd_state(x: Surd, m: tuple) -> tuple[int, int, int, int]:
     """(P, Q, k, d) with m(x) = (P + k sqrt(d))/Q and Q | k^2 d - P^2, for
     a seed matrix m = (A, B, 0, 1)."""
@@ -294,20 +279,36 @@ def _surd_orbit(P: int, Q: int, D: int, alpha, make):
 
 
 def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
-    """(steps, remainders, betas, ended): the A_alpha orbit of x_0 = m(x).
+    """(steps, remainders, betas, ended): the A_alpha orbit of x_0 = m(x),
+    read off the kernel for every carrier.
 
     steps are the (a, eps) of at most max_digits steps, remainders x_0 ..
     x_D and betas x_0 ... x_n; ended says the orbit reached 0 (a
     terminating expansion) or 1 (the by-excess fixed point) within the
-    budget.  A Fraction walks the exact step chain from m(x) = A x + B,
-    which A_alpha keeps in its domain.  A Surd walks its (P, Q, D) states,
-    one remainder per distinct state, replayed with its period after the
-    first repeated state; an AdaptiveReal walks the certified kernel.  For
-    both, x_n = m_n(x), and beta_n = A_n x + B_n is the image of the num
-    row of m_n, which is +-(q_n, -p_n) on x - n_0: Lemma 1,
+    budget.  A Fraction's record (num, den, a, eps, k) has x_n = num/den in
+    lowest terms and den_{n+1} = num_n, so beta_n = num_n/den_0 with den_0
+    the denominator of x (the seed's den row is (0, 1)); a run record is k
+    steps with c = den - num fixed.  A Surd walks its (P, Q, D) states, one
+    remainder per distinct state, replayed with its period after the first
+    repeated state; an AdaptiveReal walks the certified kernel.  For both,
+    x_n = m_n(x), and beta_n = A_n x + B_n is the image of the num row of
+    m_n, which is +-(q_n, -p_n) on x - n_0: Lemma 1,
     beta_n = |q_n x' - p_n|, with no product chain.
     """
-    if not isinstance(x, (int, Fraction)):
+    steps, remainders, betas = [], [], []
+    if isinstance(x, (int, Fraction)):
+        den0 = x.denominator
+        for num, den, a, eps, k in _orbit(x, alpha, m):
+            c = den - num
+            # along a record den - num stays c and num falls by c per step
+            run = range(num, num - k * c, -c)
+            for n in run[:max_digits + 1 - len(steps)]:
+                remainders.append(Fraction(n, n + c))
+                betas.append(Fraction(n, den0))
+                steps.append((a, eps))
+            if len(steps) > max_digits:
+                break
+    else:
         surd = isinstance(x, Surd)
         if surd:
             P0, Q0, k, d = _surd_state(x, m)
@@ -318,7 +319,6 @@ def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
         else:
             walk = ((None, a, eps)
                     for _num, _den, a, eps, _k in _orbit(x, alpha, m))
-        steps, remainders, betas = [], [], []
         for xn, a, eps in islice(walk, max_digits + 1):
             A, B, C, D = m
             # beta_n = A x + B: the den row of m_{n+1} is the num row of
@@ -332,23 +332,14 @@ def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
                 betas.append(x.mobius(A, B, 0, 1))
             steps.append((a, eps))
             m = eps * (C - a * A), eps * (D - a * B), A, B
-        ended = len(steps) <= max_digits
-        if ended:
-            # x_D is exactly 0, or the fixed point 1 at alpha = 0, where
-            # beta_D = beta_{D-1} (or 1 for D = 0)
-            last = Fraction(0) if alpha else Fraction(1)
-            remainders.append(last)
-            betas.append(betas[-1] if alpha == 0 and betas else last)
-        return steps[:max_digits], remainders, betas, ended
-    A, B, _C, _D = m
-    cur = A * x + B
-    steps, remainders, betas = [], [cur], [cur]
-    while len(steps) < max_digits and 0 < cur < 1:
-        a, eps, cur = _step(cur, alpha)
-        steps.append((a, eps))
-        remainders.append(cur)
-        betas.append(cur * betas[-1])
-    return steps, remainders, betas, not 0 < cur < 1
+    ended = len(steps) <= max_digits
+    if ended:
+        # x_D is exactly 0, or the fixed point 1 at alpha = 0, where
+        # beta_D = beta_{D-1} (or 1 for D = 0)
+        last = Fraction(0) if alpha else Fraction(1)
+        remainders.append(last)
+        betas.append(betas[-1] if alpha == 0 and betas else last)
+    return steps[:max_digits], remainders, betas, ended
 
 
 def _convergents(steps, eps0: int) -> tuple[list[int], list[int]]:
@@ -371,8 +362,17 @@ def alpha_step(x: RealValue, alpha) -> tuple[AlphaDigit, RealValue]:
     # alpha < 1/2 yields |x0| = 1 - alpha exactly
     if compare(x, Fraction(0)) <= 0 or compare(x, abar) > 0:
         raise DomainError(f"x must lie in (0, {abar}], got {x}")
-    a, eps, nxt = _step(x, alpha)
-    return AlphaDigit(a, eps), nxt
+    # a = floor(1/x + 1 - alpha) and eps the sign of 1/x - a, +1 with the
+    # next remainder 0 on a terminating step
+    y = recip(x)
+    a = floor_shift(y, alpha)
+    diff = y - a
+    eps = sign_val(diff)
+    if eps == 0:
+        return AlphaDigit(a, 1), Fraction(0)
+    if isinstance(x, AdaptiveReal):
+        return AlphaDigit(a, eps), x.mobius(-eps * a, eps, 1, 0)
+    return AlphaDigit(a, eps), abs(diff)
 
 
 def alpha_expand(x: RealValue, alpha, max_digits: int) -> AlphaExpansion:
@@ -381,9 +381,9 @@ def alpha_expand(x: RealValue, alpha, max_digits: int) -> AlphaExpansion:
     Stops early when a remainder hits zero (rational input); at alpha = 0
     the fixed point 1 repeats the digit 2 with sign -1 up to the budget.
     Convergents follow p_n = a_n p_{n-1} + eps_{n-1} p_{n-2} from the
-    identity seed.  Surd input follows its exact (P, Q, D) states and
-    AdaptiveReal input the certified integer-matrix orbit; both take
-    beta_n = |q_n x' - p_n| (Lemma 1) in place of the product chain.
+    identity seed.  Every carrier walks the orbit kernel; beta_n is the
+    telescoped num_n/den_0 for a rational, else |q_n x' - p_n| (Lemma 1)
+    off a Surd's (P, Q, D) states or the certified integer-matrix orbit.
     """
     if max_digits < 0:
         raise ValueError("max_digits must be >= 0")

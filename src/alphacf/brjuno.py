@@ -451,10 +451,12 @@ def diff_report(kind: str, corpus: Sequence[RealValue], alpha=None,
     stability flag: the sup moved by less than STABILITY_TOL*(1+sup) when
     the truncation was doubled.  alpha_vs_1 and b1_vs_b0even weigh their
     B_{alpha,u} sums with u (default: the log weight) and name it; only
-    alpha_vs_1 sums an alpha-series, so only it reports alpha.
+    alpha_vs_1 sums an alpha-series, so only it needs and reports alpha.
     """
     if kind not in DIFF_KINDS:
         raise ValueError(f"unknown report kind {kind!r}")
+    if kind == "alpha_vs_1" and alpha is None:
+        raise ValueError("alpha_vs_1 needs an alpha")
     weight = None
     if kind in ("alpha_vs_1", "b1_vs_b0even"):
         weight = u if u is not None else make_u("log")
@@ -479,8 +481,6 @@ def diff_report(kind: str, corpus: Sequence[RealValue], alpha=None,
     worst = None
     if vals:
         worst = str(corpus[max(range(len(vals)), key=vals.__getitem__)])
-    if kind != "alpha_vs_1":
-        alpha = None
-    return BoundReport(kind, Fraction(alpha) if alpha is not None else None,
+    return BoundReport(kind, Fraction(alpha) if kind == "alpha_vs_1" else None,
                        weight.name if weight is not None else None, n_max,
                        len(corpus), vals, sup, threshold, stable, worst)

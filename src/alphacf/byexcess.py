@@ -100,9 +100,8 @@ def minus_expand(x: RealValue, max_digits: int) -> MinusExpansion:
     The input is reduced mod 1 into (0, 1] first (integers map to 1).
     Convergents satisfy p*_n = b_n p*_{n-1} - p*_{n-2} with seeds fixed by
     p*_1/q*_1 = 1/b_1 and unimodularity p*_n q*_{n-1} - p*_{n-1} q*_n = 1.
-    Surd input follows its exact (P, Q, D) states and AdaptiveReal input
-    the certified integer-matrix orbit of x_0; both take
-    beta*_n = q*_n x_0 - p*_n in place of the product chain.
+    Every carrier walks the orbit kernel of x_0 (see ``alpha_expand``), with
+    beta*_n = num_n/den_0 for a rational and q*_n x_0 - p*_n otherwise.
     """
     if max_digits < 0:
         raise ValueError("max_digits must be >= 0")

@@ -187,6 +187,11 @@ class TestReports:
         with pytest.raises(ValueError):
             diff_report("nope", [G])
 
+    @pytest.mark.parametrize("corpus", [[Fraction(2, 7)], []])
+    def test_alpha_vs_1_needs_alpha(self, corpus):
+        with pytest.raises(ValueError, match="alpha_vs_1 needs an alpha"):
+            diff_report("alpha_vs_1", corpus)
+
     def test_alpha_vs_1_defaults_to_the_log_weight(self):
         corpus = rational_corpus(10, qmax=10 ** 4, seed=3) + surd_corpus(3)
         alpha = Fraction(1, 5)

@@ -575,8 +575,15 @@ expansion_inputs = st.one_of(
 @example(inp=(Fraction(0), Q1_NEGATIVE[0]), max_digits=5)
 @example(inp=(Fraction(1, 5), GOLDEN_20), max_digits=120)
 @example(inp=(Fraction(0), GOLDEN_20 + 2), max_digits=120)
+# budgets that cut DEEP's run of 2's before its last 2, right after it,
+# and at the end of the orbit
+@example(inp=(Fraction(0), DEEP), max_digits=4997)
+@example(inp=(Fraction(0), DEEP), max_digits=4998)
+@example(inp=(Fraction(0), DEEP), max_digits=4999)
+@example(inp=(Fraction(0), 1 - FIGURE_NUDGE), max_digits=7)
+@example(inp=(Fraction(0), 1 - FIGURE_NUDGE), max_digits=120)
 def test_expansions_match_step_chain(inp, max_digits):
-    # the walk steps with the private rule; the public steps must agree,
+    # the expansions read the kernel; the public steps must agree,
     # remainders and betas compared exactly
     alpha, x = inp
     exp = alpha_expand(x, alpha, max_digits)
@@ -586,6 +593,34 @@ def test_expansions_match_step_chain(inp, max_digits):
     m = minus_expand(x, max_digits)
     assert (m.x0, m.digits, m.remainders, m.pstar, m.qstar, m.betastars,
             m.reached_one) == oracle_minus_expand(x, max_digits)
+
+
+@pytest.mark.parametrize("x", [Fraction(355, 1133), DEEP], ids=str)
+def test_rational_expansions_read_the_kernel(x, monkeypatch):
+    # a rational expansion reads the kernel's integer states, so it must
+    # not call the Fraction primitives of the public step
+    budgets = (100, 6000)
+    alphas = (Fraction(0), Fraction(1, 2), Fraction(1))
+    want = [oracle_alpha_expand(x, alpha, n) for alpha in alphas
+            for n in budgets] + [oracle_minus_expand(x, n) for n in budgets]
+
+    def refuse(*args):
+        raise AssertionError("a rational expansion stepped a Fraction")
+
+    monkeypatch.setattr("alphacf.alpha.recip", refuse)
+    monkeypatch.setattr("alphacf.alpha.floor_shift", refuse)
+    got = []
+    for alpha in alphas:
+        for n in budgets:
+            exp = alpha_expand(x, alpha, n)
+            got.append((exp.integer_part, exp.eps0,
+                        [(d.a, d.eps) for d in exp.digits], exp.remainders,
+                        exp.betas, exp.p_seq, exp.q_seq, exp.terminated))
+    for n in budgets:
+        m = minus_expand(x, n)
+        got.append((m.x0, m.digits, m.remainders, m.pstar, m.qstar,
+                    m.betastars, m.reached_one))
+    assert got == want
 
 
 # -- the certified orbit across carriers ----------------------------------

@@ -13,7 +13,6 @@ checks the identities and decay bounds they satisfy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,7 +20,7 @@ from itertools import cycle, islice
 from typing import Optional
 
 from .exact import (AdaptiveReal, DomainError, ExactnessUnavailable,
-                    NeedsPrecision, RealValue, Surd, _resolve_bits,
+                    NeedsPrecision, RealValue, Surd, _json_text, _resolve_bits,
                     _surd_double, compare, floor_shift, is_exact, recip,
                     sign_val, to_float)
 
@@ -88,7 +87,7 @@ class AlphaExpansion:
         return out
 
     def to_json(self) -> str:
-        return json.dumps({
+        return _json_text({
             "alpha": str(self.alpha),
             "x": str(self.x),
             "integer_part": self.integer_part,
@@ -159,6 +158,7 @@ def _orbit(x: RealValue, alpha, m: tuple):
         A, B, C, D = m
         p, q = x.numerator, x.denominator
         num, den = A * p + B * q, C * p + D * q
+        t = s - r
         while 0 < num < den:
             if not r and 2 * num > den:
                 c = den - num
@@ -168,11 +168,14 @@ def _orbit(x: RealValue, alpha, m: tuple):
                 den = num + c
             # step rule: num/den -> |den - a*num| / num with
             # a = floor(den/num + 1 - alpha); gcd(num, den) never changes
-            a = (s * den + (s - r) * num) // (s * num)
+            a = (s * den + t * num) // (s * num)
             rem = den - a * num
-            eps = -1 if rem < 0 else 1   # +1 on a terminating step
-            yield num, den, a, eps, 1
-            num, den = eps * rem, num
+            if rem < 0:
+                yield num, den, a, -1, 1
+                num, den = -rem, num
+            else:   # eps = +1, also on a terminating step
+                yield num, den, a, 1, 1
+                num, den = rem, num
         return
     if isinstance(x, Surd):
         P0, Q0, k, d = _surd_state(x, m)

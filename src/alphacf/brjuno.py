@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -127,55 +126,60 @@ def _orbit_record(x: RealValue, alpha, n_max: int):
 
 
 def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
-               keep_terms: bool = True) -> BrjunoResult:
+               keep_terms: bool = True,
+               with_q_series: bool = False) -> BrjunoResult:
     """Truncated B_{alpha,u}(x), alpha in (0, 1].
 
     The input is reduced by x0 = |x - floor(x+1-alpha)| first; rational
     orbits terminate and contribute only their finite terms.  One pass over
-    the orbit reads each x_n as its correctly rounded double; it computes
-    no q_n, which only ``q_series`` reads.
+    the orbit reads each x_n as its correctly rounded double.  Only
+    with_q_series runs the q-recurrence and the companion series
+    sum u(1/a_{n+1})/q_n over the same records.
     """
-    alpha = Fraction(alpha)
-    if alpha == 0:
+    if not isinstance(alpha, (int, Fraction)):
+        alpha = Fraction(alpha)
+    if not alpha:
         raise DomainError("alpha = 0 has no (alpha,u)-sum here; "
                           "use semi_brjuno for the log weight")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _n0, _eps0, m = _alpha_seed(x, alpha)
+    f = u.eval
     beta_prev, value = 1.0, 0.0
-    terms = []
-    recent: deque[float] = deque(maxlen=5)   # u of the last five x_n
-    n = -1
-    for n, (num, den, _a, _eps, _k) in enumerate(
-            islice(_orbit(x, alpha, m), n_max + 1)):
+    qs = 0.0 if with_q_series else None
+    q_prev, q, eps_prev = 0, 1, 1
+    terms, recent = [], []   # recent: u of x_n for n > n_max - 5
+    last5 = n_max - 5
+    for n, (num, den, a, eps, _k) in enumerate(_orbit(x, alpha, m)):
         xf = num / den
-        uval = u.eval(xf)
+        uval = f(xf)
         term = beta_prev * uval
         value += term
-        recent.append(uval)
         if keep_terms:
             terms.append((n, beta_prev, xf, term))
+        if with_q_series:
+            qs += f(1.0 / a) * _inv(q)
+            q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
+        if n > last5:
+            recent.append(uval)
+            if n == n_max:
+                break
         beta_prev *= xf
-    if n < n_max:   # the orbit reached 0 within the budget
-        return BrjunoResult(value, n_max, terms, 0.0, True)
+    else:   # the orbit reached 0 within the budget
+        return BrjunoResult(value, n_max, terms, 0.0, True, qs)
     rho = to_float(rho_alpha(alpha))
     abar = float(alpha_bar(alpha))
     tail = abar * rho ** n_max / (1.0 - rho) * max(max(recent), u.M1)
     converged = term < 1e-12 and tail < 1e-6
-    return BrjunoResult(value, n_max, terms, tail, converged)
+    return BrjunoResult(value, n_max, terms, tail, converged, qs)
 
 
 def q_series(x: RealValue, alpha, u: SingularityU, n_max: int) -> float:
     """Companion series sum u(1/a_{n+1}) / q_n over the same expansion."""
-    alpha = Fraction(alpha)
-    if alpha == 0:
+    if Fraction(alpha) == 0:
         raise DomainError("alpha = 0: use b0_qseries")
-    # term n uses digit a_{n+1}
-    digits, q_seq = _orbit_record(x, alpha, n_max)
-    total = 0.0
-    for n, a in enumerate(digits):
-        total += u.eval(1.0 / a) * _inv(q_seq[n])
-    return total
+    return brjuno_sum(x, alpha, u, n_max, keep_terms=False,
+                      with_q_series=True).companion_q_series
 
 
 # -- by-excess sums --------------------------------------------------------
@@ -196,6 +200,7 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     rational = isinstance(x, (int, Fraction))
+    log = math.log
     value = istar = qs = 0.0
     beta = 1.0
     q_prev, q_cur = 0, 1
@@ -205,7 +210,7 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
     if rational:
         # x_0 = num/den has den = x.denominator (the seed's den row is
         # (0, 1)), and den_{n+1} = num_n: log(den) is the previous log(num)
-        log_den = math.log(x.denominator)
+        log_den = log(x.denominator)
     n = 0   # the terms summed
     for num, den, b, _eps, k in _orbit(x, 0, m):
         if k > 1:
@@ -215,7 +220,7 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
             c = den - num
             for num in range(num, num - k * c, -c):
                 xf = num / (num + c)
-                log_num = math.log(num)
+                log_num = log(num)
                 term = beta * (log_den - log_num)
                 log_den = log_num
                 value += term
@@ -234,16 +239,16 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
             # figures were computed with; a Surd or an AdaptiveReal yields
             # its double over 1
             if rational:
-                log_num = math.log(num)
+                log_num = log(num)
                 term = beta * (log_den - log_num)
                 log_den = log_num
             else:
-                term = beta * -math.log(xf)
+                term = beta * -log(xf)
             value += term
             if b == 2:
                 istar += term
             elif with_q_series:
-                qs += math.log(b - 1) * _inv(q_cur)
+                qs += log(b - 1) * _inv(q_cur)
             if keep_terms:
                 terms.append((n, beta, xf, term))
             beta *= xf
@@ -260,8 +265,7 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
         done = True   # remainder 1 (0 at an integer x) within the budget
     tail = 0.0 if done else 2.0 * beta
     return BrjunoResult(value, n_max, terms, tail, done or tail < 1e-12,
-                        companion_q_series=qs if with_q_series else None,
-                        istar_sum=istar)
+                        qs if with_q_series else None, istar)
 
 
 def b0_qseries(x: RealValue, n_max: int) -> float:
@@ -314,16 +318,17 @@ def figure_rows(which: int, lo, hi, points: int, n: int,
     if not lo < hi or points < 2:
         raise ValueError("need lo < hi and points >= 2")
     xs = _figure_grid(lo, hi, points)
+    # p/q of a Fraction is its correctly rounded double, as to_float gives
     if which == 1:
         u = make_u("inv_sqrt")
         rows = [["x", "value"]]
         for x in xs:
-            rows.append([to_float(x), brjuno_sum(x, 1, u, n,
-                                                 keep_terms=False).value])
+            rows.append([x.numerator / x.denominator,
+                         brjuno_sum(x, 1, u, n, keep_terms=False).value])
     elif which == 2:
         rows = [["x", "value"]]
         for x in xs:
-            rows.append([to_float(x),
+            rows.append([x.numerator / x.denominator,
                          semi_brjuno(x, digits, keep_terms=False).value])
     else:
         u = make_u("log")
@@ -348,11 +353,11 @@ def figure_rows(which: int, lo, hi, points: int, n: int,
             b0e = b0[k] + b0_mirror
             b1 = brjuno_sum(x, 1, u, n, keep_terms=False).value
             if which == 3:
-                rows.append([to_float(x), b0e, b1])
+                rows.append([x.numerator / x.denominator, b0e, b1])
             else:
                 # difference of the 15-digit values figure 3 publishes, so
                 # the two CSVs agree bit-for-bit
-                rows.append([to_float(x),
+                rows.append([x.numerator / x.denominator,
                              float(f"{b1:.15g}") - float(f"{b0e:.15g}")])
     return rows
 

@@ -16,13 +16,13 @@ two expansions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .alpha import _convergents, _expansion, alpha_step
-from .exact import DomainError, RealValue, floor_shift, sign_val, to_float
+from .exact import (DomainError, RealValue, _json_text, floor_shift,
+                    sign_val, to_float)
 
 
 class SideMismatch(ValueError):
@@ -65,7 +65,7 @@ class MinusExpansion:
         return rows
 
     def to_json(self) -> str:
-        return json.dumps({
+        return _json_text({
             "x": str(self.x),
             "digits": self.digits,
             "tail2": self.reached_one,

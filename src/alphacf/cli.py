@@ -20,11 +20,10 @@ from fractions import Fraction
 
 from . import exact
 from .alpha import alpha_expand
-from .brjuno import (brjuno_sum, diff_report, figure_rows, make_u, q_series,
-                     semi_brjuno)
+from .brjuno import brjuno_sum, diff_report, figure_rows, make_u, semi_brjuno
 from .byexcess import minus_expand, minus_to_regular, regular_to_minus
 from .corpus import SILVER, mixed_corpus
-from .exact import AdaptiveReal, NeedsPrecision, parse_real
+from .exact import AdaptiveReal, NeedsPrecision, _int_text, parse_real
 from .holder import estimate_holder
 
 EXIT_PARSE = 2
@@ -52,7 +51,8 @@ def _csv_text(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     for row in rows:
-        writer.writerow([f"{v:.15g}" if isinstance(v, float) else v
+        writer.writerow([f"{v:.15g}" if isinstance(v, float)
+                         else _int_text(v) if type(v) is int else v
                          for v in row])
     return buf.getvalue()
 
@@ -76,15 +76,15 @@ def cmd_brjuno(args) -> int:
     x = parse_real(args.x)
     alpha = Fraction(args.alpha)
     u = make_u(args.u, sigma=args.sigma)
-    res = brjuno_sum(x, alpha, u, args.n, keep_terms=args.ledger)
+    res = brjuno_sum(x, alpha, u, args.n, keep_terms=args.ledger,
+                     with_q_series=not args.ledger)
     if args.ledger:
         _write_out(_csv_text(res.to_csv_rows()), args.out)
         return 0
     _write_out(json.dumps({
         "x": args.x, "alpha": str(alpha), "u": u.name, "N": res.n_max,
         "value": res.value, "tail_estimate": res.tail_estimate,
-        "converged": res.converged,
-        "q_series": q_series(x, alpha, u, args.n),
+        "converged": res.converged, "q_series": res.companion_q_series,
     }) + "\n", args.out)
     return 0
 
@@ -125,9 +125,12 @@ def cmd_dict(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    rows = figure_rows(args.which, args.lo, args.hi, args.points, args.n,
-                       args.digits)
-    _write_out(_csv_text(rows), args.out)
+    header, *rows = figure_rows(args.which, args.lo, args.hi, args.points,
+                                args.n, args.digits)
+    # all data cells are floats: one format per row, as _csv_text writes it
+    line = ",".join(["{:.15g}"] * len(header)) + "\n"
+    _write_out(",".join(header) + "\n" + "".join(
+        line.format(*row) for row in rows), args.out)
     return 0
 
 

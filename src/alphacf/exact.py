@@ -14,6 +14,8 @@ past which ``NeedsPrecision`` is raised and the caller decides.
 
 from __future__ import annotations
 
+import decimal
+import json
 import math
 import re
 from fractions import Fraction
@@ -497,6 +499,31 @@ def floor_shift(x: RealValue, alpha, start_bits: int = None,
 
 def to_float(x: RealValue) -> float:
     return float(x)
+
+
+# -- text of large integers ------------------------------------------------
+
+def _int_text(n: int) -> str:
+    """str(n), also past the int-to-str digit limit (4300 by default)."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
+
+
+def _json_text(obj) -> str:
+    """json.dumps(obj), also past the int-to-str digit limit: then each int
+    goes in as its digits behind a NUL and comes out as a bare number."""
+    def swap(v):
+        if isinstance(v, dict):
+            return {k: swap(w) for k, w in v.items()}
+        if isinstance(v, list):
+            return [swap(w) for w in v]
+        return "\0" + _int_text(v) if type(v) is int else v
+    try:
+        return json.dumps(obj)
+    except ValueError:
+        return re.sub(r'"\\u0000(-?\d+)"', r"\1", json.dumps(swap(obj)))
 
 
 # -- parsing ---------------------------------------------------------------

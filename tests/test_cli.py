@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,19 @@ class TestExpand:
 
     def test_unknown_flag(self, capsys):
         assert run(capsys, "expand", "--bogus", "1")[0] == 2
+
+    def test_big_convergents_stay_json_numbers(self, tmp_path):
+        # q*_n of (2 - sqrt(3))/4 passes 4300 digits, the default
+        # int-to-str limit, before n = 4000
+        x, out = "(2-1*sqrt(3))/4", tmp_path / "big.json"
+        assert main(["expand", "--x", x, "--alpha", "0", "--n", "4000",
+                     "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text(),
+                         parse_int=lambda t: int(Decimal(t)))
+        exp = minus_expand(exact.parse_real(x), 4000)
+        assert exp.qstar[-1].bit_length() > 4300 * math.log2(10)
+        assert [c["p"] for c in doc["convergents"]] == exp.pstar
+        assert [c["q"] for c in doc["convergents"]] == exp.qstar
 
 
 class TestScalarCommands:

@@ -262,6 +262,24 @@ reals = st.one_of(rationals, st.sampled_from(SURDS + MIXED_SURDS))
 # (2 + sqrt(3))/4 meets Q_1 < 0 at alpha = 1, where the floor needs its + 1
 @example(inp=(Fraction(1), Q1_NEGATIVE[2]), u_name="log", n_max=200,
          keep_terms=True)
+# 13/21 has six Gauss records and 21/34 seven: the cut at n_max = 5 lands
+# on the last record of 13/21, which still reports the heuristic tail
+@example(inp=(Fraction(1), Fraction(13, 21)), u_name="log", n_max=5,
+         keep_terms=True)
+@example(inp=(Fraction(1), Fraction(13, 21)), u_name="inv_sqrt", n_max=5,
+         keep_terms=False)
+@example(inp=(Fraction(1), Fraction(13, 21)), u_name="log", n_max=1,
+         keep_terms=False)
+@example(inp=(Fraction(1), Fraction(13, 21)), u_name="inv_sqrt", n_max=1,
+         keep_terms=True)
+@example(inp=(Fraction(1), Fraction(21, 34)), u_name="log", n_max=5,
+         keep_terms=False)
+@example(inp=(Fraction(1), Fraction(21, 34)), u_name="inv_sqrt", n_max=5,
+         keep_terms=True)
+@example(inp=(Fraction(1), Fraction(21, 34)), u_name="log", n_max=1,
+         keep_terms=True)
+@example(inp=(Fraction(1), Fraction(21, 34)), u_name="inv_sqrt", n_max=1,
+         keep_terms=False)
 def test_brjuno_sum_matches_oracle(inp, u_name, n_max, keep_terms):
     alpha, x = inp
     u = WEIGHTS[u_name]
@@ -277,8 +295,10 @@ def test_brjuno_sum_matches_oracle(inp, u_name, n_max, keep_terms):
 def test_q_series_matches_oracle(inp, u_name, n_max):
     alpha, x = inp
     u = WEIGHTS[u_name]
-    assert agree(q_series(x, alpha, u, n_max),
-                 oracle_q_series(x, alpha, u, n_max))
+    want = oracle_q_series(x, alpha, u, n_max)
+    assert agree(q_series(x, alpha, u, n_max), want)
+    assert agree(brjuno_sum(x, alpha, u, n_max, keep_terms=False,
+                            with_q_series=True).companion_q_series, want)
 
 
 @given(x=reals, n_max=st.sampled_from(N_MAX), keep_terms=st.booleans(),

@@ -12,8 +12,8 @@ from .byexcess import (MalformedStream, MinusExpansion, SideMismatch,
                        minus_to_regular, regular_to_minus, run_decomposition)
 from .exact import (AdaptiveReal, DomainError, ExactnessUnavailable,
                     Fraction, InvalidRadicand, NeedsPrecision, NotASurd,
-                    Surd, compare, floor_shift, is_exact, parse_real, recip,
-                    sign_val, to_float)
+                    Surd, compare, floor_shift, is_exact, parse_real,
+                    precision, recip, sign_val, to_float)
 from .holder import HolderEstimate, InsufficientScales, estimate_holder
 
 __version__ = "0.1.0"
@@ -27,9 +27,9 @@ __all__ = [
     "alpha_expand", "alpha_reduce", "alpha_step", "b0_even", "b0_qseries",
     "beta_check", "brjuno_sum", "compare", "complement_regular",
     "decay_check", "diff_report", "estimate_holder", "figure_rows",
-    "floor_shift", "functional_residual", "is_exact",
-    "legendre_filter", "log_denominator_sum", "make_u", "minus_expand",
-    "minus_step", "minus_to_regular", "parse_real", "q_series", "recip",
+    "floor_shift", "functional_residual", "is_exact", "legendre_filter",
+    "log_denominator_sum", "make_u", "minus_expand", "minus_step",
+    "minus_to_regular", "parse_real", "precision", "q_series", "recip",
     "reconstruction_check", "regular_to_minus", "rho_alpha",
     "run_decomposition", "semi_brjuno", "sign_val", "to_float",
 ]

@@ -19,10 +19,10 @@ from fractions import Fraction
 from itertools import cycle, islice
 from typing import Optional
 
-from .exact import (AdaptiveReal, DomainError, ExactnessUnavailable,
-                    NeedsPrecision, RealValue, Surd, _json_text, _resolve_bits,
-                    _surd_double, compare, floor_shift, is_exact, recip,
-                    sign_val, to_float)
+from .exact import (_PRECISION, AdaptiveReal, DomainError,
+                    ExactnessUnavailable, NeedsPrecision, RealValue, Surd,
+                    _json_text, _surd_double, compare, floor_shift, is_exact,
+                    recip, sign_val, to_float)
 
 
 def alpha_bar(alpha) -> Fraction:
@@ -184,7 +184,7 @@ def _orbit(x: RealValue, alpha, m: tuple):
         yield from _surd_orbit(
             P0, Q0, D, alpha,
             lambda P, Q, a, eps: (_surd_double(P, D, Q, root), 1, a, eps, 1))
-    bits, cap = _resolve_bits(None, None)
+    bits, cap = _PRECISION.get()
     while True:
         lo, hi = x.enclosure(bits)
         last = None   # both ends' states at the last certified step, a, eps

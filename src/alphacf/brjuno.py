@@ -17,7 +17,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Optional, Sequence
 
-from .alpha import _alpha_seed, _orbit, alpha_bar, alpha_step, rho_alpha
+from .alpha import (_alpha_seed, _convergents, _orbit, alpha_bar, alpha_step,
+                    rho_alpha)
 from .byexcess import _reduce_mod1, minus_step
 from .exact import (DomainError, RealValue, compare, is_exact, sign_val,
                     to_float)
@@ -114,15 +115,10 @@ def _orbit_record(x: RealValue, alpha, n_max: int):
     x_k (k <= n_max) and q_0 .. q_{n+1}."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    _n0, _eps0, m = _alpha_seed(x, alpha)
-    digits, q_seq = [], [1]
-    q_prev, eps_prev = 0, 1
-    for _num, _den, a, eps, _k in islice(_orbit(x, alpha, m), n_max + 1):
-        digits.append(a)
-        q_cur = q_seq[-1]
-        q_seq.append(a * q_cur + eps_prev * q_prev)
-        q_prev, eps_prev = q_cur, eps
-    return digits, q_seq
+    _n0, eps0, m = _alpha_seed(x, alpha)
+    steps = [(a, eps) for _num, _den, a, eps, _k
+             in islice(_orbit(x, alpha, m), n_max + 1)]
+    return [a for a, _eps in steps], _convergents(steps, eps0)[1]
 
 
 def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,

@@ -290,21 +290,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
+        args = _PARSER.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     if args.precision_bits < 1 or args.precision_cap < args.precision_bits:
         print("error: need 1 <= --precision-bits <= --precision-cap",
               file=sys.stderr)
         return EXIT_PARSE
-    saved = exact.DEFAULT_BITS, exact.PRECISION_CAP
-    exact.DEFAULT_BITS = args.precision_bits
-    exact.PRECISION_CAP = args.precision_cap
     try:
-        return args.fn(args)
+        with exact.precision(args.precision_bits, args.precision_cap):
+            return args.fn(args)
     except NeedsPrecision as exc:
         print(f"error: precision cap reached: {exc}", file=sys.stderr)
         return EXIT_PRECISION
@@ -314,8 +314,6 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    finally:
-        exact.DEFAULT_BITS, exact.PRECISION_CAP = saved
 
 
 if __name__ == "__main__":

@@ -18,21 +18,29 @@ import decimal
 import json
 import math
 import re
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from typing import Callable, Union
 
 DEFAULT_BITS = 128
 PRECISION_CAP = 1 << 16
 
+# (start bits, cap) of every refinement loop, set per thread and task
+_PRECISION = ContextVar("precision", default=(DEFAULT_BITS, PRECISION_CAP))
 
-def _resolve_bits(start_bits, cap) -> tuple[int, int]:
-    # None means "the current module-level setting", so callers (notably
-    # the CLI precision flags) can adjust precision globally at runtime
-    bits = DEFAULT_BITS if start_bits is None else start_bits
+
+@contextmanager
+def precision(bits: int = DEFAULT_BITS, cap: int = PRECISION_CAP):
+    """Start bits and cap of every refinement loop in the with block."""
     if bits < 1:
         # the refinement loops double the bits; from 0 they never grow
         raise ValueError(f"start bits must be >= 1, got {bits}")
-    return bits, PRECISION_CAP if cap is None else cap
+    token = _PRECISION.set((bits, cap))
+    try:
+        yield
+    finally:
+        _PRECISION.reset(token)
 
 
 class NeedsPrecision(Exception):
@@ -278,11 +286,9 @@ class Surd:
                             sgn * self.c)
 
     def __floor__(self) -> int:
-        lo, _hi = self.enclosure(64)
-        n = math.floor(lo)
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        return n
+        # b sqrt(d) lies strictly between +-r and +-(r + 1), r = isqrt(b^2 d)
+        r = math.isqrt(self.b * self.b * self.d)
+        return (self.a + r if self.b > 0 else self.a - r - 1) // self.c
 
     def __repr__(self):
         return f"Surd({self.a}, {self.b}, {self.c}, {self.d})"
@@ -325,7 +331,7 @@ class AdaptiveReal:
         are 2**(1-bits) apart.
         """
         def gen(bits):
-            p, cap = _resolve_bits(None, None)
+            p, cap = _PRECISION.get()
             p = max(bits, p)
             while True:
                 lo, hi = self.enclosure(p)
@@ -396,7 +402,7 @@ def _nearest_float(x: AdaptiveReal) -> float:
     """The correctly rounded double of x: the precision doubles until both
     ends of an enclosure round to the same double (rounding is monotone);
     at the cap the lower end's double is returned."""
-    bits, cap = _resolve_bits(None, None)
+    bits, cap = _PRECISION.get()
     while True:
         lo, hi = x.enclosure(bits)
         f = float(lo)
@@ -429,17 +435,16 @@ def recip(x: RealValue) -> RealValue:
     return x.mobius(0, 1, 1, 0)
 
 
-def sign_val(x: RealValue, start_bits: int = None, cap: int = None) -> int:
+def sign_val(x: RealValue) -> int:
     """Sign of x; refines adaptive values, NeedsPrecision at the cap."""
     if isinstance(x, (int, Fraction)):
         return _sign_int(x)
     if isinstance(x, Surd):
         return x.sign()
-    return compare(x, 0, start_bits, cap)
+    return compare(x, 0)
 
 
-def compare(x: RealValue, y: RealValue, start_bits: int = None,
-            cap: int = None) -> int:
+def compare(x: RealValue, y: RealValue) -> int:
     """Total order: -1, 0 or +1.
 
     Exact for rational/rational, rational/surd and same-field surd pairs
@@ -454,7 +459,7 @@ def compare(x: RealValue, y: RealValue, start_bits: int = None,
         return x._cmp(y)
     if isinstance(y, Surd) and y._coerce(x):
         return -y._cmp(x)
-    p, cap = _resolve_bits(start_bits, cap)
+    p, cap = _PRECISION.get()
     while True:
         xlo, xhi = enclosure(x, p)
         ylo, yhi = enclosure(y, p)
@@ -469,8 +474,7 @@ def compare(x: RealValue, y: RealValue, start_bits: int = None,
         p *= 2
 
 
-def floor_shift(x: RealValue, alpha, start_bits: int = None,
-                cap: int = None) -> int:
+def floor_shift(x: RealValue, alpha) -> int:
     """The shifted integer part floor(x + 1 - alpha).
 
     This is the digit-extraction floor of the alpha-continued fraction
@@ -481,9 +485,8 @@ def floor_shift(x: RealValue, alpha, start_bits: int = None,
     if isinstance(x, (int, Fraction)):
         return math.floor(Fraction(x) + 1 - alpha)
     if isinstance(x, Surd):
-        shifted = x + (1 - alpha)
-        return math.floor(shifted)
-    p, cap = _resolve_bits(start_bits, cap)
+        return math.floor(x + (1 - alpha))
+    p, cap = _PRECISION.get()
     while True:
         lo, hi = x.enclosure(p)
         flo = math.floor(lo + 1 - alpha)

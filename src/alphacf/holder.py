@@ -7,9 +7,11 @@ dyadic window sizes.  This is diagnostic output, not a certified exponent.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 
-import numpy as np
+MIN_SCALES = 4
 
 
 class InsufficientScales(ValueError):
@@ -23,39 +25,40 @@ class HolderEstimate:
     r2: float
 
 
-def estimate_holder(values, min_scales: int = 4) -> HolderEstimate:
+def estimate_holder(values) -> HolderEstimate:
     """Oscillation-regression estimate of the Hoelder exponent.
 
     ``values`` are samples of a function on a uniform grid.  Windows of
     2, 4, 8, ... samples are tiled over the data; the max oscillation per
     scale feeds a least-squares log-log fit whose slope is the exponent.
     """
-    v = np.asarray(values, dtype=float)
-    n = v.size
-    if n < 2 ** (min_scales + 4):
+    v = [float(y) for y in values]
+    n = len(v)
+    if n < 2 ** (MIN_SCALES + 4):
         raise InsufficientScales(
-            f"need at least {2 ** (min_scales + 4)} samples, got {n}")
-    scales = []
-    oscs = []
+            f"need at least {2 ** (MIN_SCALES + 4)} samples, got {n}")
+    if any(math.isnan(y) for y in v):   # max and min would pass over it
+        raise InsufficientScales("no usable scales: a sample is NaN")
+    scales, oscs = [], []
     # windows below 8 samples resolve a cusp too coarsely and bias the
     # slope upward, so the smallest scales are skipped
     w = 8
     while w <= n // 4:
-        m = n // w
-        trimmed = v[:m * w].reshape(m, w)
-        osc = float(np.max(trimmed.max(axis=1) - trimmed.min(axis=1)))
+        osc = max(max(t) - min(t) for t in
+                  (v[i:i + w] for i in range(0, n // w * w, w)))
         if osc > 0:
             scales.append(w)
             oscs.append(osc)
         w *= 2
-    if len(scales) < min_scales:
+    if len(scales) < MIN_SCALES:
         raise InsufficientScales(
-            f"only {len(scales)} usable scales, need {min_scales}")
-    lx = np.log(np.asarray(scales, dtype=float))
-    ly = np.log(np.asarray(oscs))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    fit = slope * lx + intercept
-    ss_res = float(np.sum((ly - fit) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+            f"only {len(scales)} usable scales, need {MIN_SCALES}")
+    lx = [math.log(w) for w in scales]
+    ly = [math.log(o) for o in oscs]
+    slope, intercept = statistics.linear_regression(lx, ly)
+    mean = math.fsum(ly) / len(ly)
+    ss_res = math.fsum((y - (slope * x + intercept)) ** 2
+                       for x, y in zip(lx, ly))
+    ss_tot = math.fsum((y - mean) ** 2 for y in ly)
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return HolderEstimate(float(slope), scales, r2)
+    return HolderEstimate(slope, scales, r2)

@@ -125,7 +125,7 @@ class TestBudgets:
 
 
 class TestPrecisionIndependence:
-    def test_surd_sums_ignore_the_cap(self, monkeypatch):
+    def test_surd_sums_ignore_the_cap(self):
         # a surd walks exact (P, Q, D) states and rounds each double in
         # integers, so no enclosure needs the precision cap
         u = make_u("log")
@@ -136,20 +136,19 @@ class TestPrecisionIndependence:
                               semi_brjuno(Surd(2, 1, 4, 2), 10 ** 4))]
 
         want = run()
-        monkeypatch.setattr(exact, "PRECISION_CAP", 128)
-        assert run() == want
+        with exact.precision(cap=128):
+            assert run() == want
 
-    def test_tail_rate_ignores_the_cap(self, monkeypatch):
+    def test_tail_rate_ignores_the_cap(self):
         # below alpha = sqrt(2) - 1 the tail takes sqrt(1 - 2 alpha), which
         # is rounded in integers too: a 2-bit cap used to give 3/4 for 0.7746
         u = make_u("log")
         x = Surd(-1, 1, 3, 7)
         want = [brjuno_sum(x, alpha, u, 200).tail_estimate
                 for alpha in (Fraction(1, 5), Fraction(3, 8))]
-        monkeypatch.setattr(exact, "DEFAULT_BITS", 2)
-        monkeypatch.setattr(exact, "PRECISION_CAP", 2)
-        assert [brjuno_sum(x, alpha, u, 200).tail_estimate
-                for alpha in (Fraction(1, 5), Fraction(3, 8))] == want
+        with exact.precision(bits=2, cap=2):
+            assert [brjuno_sum(x, alpha, u, 200).tail_estimate
+                    for alpha in (Fraction(1, 5), Fraction(3, 8))] == want
 
 
 class TestFunctionalEquations:

@@ -453,3 +453,4 @@ class TestPrecisionFlags:
         main(["--precision-bits", "64", "--precision-cap", "256",
               "expand", "--x", x, "--alpha", "1"])
         assert (exact.DEFAULT_BITS, exact.PRECISION_CAP) == (128, 65536)
+        assert exact._PRECISION.get() == (128, 65536)

@@ -512,8 +512,7 @@ LONG_RUNS = [NEAR_ONE, Surd(0, 1, 10, 99), Surd(-3, 2, 4, 10),
 LONG_RUN_STEPS = 3000
 
 
-def test_adaptive_restarts_inside_runs(monkeypatch):
-    monkeypatch.setattr(exact, "DEFAULT_BITS", 16)
+def test_adaptive_restarts_inside_runs():
     inside = 0
     for s in LONG_RUNS:
         x = AdaptiveReal.from_exact(s)
@@ -525,10 +524,11 @@ def test_adaptive_restarts_inside_runs(monkeypatch):
             return gen(bits)
 
         x.generator = counted
-        _n0, _eps0, m = _alpha_seed(x, Fraction(1))
-        for step in islice(unroll(_orbit(x, Fraction(0), m)),
-                           LONG_RUN_STEPS):
-            got.append(step)
+        with exact.precision(bits=16):
+            _n0, _eps0, m = _alpha_seed(x, Fraction(1))
+            for step in islice(unroll(_orbit(x, Fraction(0), m)),
+                               LONG_RUN_STEPS):
+                got.append(step)
         want = list(islice(unroll(_orbit(s, Fraction(0), m)),
                            LONG_RUN_STEPS))
         assert len(got) == len(want) == LONG_RUN_STEPS
@@ -783,14 +783,14 @@ def test_semi_brjuno_flags_do_not_change_the_sum():
                      want.companion_q_series if with_q else None)
 
 
-def test_deep_cube_root_orbit(monkeypatch):
+def test_deep_cube_root_orbit():
     # the by-excess orbit of the cube root of 4 used to outgrow the nested
     # enclosure closures (RecursionError); certified values do not depend
     # on the starting precision
     results = []
     for bits in (64, 512):
-        monkeypatch.setattr(exact, "DEFAULT_BITS", bits)
-        results.append(fingerprint(semi_brjuno(cube_root(4), 10 ** 4,
-                                               with_q_series=True)))
+        with exact.precision(bits=bits):
+            results.append(fingerprint(semi_brjuno(cube_root(4), 10 ** 4,
+                                                   with_q_series=True)))
     assert results[0][4]  # converged
     assert agree(results[0], results[1])

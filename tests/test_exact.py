@@ -1,4 +1,5 @@
 import math
+import threading
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 
 from alphacf.alpha import alpha_expand
 from alphacf.byexcess import minus_expand
-from alphacf.exact import (AdaptiveReal, InvalidRadicand, NeedsPrecision,
-                           NotASurd, Surd, compare, enclosure, floor_shift,
-                           parse_real, recip, sign_val)
+from alphacf.exact import (_PRECISION, AdaptiveReal, InvalidRadicand,
+                           NeedsPrecision, NotASurd, Surd, compare, enclosure,
+                           floor_shift, parse_real, precision, recip,
+                           sign_val)
 
 G = Surd(-1, 1, 2, 5)  # (sqrt(5)-1)/2
 
@@ -28,7 +30,8 @@ class TestSurdCanonical:
         diff = s - t
         assert isinstance(diff, Fraction) and diff == 0
         # exact in the field: no enclosure refinement, so no NeedsPrecision
-        assert compare(s, t, cap=8) == 0 and compare(t, s, cap=8) == 0
+        with precision(cap=8):
+            assert compare(s, t) == 0 and compare(t, s) == 0
         assert s * t == 8 and s / t == 1 and s < t + Fraction(1, 10 ** 30)
         with pytest.raises(TypeError):
             s + Surd(0, 1, 1, 3)
@@ -80,7 +83,9 @@ class TestSurdArithmetic:
         # (a + b k sqrt(d))/c = (a + b sqrt(k^2 d))/c
         s, t = Surd(a, b * k, c, d), Surd(a, b, c, k * k * d)
         assert s == t and t == s and hash(s) == hash(t)
-        assert s - t == 0 and compare(s, t, cap=8) == 0
+        assert s - t == 0
+        with precision(cap=8):
+            assert compare(s, t) == 0
         assert s * recip(t) == 1
 
     @given(a=st.integers(-30, 30), b=st.integers(-30, 30).filter(bool),
@@ -122,6 +127,17 @@ class TestFloorShift:
         s = Surd(1, 1, 1, 2) ** 6
         assert math.floor(s) == 197
 
+    @given(a=st.integers(-10 ** 40, 10 ** 40),
+           b=st.integers(-10 ** 40, 10 ** 40).filter(bool),
+           c=st.integers(-10 ** 40, 10 ** 40).filter(bool),
+           d=st.integers(2, 10 ** 40).filter(
+               lambda d: math.isqrt(d) ** 2 != d))
+    def test_surd_floor_brackets_the_value(self, a, b, c, d):
+        # both bounds by exact comparison in the field
+        s = Surd(a, b, c, d)
+        n = math.floor(s)
+        assert compare(n, s) < 0 and compare(s, n + 1) < 0
+
 
 class TestAdaptive:
     def test_enclosure_width(self):
@@ -148,22 +164,47 @@ class TestAdaptive:
                 v.enclosure(bits)[0] - Fraction(1, 2 ** (bits + 1)),
                 v.enclosure(bits)[1] + Fraction(1, 2 ** (bits + 1))))
 
-        with pytest.raises(NeedsPrecision):
-            compare(widen(x), widen(y), cap=1 << 12)
+        with pytest.raises(NeedsPrecision), precision(cap=1 << 12):
+            compare(widen(x), widen(y))
 
     def test_start_bits_below_one_rejected(self):
         # straddles zero at every precision below 2 bits, so a loop that
-        # started at 0 bits and doubled would never leave it
+        # started at 0 bits and doubled would never leave it; the scope
+        # refuses such a start before any of these loops runs
         third = Fraction(1, 3)
         x = AdaptiveReal(lambda bits: (third - Fraction(1, 2 ** bits),
                                        third + Fraction(1, 2 ** bits)))
         for bits in (0, -4):
-            with pytest.raises(ValueError):
-                sign_val(x, start_bits=bits)
-            with pytest.raises(ValueError):
-                compare(x, Fraction(1, 3), start_bits=bits)
-            with pytest.raises(ValueError):
-                floor_shift(x, 1, start_bits=bits)
+            for call in (lambda: sign_val(x),
+                         lambda: compare(x, Fraction(1, 3)),
+                         lambda: floor_shift(x, 1)):
+                with pytest.raises(ValueError), precision(bits=bits):
+                    call()
+        assert _PRECISION.get() == (128, 1 << 16)
+
+    def test_scope_is_per_thread(self):
+        # both threads hold their scopes at once; each refinement starts
+        # from its own thread's bits
+        barrier = threading.Barrier(2, timeout=30)
+        first = {}
+
+        def run(bits):
+            asked = []
+            x = AdaptiveReal(lambda b: asked.append(b) or
+                             (Fraction(1, 3), Fraction(1, 3)))
+            with precision(bits=bits):
+                barrier.wait()
+                sign_val(x)
+                barrier.wait()
+            first[bits] = asked[0]
+
+        threads = [threading.Thread(target=run, args=(bits,))
+                   for bits in (16, 512)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert first == {16: 16, 512: 512}
 
     def test_arith(self):
         x = AdaptiveReal.from_exact(Fraction(3, 7))

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from alphacf.holder import InsufficientScales, estimate_holder
@@ -30,9 +29,9 @@ def test_cusp_position_does_not_matter():
 def test_weierstrass_like_exponent():
     # sum 2^(-hk) cos(2^k x) has Hoelder exponent h
     h = 0.7
-    xs = np.linspace(0.0, 1.0, 8192)
-    v = sum(2.0 ** (-h * k) * np.cos(2.0 ** k * 2 * np.pi * xs)
-            for k in range(1, 16))
+    xs = [k / 8191 for k in range(8192)]
+    v = [sum(2.0 ** (-h * k) * math.cos(2.0 ** k * 2 * math.pi * x)
+             for k in range(1, 16)) for x in xs]
     est = estimate_holder(v)
     assert est.exponent == pytest.approx(h, abs=0.15)
 
@@ -45,3 +44,11 @@ def test_too_few_samples():
 def test_constant_input():
     with pytest.raises(InsufficientScales):
         estimate_holder([3.0] * 4096)
+
+
+def test_nan_sample_rejected():
+    # a NaN window has no oscillation, so no scale is usable
+    values = sample(lambda x: abs(x - 0.5))
+    values[100] = math.nan
+    with pytest.raises(InsufficientScales):
+        estimate_holder(values)

@@ -14,6 +14,7 @@ checks the identities and decay bounds they satisfy.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import cycle, islice
@@ -21,8 +22,8 @@ from typing import Optional
 
 from .exact import (_PRECISION, AdaptiveReal, DomainError,
                     ExactnessUnavailable, NeedsPrecision, RealValue, Surd,
-                    _json_text, _surd_double, compare, floor_shift, is_exact,
-                    recip, sign_val, to_float)
+                    _json_text, _power_cmp, _surd_double, _surd_sign, compare,
+                    floor_shift, is_exact, recip, sign_val, to_float)
 
 
 def alpha_bar(alpha) -> Fraction:
@@ -99,10 +100,31 @@ class AlphaExpansion:
 
     def to_csv_rows(self) -> list[list]:
         rows = [["n", "a", "eps", "p", "q", "beta"]]
+        signs = [d.eps for d in self.digits]
         for n, d in enumerate(self.digits, start=1):
             rows.append([n, d.a, d.eps, self.p_seq[n], self.q_seq[n],
-                         to_float(self.betas[n])])
+                         _beta_float(self.betas, self.remainders, self.q_seq,
+                                     signs, n)])
         return rows
+
+
+def _beta_float(betas, remainders, q_seq, signs, n: int) -> float:
+    """The double of beta_n, with signs[n] = eps_{n+1}.  A surd beta_n
+    cancels to about 1/q_n; beta_n = 1/(q_{n+1} + eps_{n+1} q_n x_{n+1}) is
+    c/(a' + b' sqrt(d)) for x_{n+1} = (a + b sqrt(d))/c, with no cancellation,
+    settled as in _surd_double on the ends a' 2^t + b' r and a' 2^t + b' (r
+    + 1) for r = isqrt(d 4^t).  Else, or without q_{n+1}, to_float(beta_n)."""
+    x = remainders[n + 1] if n + 1 < len(q_seq) else None
+    if not isinstance(x, Surd):
+        return to_float(betas[n])
+    eps_q, t = signs[n] * q_seq[n], 64
+    a, b = x.c * q_seq[n + 1] + eps_q * x.a, eps_q * x.b
+    while True:
+        r = math.isqrt(x.d << 2 * t)
+        lo, hi = sorted(((a << t) + b * r, (a << t) + b * (r + 1)))
+        if lo > 0 and (x.c << t) / hi == (x.c << t) / lo:
+            return (x.c << t) / lo
+        t *= 2
 
 
 def alpha_reduce(x: RealValue, alpha) -> tuple[int, RealValue]:
@@ -440,24 +462,22 @@ def beta_check(exp: AlphaExpansion) -> BetaCheckReport:
     return BetaCheckReport(lemma1, sandwich, all_ok)
 
 
-_GOLDEN = Surd(-1, 1, 2, 5)   # (sqrt(5)-1)/2
-_SILVER = Surd(-1, 1, 1, 2)   # sqrt(2)-1
-
-
-def _rho_power(alpha) -> tuple[RealValue, int]:
-    """(rho^k, k) for rho = rho_alpha(alpha): k = 2 below sqrt(2) - 1, where
-    rho^2 = 1 - 2 alpha is rational, else k = 1 with rho itself."""
+def _rho_power(alpha) -> tuple[int, int, int, int, int]:
+    """(a, b, c, e, k) with rho^k = (a + b sqrt(e))/c for rho_alpha(alpha):
+    k = 2 below sqrt(2) - 1, where rho^2 = 1 - 2 alpha is rational, else
+    k = 1 with the silver rho up to (sqrt(5) - 1)/2 and the golden above."""
     alpha = Fraction(alpha)
     if alpha <= 0:
         raise DomainError("no geometric decay at alpha = 0 "
                           "(indifferent fixed point)")
     if alpha > 1:
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
-    if _GOLDEN < alpha:
-        return _GOLDEN, 1
-    if _SILVER <= alpha:
-        return _SILVER, 1
-    return 1 - 2 * alpha, 2
+    r, s = alpha.numerator, alpha.denominator
+    if (2 * r + s) ** 2 > 5 * s * s:   # alpha > (sqrt(5) - 1)/2
+        return -1, 1, 2, 5, 1
+    if (r + s) ** 2 >= 2 * s * s:      # alpha >= sqrt(2) - 1
+        return -1, 1, 1, 2, 1
+    return s - 2 * r, 0, s, 1, 2
 
 
 def rho_alpha(alpha) -> RealValue:
@@ -466,40 +486,31 @@ def rho_alpha(alpha) -> RealValue:
     Below sqrt(2) - 1 this is sqrt(1 - 2 alpha): for alpha = r/s a Surd
     over the radicand (s - 2r) s, or a rational.
     """
-    rate, k = _rho_power(alpha)
-    return rate if k == 1 else Surd.sqrt_of(rate)
-
-
-def _exceeds(beta: RealValue, bound: RealValue, k: int) -> bool:
-    """beta**k > bound for beta >= 0; for k = 2 the bound is rational."""
-    if k == 1:
-        return compare(beta, bound) > 0
-    if is_exact(beta):
-        return compare(beta * beta, bound) > 0
-    return compare(beta, Surd.sqrt_of(bound)) > 0
+    a, b, c, e, k = _rho_power(alpha)
+    return Surd._field(a, b, c, e) if k == 1 else Surd.sqrt_of(Fraction(a, c))
 
 
 def decay_check(exp: AlphaExpansion, max_index: int = 50) -> bool:
-    """beta_n <= abar * rho^n and 1/q_{n+1} < (1+alpha) abar rho^n.
-
-    Below alpha = sqrt(2) - 1 both sides are positive and compared squared,
-    so the right-hand sides stay rational.
-    """
-    alpha = exp.alpha
-    rate, k = _rho_power(alpha)
-    bound: RealValue = alpha_bar(alpha) ** k
-    q_scale = (1 + alpha) ** k
-    for n in range(min(max_index + 1, len(exp.betas))):
-        try:
-            if _exceeds(exp.betas[n], bound, k):
+    """beta_n <= abar rho^n and 1/q_{n+1} < (1+alpha) abar rho^n, taken to
+    the power k = 2 below alpha = sqrt(2) - 1, where rho^2 is rational.
+    abar^k rho^(kn) is kept as (A + B sqrt(e))/C; an exact beta is decided
+    in integers, an AdaptiveReal by compare (<= when unseparated)."""
+    ra, rb, rc, e, k = _rho_power(exp.alpha)
+    r, s = exp.alpha.numerator, exp.alpha.denominator
+    A, B, C, w = max(r, s - r) ** k, 0, s ** k, (r + s) ** k
+    for n, beta in enumerate(exp.betas[:max(0, max_index + 1)]):
+        if isinstance(beta, AdaptiveReal):
+            bound = Surd._field(A, B, C, e)
+            with suppress(NeedsPrecision):
+                if compare(beta, Surd.sqrt_of(bound) if k == 2 else bound) > 0:
+                    return False
+        elif _power_cmp(beta, k, A, B, C, e) > 0:
+            return False
+        if n + 1 < len(exp.q_seq):   # 1/q^k >= (w/s^k) bound fails
+            Q = exp.q_seq[n + 1] ** k * w
+            if _surd_sign(C * s ** k - Q * A, -Q * B, e) >= 0:
                 return False
-        except NeedsPrecision:
-            pass  # unseparated at the cap: consistent with <=
-        if n + 1 < len(exp.q_seq):
-            if compare(Fraction(1, exp.q_seq[n + 1] ** k),
-                       bound * q_scale) >= 0:
-                return False
-        bound = rate * bound
+        A, B, C = A * ra + B * rb * e, A * rb + B * ra, C * rc
     return True
 
 

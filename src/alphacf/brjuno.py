@@ -141,28 +141,34 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
         raise ValueError("n_max must be >= 0")
     _n0, _eps0, m = _alpha_seed(x, alpha)
     f = u.eval
-    beta_prev, value = 1.0, 0.0
+    beta_prev, value, xf = 1.0, 0.0, 1.0
     qs = 0.0 if with_q_series else None
     q_prev, q, eps_prev = 0, 1, 1
     terms, recent = [], []   # recent: u of x_n for n > n_max - 5
     last5 = n_max - 5
-    for n, (num, den, a, eps, _k) in enumerate(_orbit(x, alpha, m)):
-        xf = num / den
-        uval = f(xf)
-        term = beta_prev * uval
-        value += term
-        if keep_terms:
-            terms.append((n, beta_prev, xf, term))
-        if with_q_series:
-            qs += f(1.0 / a) * _inv(q)
-            q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
-        if n > last5:
-            recent.append(uval)
-            if n == n_max:
-                break
-        beta_prev *= xf
-    else:   # the orbit reached 0 within the budget
-        return BrjunoResult(value, n_max, terms, 0.0, True, qs)
+    try:
+        for n, (num, den, a, eps, _k) in enumerate(_orbit(x, alpha, m)):
+            xf = num / den
+            uval = f(xf)
+            term = beta_prev * uval
+            value += term
+            if keep_terms:
+                terms.append((n, beta_prev, xf, term))
+            if with_q_series:
+                qs += f(1.0 / a) * _inv(q)
+                q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
+            if n > last5:
+                recent.append(uval)
+                if n == n_max:
+                    break
+            beta_prev *= xf
+        else:   # the orbit reached 0 within the budget
+            return BrjunoResult(value, n_max, terms, 0.0, True, qs)
+    except (ValueError, ZeroDivisionError):
+        if xf:
+            raise
+        raise DomainError(f"x_{n} is below 2**-1074, outside the double "
+                          "range") from None
     rho = to_float(rho_alpha(alpha))
     abar = float(alpha_bar(alpha))
     tail = abar * rho ** n_max / (1.0 - rho) * max(max(recent), u.M1)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .alpha import _convergents, _expansion, alpha_step
-from .exact import (DomainError, RealValue, _json_text, floor_shift,
-                    sign_val, to_float)
+from .alpha import _beta_float, _convergents, _expansion, alpha_step
+from .exact import DomainError, RealValue, _json_text, floor_shift, sign_val
 
 
 class SideMismatch(ValueError):
@@ -58,9 +57,11 @@ class MinusExpansion:
 
     def to_csv_rows(self) -> list[list]:
         rows = [["n", "b", "p_star", "q_star", "beta_star", "in_I_star"]]
+        signs = [-1] * len(self.digits)
         for n in range(len(self.digits)):
             rows.append([n, self.digits[n], self.pstar[n], self.qstar[n],
-                         to_float(self.betastars[n]),
+                         _beta_float(self.betastars, self.remainders,
+                                     self.qstar, signs, n),
                          int(self.digits[n] == 2)])
         return rows
 

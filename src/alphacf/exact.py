@@ -82,6 +82,27 @@ def _surd_sign(a: int, b: int, d: int) -> int:
     return -_sign_int(t)
 
 
+def _power_cmp(v, k: int, A: int, B: int, C: int, e: int) -> int:
+    """Sign of v^k - (A + B*sqrt(e))/C for a rational or a Surd v, k = 1 or
+    2 and C > 0, in integers.  With v^k = (a + b sqrt(d))/c it is the sign
+    of u + w for u = aC - cA + bC sqrt(d) and w = -cB sqrt(e), squared once
+    where their signs differ."""
+    a, b, c, d = ((v.a, v.b, v.c, v.d) if isinstance(v, Surd)
+                  else (v.numerator, 0, v.denominator, 1))
+    if k == 2:
+        a, b, c = a * a + b * b * d, 2 * a * b, c * c
+    x, y, z = a * C - c * A, b * C, -c * B
+    if not z:
+        return _surd_sign(x, y, d)
+    if not y:
+        return _surd_sign(x, z, e)
+    su, sw = _surd_sign(x, y, d), _sign_int(z)
+    if su * sw >= 0:
+        return su or sw
+    # |u| - |w| has the sign of u^2 - w^2 = x^2 + y^2 d - z^2 e + 2xy sqrt(d)
+    return su * _surd_sign(x * x + y * y * d - z * z * e, 2 * x * y, d)
+
+
 class Surd:
     """Quadratic surd (a + b*sqrt(d)) / c with c > 0, gcd(a, b, c) = 1,
     b != 0 and d a positive non-square, kept as given.

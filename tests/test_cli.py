@@ -189,6 +189,19 @@ class TestScalarCommands:
         assert doc["converged"] is True
         assert doc["istar_block_sum"] <= 2.0
 
+    @pytest.mark.parametrize("x, n", [
+        (Fraction(1, 10 ** 400), 0),
+        (Fraction(10 ** 400, 2 * 10 ** 400 + 1), 1),
+    ], ids=["x0", "x1"])
+    def test_brjuno_remainder_below_the_double_range(self, capsys, x, n):
+        # x_n < 2^-1074 rounds to 0.0, where the weight is singular: a
+        # DomainError naming x_n, exit 2; b0 sums it as log(den) - log(num)
+        for u in ("log", "inv_sqrt"):
+            assert main(["brjuno", "--x", str(x), "--u", u]) == 2
+            assert capsys.readouterr().err == (
+                f"error: x_{n} is below 2**-1074, outside the double range\n")
+        assert run(capsys, "b0", "--x", str(x))[0] == 0
+
     def test_ledger_csv(self, capsys):
         code, out = run(capsys, "b0", "--x", "5/7", "--ledger")
         assert code == 0

@@ -62,6 +62,7 @@ MIXED_SURDS = [Surd(_rng.randint(-9, 9), _rng.choice((1, -1, 2, -2)),
 NEAR_ONE = Surd(0, 1, 1000, 999999)   # 1 - 5e-7: a long by-excess run of 2's
 # the golden mean written over a radicand that is not square-free
 GOLDEN_20 = Surd(-2, 1, 4, 20)
+G = Surd(-1, 1, 2, 5)
 
 
 # -- oracles ---------------------------------------------------------------
@@ -360,12 +361,27 @@ DECAY_ALPHAS = (Fraction(1, 5), Fraction(1, 10), Fraction(3, 10),
                 Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(1))
 
 
-@given(alpha=st.sampled_from(DECAY_ALPHAS), x=reals,
+# surd betas over the radicand 20 against rho over 5 (alpha = 1), over
+# sqrt(3) against sqrt(5) or sqrt(2), and a long run of 2's: the integer
+# signs with one or two radicals
+DECAY_SURDS = [GOLDEN_20, NEAR_ONE, *Q1_NEGATIVE, Surd(-1, 1, 1, 3)]
+
+
+@given(alpha=st.sampled_from(DECAY_ALPHAS),
+       x=st.one_of(reals, st.sampled_from(DECAY_SURDS)),
        carrier=st.sampled_from(("exact", "adaptive")),
        depth=st.sampled_from((0, 3, 25)),
        scale=st.sampled_from((Fraction(1), Fraction(3, 2))),
        q_div=st.sampled_from((1, 3)))
 @settings(max_examples=200, deadline=None)
+@example(alpha=Fraction(1), x=GOLDEN_20, carrier="exact", depth=25,
+         scale=Fraction(1), q_div=1)
+@example(alpha=Fraction(1), x=Q1_NEGATIVE[2], carrier="exact", depth=25,
+         scale=Fraction(3, 2), q_div=1)
+@example(alpha=Fraction(1, 2), x=GOLDEN_20, carrier="exact", depth=25,
+         scale=Fraction(1), q_div=3)
+@example(alpha=Fraction(1, 5), x=NEAR_ONE, carrier="exact", depth=25,
+         scale=Fraction(3, 2), q_div=1)
 def test_decay_check_matches_oracle(alpha, x, carrier, depth, scale, q_div):
     # scaled betas and shrunk q's make either bound fail, so both answers
     # of the squared comparisons are exercised
@@ -377,6 +393,39 @@ def test_decay_check_matches_oracle(alpha, x, carrier, depth, scale, q_div):
                  for b in exp.betas]
     exp.q_seq = [max(1, q // q_div) for q in exp.q_seq]
     assert decay_check(exp) == oracle_decay_check(exp)
+
+
+@pytest.mark.parametrize("alpha, betas", [
+    # alpha = 1/5: abar^2 = 16/25, rho^2 = 3/5, beta_n^2 against a rational
+    (Fraction(1, 5), [Fraction(4, 5), Surd.sqrt_of(Fraction(48, 125))]),
+    # alpha = 1: abar rho^n = G^n, also over the radicand 20
+    (Fraction(1), [Fraction(1), G, G * G]),
+    (Fraction(1), [Fraction(1), GOLDEN_20]),
+    # alpha = 1/2: abar rho = (sqrt(2) - 1)/2
+    (Fraction(1, 2), [Fraction(1, 2), Surd(-1, 1, 2, 2)]),
+], ids=["rational_bound", "golden", "golden_over_20", "silver"])
+def test_decay_check_beta_on_the_bound(alpha, betas):
+    # beta_n^k equal to abar^k rho^(kn) passes (<=); any excess fails
+    exp = alpha_expand(Fraction(1, 3), alpha, 5)
+    exp.q_seq = [1] + [10 ** 6] * len(betas)
+    exp.betas = betas
+    assert decay_check(exp) and oracle_decay_check(exp)
+    exp.betas = betas[:-1] + [betas[-1] + Fraction(1, 10 ** 30)]
+    assert not decay_check(exp) and not oracle_decay_check(exp)
+
+
+@pytest.mark.parametrize("alpha, q", [(Fraction(1, 5), Fraction(25, 24)),
+                                      (Fraction(1), Fraction(1, 2))])
+def test_decay_check_q_on_the_bound(alpha, q):
+    # 1/q_1^k equal to (1 + alpha)^k abar^k fails (the bound is strict).
+    # No integer q meets it: its numerator keeps (s + r)^k, so a rational
+    # q stands in.
+    exp = alpha_expand(Fraction(1, 3), alpha, 5)
+    exp.betas = exp.betas[:1]
+    exp.q_seq = [1, q]
+    assert not decay_check(exp) and not oracle_decay_check(exp)
+    exp.q_seq = [1, q + Fraction(1, 10 ** 30)]
+    assert decay_check(exp) and oracle_decay_check(exp)
 
 
 # -- the orbit kernel against the exact step chains -----------------------

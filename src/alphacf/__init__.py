@@ -31,5 +31,5 @@ __all__ = [
     "log_denominator_sum", "make_u", "minus_expand", "minus_step",
     "minus_to_regular", "parse_real", "precision", "q_series", "recip",
     "reconstruction_check", "regular_to_minus", "rho_alpha",
-    "run_decomposition", "semi_brjuno", "sign_val", "to_float",
+    "run_decomposition", "semi_brjuno", "sign_val",
 ]

@@ -20,9 +20,9 @@ from fractions import Fraction
 from itertools import cycle, islice
 from typing import Optional
 
-from .exact import (_PRECISION, AdaptiveReal, DomainError,
-                    ExactnessUnavailable, NeedsPrecision, RealValue, Surd,
-                    _json_text, _power_cmp, _surd_double, _surd_sign, compare,
+from .exact import (AdaptiveReal, DomainError, ExactnessUnavailable,
+                    NeedsPrecision, RealValue, Surd, _json_text, _ladder,
+                    _power_cmp, _surd_double, _surd_sign, compare,
                     floor_shift, is_exact, recip, sign_val, to_float)
 
 
@@ -110,21 +110,15 @@ class AlphaExpansion:
 
 def _beta_float(betas, remainders, q_seq, signs, n: int) -> float:
     """The double of beta_n, with signs[n] = eps_{n+1}.  A surd beta_n
-    cancels to about 1/q_n; beta_n = 1/(q_{n+1} + eps_{n+1} q_n x_{n+1}) is
-    c/(a' + b' sqrt(d)) for x_{n+1} = (a + b sqrt(d))/c, with no cancellation,
-    settled as in _surd_double on the ends a' 2^t + b' r and a' 2^t + b' (r
-    + 1) for r = isqrt(d 4^t).  Else, or without q_{n+1}, to_float(beta_n)."""
+    cancels to about 1/q_n, but 1/(q_{n+1} + eps_{n+1} q_n x_{n+1}) is
+    c/(a' + b' sqrt(d)) for x_{n+1} = (a + b sqrt(d))/c, with nothing to
+    cancel, for _surd_double.  Else, or without q_{n+1}, to_float(beta_n)."""
     x = remainders[n + 1] if n + 1 < len(q_seq) else None
     if not isinstance(x, Surd):
         return to_float(betas[n])
-    eps_q, t = signs[n] * q_seq[n], 64
-    a, b = x.c * q_seq[n + 1] + eps_q * x.a, eps_q * x.b
-    while True:
-        r = math.isqrt(x.d << 2 * t)
-        lo, hi = sorted(((a << t) + b * r, (a << t) + b * (r + 1)))
-        if lo > 0 and (x.c << t) / hi == (x.c << t) / lo:
-            return (x.c << t) / lo
-        t *= 2
+    eps_q = signs[n] * q_seq[n]
+    return _surd_double(x.c, 0, x.c * q_seq[n + 1] + eps_q * x.a,
+                        eps_q * x.b, x.d)
 
 
 def alpha_reduce(x: RealValue, alpha) -> tuple[int, RealValue]:
@@ -164,14 +158,14 @@ def _orbit(x: RealValue, alpha, m: tuple):
     of x_n over 1, taken once per distinct state from one root of D; from
     the first repeated state on it replays the stored period.  An
     AdaptiveReal walks the rational orbits of both ends of one enclosure in
-    lockstep, a pair of run records in one frame.  A step is accepted when
-    the ends give the same digit, sign and double (all monotone in x_n),
-    and the walk yields that certified double over 1.  Else the precision
-    doubles, with NeedsPrecision past the cap, and the walk goes on from
-    m_n: m_{n-1} is solved from the two ends' last certified states,
-    [num; den] = m_{n-1} [p; q] for each end p/q, and stepped by that
-    step's digit.  No matrix is kept per step.  A point enclosure (lo = hi)
-    walks the same lockstep to the end of its orbit.
+    lockstep, a pair of records (a step is a run of one) in one frame.  A
+    step is accepted when the ends give the same digit, sign and double
+    (all monotone in x_n), and the walk yields that certified double over
+    1.  Else it climbs the _ladder, and goes on from m_n: m_{n-1} is
+    solved from the two ends' last certified states, [num; den] = m_{n-1}
+    [p; q] for each end p/q, and stepped by that step's digit.  No matrix
+    is kept per step.  A point enclosure (lo = hi) walks the same lockstep
+    to the end of its orbit.
     """
     r, s = alpha.numerator, alpha.denominator
     if not 0 <= r <= s:
@@ -205,9 +199,8 @@ def _orbit(x: RealValue, alpha, m: tuple):
         root = math.isqrt(D << 128)
         yield from _surd_orbit(
             P0, Q0, D, alpha,
-            lambda P, Q, a, eps: (_surd_double(P, D, Q, root), 1, a, eps, 1))
-    bits, cap = _PRECISION.get()
-    while True:
+            lambda P, Q, a, e: (_surd_double(P, 1, Q, 0, D, root), 1, a, e, 1))
+    for bits in _ladder("orbit step not certified at %d bits"):
         lo, hi = x.enclosure(bits)
         last = None   # both ends' states at the last certified step, a, eps
         # an end that leaves (0, 1) stops its walk and so the zip; both
@@ -217,27 +210,23 @@ def _orbit(x: RealValue, alpha, m: tuple):
                 _orbit(lo, alpha, m), _orbit(hi, alpha, m)):
             if a != a1 or eps != eps1:
                 break
-            if k0 == k1 == 1:
+            # a record of k steps on each end, each end with its fixed c; an
+            # inline min and no update after the last step keep k = 1 cheap
+            k = k0 if k0 < k1 else k1
+            c0, c1 = den0 - num0, den1 - num1
+            while True:
                 f = num0 / den0
                 if f != num1 / den1:
                     break
                 yield f, 1, a, eps, 1
                 last = num0, den0, num1, den1, a, eps
-                continue
-            # a run of 2's on both ends, each end with its fixed c
-            c0, c1 = den0 - num0, den1 - num1
-            for _ in range(min(k0, k1)):
-                f = num0 / den0
-                if f != num1 / den1:
+                k -= 1
+                if not k:
                     break
-                yield f, 1, 2, -1, 1
-                last = num0, den0, num1, den1, 2, -1
                 num0, den0 = num0 - c0, num0
                 num1, den1 = num1 - c1, num1
-            else:
-                if k0 == k1:
-                    continue
-            break
+            if k or k0 != k1:
+                break   # an uncertified step, or one end's run goes on
         else:
             if lo == hi:
                 return   # a point enclosure: the orbit of x itself ended
@@ -253,9 +242,6 @@ def _orbit(x: RealValue, alpha, m: tuple):
             C = (den0 * q1 - den1 * q0) // det
             D = (den1 * p0 - den0 * p1) // det
             m = eps * (C - a * A), eps * (D - a * B), A, B
-        if bits >= cap:
-            raise NeedsPrecision(f"orbit step not certified at {bits} bits")
-        bits *= 2
 
 
 def _surd_state(x: Surd, m: tuple) -> tuple[int, int, int, int]:

@@ -23,6 +23,8 @@ from .byexcess import _reduce_mod1, minus_step
 from .exact import (DomainError, RealValue, compare, is_exact, sign_val,
                     to_float)
 
+_DELTA = 0.1   # weights are checked on the scales _DELTA 2^-k near 0
+
 
 class ConditionViolation(ValueError):
     """Weight function fails the growth conditions at the origin."""
@@ -39,7 +41,7 @@ def _inv(q: int) -> float:
 class SingularityU:
     """A positive C^1 weight on (0,1), singular at the origin.
 
-    M1 is the supremum of u on (delta/(1+delta), 1), which scales the tail
+    M1 is the supremum of u on (_DELTA/(1+_DELTA), 1), which scales the tail
     estimate of ``brjuno_sum``.
     """
 
@@ -62,8 +64,8 @@ def _grid_sup(f: Callable[[float], float], lo: float, hi: float,
 
 
 def _check_conditions(u: Callable[[float], float],
-                      du: Callable[[float], float], delta: float) -> None:
-    scales = [delta * 2.0 ** (-k) for k in range(1, 51)]
+                      du: Callable[[float], float]) -> None:
+    scales = [_DELTA * 2.0 ** (-k) for k in range(1, 51)]
     u_vals = [u(t) for t in scales]
     if u_vals[-1] < 10.0 or u_vals[-1] <= u_vals[0]:
         raise ConditionViolation("u does not diverge at the origin")
@@ -73,7 +75,7 @@ def _check_conditions(u: Callable[[float], float],
             raise ConditionViolation(f"{label} is unbounded near 0")
 
 
-def make_u(name: str, sigma: Optional[float] = None, delta: float = 0.1,
+def make_u(name: str, sigma: Optional[float] = None,
            eval_fn: Optional[Callable[[float], float]] = None,
            deriv_fn: Optional[Callable[[float], float]] = None) -> SingularityU:
     """Build a weight: 'log', 'inv_sqrt', 'power' (with sigma > 1) or custom."""
@@ -92,8 +94,8 @@ def make_u(name: str, sigma: Optional[float] = None, delta: float = 0.1,
         ev, dv = eval_fn, deriv_fn
     else:
         raise ValueError(f"unknown weight {name!r} and no custom (eval, deriv)")
-    _check_conditions(ev, dv, delta)
-    return SingularityU(name, ev, _grid_sup(ev, delta / (1 + delta), 1.0))
+    _check_conditions(ev, dv)
+    return SingularityU(name, ev, _grid_sup(ev, _DELTA / (1 + _DELTA), 1.0))
 
 
 @dataclass

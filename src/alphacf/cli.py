@@ -91,7 +91,8 @@ def cmd_brjuno(args) -> int:
 
 def cmd_b0(args) -> int:
     x = parse_real(args.x)
-    res = semi_brjuno(x, args.n, with_q_series=True)
+    res = semi_brjuno(x, args.n, keep_terms=args.ledger,
+                      with_q_series=True)
     if args.ledger:
         _write_out(_csv_text(res.to_csv_rows()), args.out)
         return 0

@@ -43,6 +43,18 @@ def precision(bits: int = DEFAULT_BITS, cap: int = PRECISION_CAP):
         _PRECISION.reset(token)
 
 
+def _ladder(what: str, start: int = 1):
+    """The bits of a refinement loop, doubling from the scope's start (or
+    start, if larger) to the cap; one more past it is NeedsPrecision."""
+    bits, cap = _PRECISION.get()
+    bits = max(bits, start)
+    while True:
+        yield bits
+        if bits >= cap:
+            raise NeedsPrecision(what % bits)
+        bits *= 2
+
+
 class NeedsPrecision(Exception):
     """An adaptive value could not be certified at the precision cap."""
 
@@ -301,10 +313,10 @@ class Surd:
         return (self.a + t_lo) / self.c, (self.a + t_hi) / self.c
 
     def __float__(self):
-        # (a + b sqrt(d))/c = (+-a + sqrt(b^2 d))/(+-c), the sign of b
+        # (+-a + sqrt(b^2 d))/(+-c), the sign of b: b r would cancel with a
         sgn = 1 if self.b > 0 else -1
-        return _surd_double(sgn * self.a, self.b * self.b * self.d,
-                            sgn * self.c)
+        return _surd_double(sgn * self.a, 1, sgn * self.c, 0,
+                            self.b * self.b * self.d)
 
     def __floor__(self) -> int:
         # b sqrt(d) lies strictly between +-r and +-(r + 1), r = isqrt(b^2 d)
@@ -352,9 +364,7 @@ class AdaptiveReal:
         are 2**(1-bits) apart.
         """
         def gen(bits):
-            p, cap = _PRECISION.get()
-            p = max(bits, p)
-            while True:
+            for p in _ladder("Moebius image not certified at %d bits", bits):
                 lo, hi = self.enclosure(p)
                 den_lo, den_hi = c * lo + d, c * hi + d
                 if den_lo * den_hi > 0:
@@ -362,10 +372,6 @@ class AdaptiveReal:
                                    (a * hi + b) / den_hi))
                     if ends[1] - ends[0] <= Fraction(2) ** (1 - bits):
                         return ends[0], ends[1]
-                if p >= cap:
-                    raise NeedsPrecision(
-                        f"Moebius image not certified at {p} bits")
-                p *= 2
         return AdaptiveReal(gen)
 
     def __neg__(self):
@@ -397,26 +403,24 @@ class AdaptiveReal:
 RealValue = Union[Fraction, Surd, AdaptiveReal]
 
 
-def _surd_double(P: int, D: int, Q: int, root: int = None) -> float:
-    """The correctly rounded double of (P + sqrt(D))/Q for a D that is not
-    a square.
-
-    With n = P 2^t + isqrt(D 4^t) the value lies strictly between
-    n/(Q 2^t) and (n + 1)/(Q 2^t), and int/int division rounds correctly,
-    so once both ends give the same double (rounding is monotone) that is
-    the value's double.  An irrational value is no rounding midpoint, so
-    doubling t ends the loop without a cap.  An orbit of fixed D passes
-    the t = 64 root isqrt(D 4^64), taken once for all its states.
-    """
-    t, root = 64, root or math.isqrt(D << 128)
+def _surd_double(a: int, b: int, c: int, e: int, d: int, root=None) -> float:
+    """The correctly rounded double of (a + b sqrt(d))/(c + e sqrt(d)) for
+    a non-square d and a e != b c.  It is monotone in sqrt(d) 2^t, which
+    lies strictly between r = isqrt(d 4^t) and r + 1; so once the bracket's
+    denominators m = c 2^t + e r and m + e have one sign and its ends n/m
+    and (n + b)/(m + e), n = a 2^t + b r, give one double (int/int rounds
+    correctly, and rounding is monotone) that is the value's.  The value is
+    irrational, no rounding midpoint, so doubling t ends the loop without a
+    cap.  An orbit of fixed d passes the t = 64 root, isqrt(d 4^64)."""
+    t, root = 64, root or math.isqrt(d << 128)
     while True:
-        n = (P << t) + root
-        den = Q << t
-        f = n / den
-        if f == (n + 1) / den:
-            return f
+        n, m = (a << t) + b * root, (c << t) + e * root
+        if m * (m + e) > 0:
+            f = n / m
+            if f == (n + b) / (m + e):
+                return f
         t *= 2
-        root = math.isqrt(D << 2 * t)
+        root = math.isqrt(d << 2 * t)
 
 
 def _nearest_float(x: AdaptiveReal) -> float:
@@ -480,8 +484,7 @@ def compare(x: RealValue, y: RealValue) -> int:
         return x._cmp(y)
     if isinstance(y, Surd) and y._coerce(x):
         return -y._cmp(x)
-    p, cap = _PRECISION.get()
-    while True:
+    for p in _ladder("values not separated at %d bits"):
         xlo, xhi = enclosure(x, p)
         ylo, yhi = enclosure(y, p)
         if xhi < ylo:
@@ -490,9 +493,6 @@ def compare(x: RealValue, y: RealValue) -> int:
             return 1
         if xlo == xhi and ylo == yhi:
             return 0
-        if p >= cap:
-            raise NeedsPrecision(f"values not separated at {p} bits")
-        p *= 2
 
 
 def floor_shift(x: RealValue, alpha) -> int:
@@ -507,18 +507,13 @@ def floor_shift(x: RealValue, alpha) -> int:
         return math.floor(Fraction(x) + 1 - alpha)
     if isinstance(x, Surd):
         return math.floor(x + (1 - alpha))
-    p, cap = _PRECISION.get()
-    while True:
+    for p in _ladder(f"floor(x + 1 - {alpha}) not certified at %d bits "
+                     "(input may sit exactly on a boundary)"):
         lo, hi = x.enclosure(p)
         flo = math.floor(lo + 1 - alpha)
         fhi = math.floor(hi + 1 - alpha)
         if flo == fhi:
             return flo
-        if p >= cap:
-            raise NeedsPrecision(
-                f"floor(x + 1 - {alpha}) not certified at {p} bits "
-                "(input may sit exactly on a boundary)")
-        p *= 2
 
 
 def to_float(x: RealValue) -> float:

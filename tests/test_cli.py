@@ -236,6 +236,22 @@ class TestScalarCommands:
             assert code == 0
         assert kept == [0, 3]
 
+    def test_b0_builds_the_ledger_only_for_ledger(self, capsys, monkeypatch):
+        # the by-excess orbit of 5/7 is 5/7, 3/5, 1/3, then the fixed point
+        # 1: three terms
+        kept = []
+
+        def spy(*args, **kwargs):
+            res = semi_brjuno(*args, **kwargs)
+            kept.append(len(res.terms))
+            return res
+
+        monkeypatch.setattr(cli, "semi_brjuno", spy)
+        for flags in ([], ["--ledger"]):
+            code, _out = run(capsys, "b0", "--x", "5/7", *flags)
+            assert code == 0
+        assert kept == [0, 3]
+
     @pytest.mark.parametrize("argv", [
         ["b0", "--x", "5/7", "--n", "-1"],
         ["b0", "--x", "(-1+1*sqrt(5))/2", "--n", "-1"],
@@ -453,6 +469,16 @@ class TestPrecisionFlags:
     def test_equal_bits_and_cap_accepted(self, capsys):
         assert main(["--precision-bits", "64", "--precision-cap", "64",
                      "expand", "--x", "5/7", "--alpha", "1"]) == 0
+
+    def test_precision_cap_reached_exits_3(self, capsys):
+        # the adaptive carrier of bench needs more than 32 bits for its
+        # orbit; the run ends with exit 3 and the step's message
+        assert main(["--precision-bits", "16", "--precision-cap", "32",
+                     "bench", "--alphas", "1", "--digits", "200",
+                     "--reps", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "error: precision cap reached: "
+            "orbit step not certified at 32 bits\n")
 
     def test_surd_sum_at_the_lowest_cap(self, capsys):
         # a surd sum refines no enclosure, so a cap of 128 bits suffices

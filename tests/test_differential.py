@@ -760,9 +760,14 @@ def surd_args(draw):
 @example(args=(2999997, -3, 10 ** 6, 999998000002))
 @example(args=(2, -1, 4, 2))
 def test_surd_float_matches_enclosure(args):
+    # float(Surd), and _surd_double in the beta form c/(a + b sqrt(d)),
+    # whose denominator has either sign
+    a, b, c, d = args
     s = Surd(*args)
     want = exact._nearest_float(AdaptiveReal.from_exact(s))
     assert float(s).hex() == want.hex()
+    want = exact._nearest_float(AdaptiveReal.from_exact(c / Surd(a, b, 1, d)))
+    assert exact._surd_double(c, 0, a, b, d).hex() == want.hex()
 
 
 def test_adaptive_by_excess_fixed_point():

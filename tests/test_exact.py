@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alphacf.alpha import alpha_expand
+from alphacf.alpha import _orbit, alpha_expand
 from alphacf.byexcess import minus_expand
 from alphacf.exact import (_PRECISION, AdaptiveReal, InvalidRadicand,
                            NeedsPrecision, NotASurd, Surd, compare, enclosure,
@@ -166,6 +166,31 @@ class TestAdaptive:
 
         with pytest.raises(NeedsPrecision), precision(cap=1 << 12):
             compare(widen(x), widen(y))
+
+    @pytest.mark.parametrize("call, asked_first, message", [
+        (lambda x: compare(x, Fraction(1, 2)), 16,
+         "values not separated at 64 bits"),
+        (lambda x: floor_shift(x, Fraction(1, 2)), 16,
+         "floor(x + 1 - 1/2) not certified at 64 bits "
+         "(input may sit exactly on a boundary)"),
+        # 1/(2x - 1) has its pole at 1/2; mobius starts at the width asked
+        (lambda x: x.mobius(0, 1, 2, -1).enclosure(32), 32,
+         "Moebius image not certified at 64 bits"),
+        # the Gauss digit of x is 2 below 1/2 and 1 above it
+        (lambda x: next(_orbit(x, Fraction(1), (1, 0, 0, 1))), 16,
+         "orbit step not certified at 64 bits"),
+    ], ids=["compare", "floor_shift", "mobius", "orbit"])
+    def test_every_loop_climbs_one_ladder(self, call, asked_first, message):
+        # x straddles 1/2 at every precision, so no loop decides; each one
+        # doubles from its start up to the cap and stops there
+        asked = []
+        half = Fraction(1, 2)
+        x = AdaptiveReal(lambda bits: asked.append(bits) or (
+            half - Fraction(1, 2 ** bits), half + Fraction(1, 2 ** bits)))
+        with pytest.raises(NeedsPrecision) as err, precision(bits=16, cap=64):
+            call(x)
+        assert str(err.value) == message
+        assert asked == [b for b in (16, 32, 64) if b >= asked_first]
 
     def test_start_bits_below_one_rejected(self):
         # straddles zero at every precision below 2 bits, so a loop that

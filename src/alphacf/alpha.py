@@ -13,6 +13,7 @@ checks the identities and decay bounds they satisfy.
 
 from __future__ import annotations
 
+import decimal
 import math
 from contextlib import suppress
 from dataclasses import dataclass
@@ -88,21 +89,25 @@ class AlphaExpansion:
         return out
 
     def to_json(self) -> str:
+        p_seq, q_seq = _convergent_text(
+            [(d.a, d.eps) for d in self.digits], self.eps0)
         return _json_text({
             "alpha": str(self.alpha),
             "x": str(self.x),
             "integer_part": self.integer_part,
             "digits": [{"a": d.a, "eps": d.eps} for d in self.digits],
-            "convergents": [{"p": p, "q": q}
-                            for p, q in zip(self.p_seq, self.q_seq)],
+            "convergents": [{"p": p, "q": q} for p, q in zip(p_seq, q_seq)],
             "terminated": self.terminated,
         })
 
     def to_csv_rows(self) -> list[list]:
+        """Header and one row per digit; p and q are exact Decimals."""
         rows = [["n", "a", "eps", "p", "q", "beta"]]
         signs = [d.eps for d in self.digits]
+        p_seq, q_seq = _convergent_text(
+            [(d.a, d.eps) for d in self.digits], self.eps0)
         for n, d in enumerate(self.digits, start=1):
-            rows.append([n, d.a, d.eps, self.p_seq[n], self.q_seq[n],
+            rows.append([n, d.a, d.eps, p_seq[n], q_seq[n],
                          _beta_float(self.betas, self.remainders, self.q_seq,
                                      signs, n)])
         return rows
@@ -353,16 +358,25 @@ def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
     return steps[:max_digits], remainders, betas, ended
 
 
-def _convergents(steps, eps0: int) -> tuple[list[int], list[int]]:
+def _convergents(steps, eps0: int, one=1) -> tuple[list, list]:
     """p_n = a_n p_{n-1} + eps_{n-1} p_{n-2} (and q_n) from p_{-1}, q_{-1}
-    = 1, 0 and p_0, q_0 = 0, 1."""
-    p_seq, q_seq = [0], [1]
-    pm1, qm1, eps_prev = 1, 0, eps0
+    = 1, 0 and p_0, q_0 = 0, 1, in the number type of ``one``."""
+    p_seq, q_seq = [0 * one], [one]
+    pm1, qm1, eps_prev = one, 0 * one, eps0
     for a, eps in steps:
         p_seq.append(a * p_seq[-1] + eps_prev * pm1)
         q_seq.append(a * q_seq[-1] + eps_prev * qm1)
         pm1, qm1, eps_prev = p_seq[-2], q_seq[-2], eps
     return p_seq, q_seq
+
+
+def _convergent_text(steps, eps0: int) -> tuple[list, list]:
+    """The convergents as Decimals for the writers, exact in a local context
+    (Inexact trapped): str of each is linear in its digits at any size."""
+    with decimal.localcontext(decimal.Context(
+            prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+            traps=[decimal.Inexact])) as ctx:
+        return _convergents(steps, eps0, ctx.create_decimal(1))
 
 
 def alpha_step(x: RealValue, alpha) -> tuple[AlphaDigit, RealValue]:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .alpha import (_alpha_seed, _convergents, _orbit, alpha_bar, alpha_step,
                     rho_alpha)
@@ -293,7 +294,7 @@ def b0_even(x: RealValue, n_max: int) -> float:
 _NUDGE = Fraction(1, 2 * 10 ** 9)
 
 
-def _figure_grid(lo: Fraction, hi: Fraction, points: int) -> list[Fraction]:
+def _figure_grid(lo: Fraction, hi: Fraction, points: int) -> Iterator:
     """x_k = lo + (hi - lo) k / (points - 1), moved off the integers by
     _NUDGE = 1/(2*10^9).  For lo = a/b and hi = c/d that is
     (a d (P-1) + (c b - a d) k) / (b d (P-1)): one Fraction per point."""
@@ -301,69 +302,70 @@ def _figure_grid(lo: Fraction, hi: Fraction, points: int) -> list[Fraction]:
     c, d = hi.numerator, hi.denominator
     m = points - 1
     start, step, den = a * d * m, c * b - a * d, b * d * m
-    xs = []
     for k in range(points):
         x = Fraction(start + step * k, den)
-        if x.denominator == 1:
-            x = x + _NUDGE
-        xs.append(x)
-    return xs
+        yield x + _NUDGE if x.denominator == 1 else x
 
 
 def figure_rows(which: int, lo, hi, points: int, n: int,
-                digits: int) -> list[list]:
-    """Header and data rows of figure ``which`` on ``points`` grid points in
-    [lo, hi]: 1 is B_{1,u} for u = x^(-1/2), 2 is B0, 3 the even part
-    B0(x) + B0(-x) and B_{1,log}, 4 their difference.  B_1 takes n terms
-    and B0 ``digits`` terms."""
+                digits: int) -> Iterator:
+    """Figure ``which`` on ``points`` grid points in [lo, hi], lazily: the
+    header, then a tuple of floats per point.  1 is B_{1,u} for u = x^(-1/2),
+    2 is B0, 3 the even part B0(x) + B0(-x) and B_{1,log}, 4 their difference.
+    B_1 takes n terms and B0 ``digits``; the arguments are checked at once."""
     if which not in (1, 2, 3, 4):
         raise ValueError(f"no figure {which!r}")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi or points < 2:
         raise ValueError("need lo < hi and points >= 2")
-    xs = _figure_grid(lo, hi, points)
-    # p/q of a Fraction is its correctly rounded double, as to_float gives
-    if which == 1:
-        u = make_u("inv_sqrt")
-        rows = [["x", "value"]]
-        for x in xs:
-            rows.append([x.numerator / x.denominator,
-                         brjuno_sum(x, 1, u, n, keep_terms=False).value])
-    elif which == 2:
-        rows = [["x", "value"]]
-        for x in xs:
-            rows.append([x.numerator / x.denominator,
-                         semi_brjuno(x, digits, keep_terms=False).value])
-    else:
-        u = make_u("log")
-        rows = [["x", "b0even", "b1"] if which == 3 else ["x", "diff"]]
-        b0 = [semi_brjuno(x, digits, keep_terms=False).value for x in xs]
-        # B0 depends only on the value mod 1, so B0(1 - x) is read off the
-        # mirror point xs[-1 - k] = 1 - x of a grid with lo + hi = 1.  A
-        # nudged point n + _NUDGE has a nudged mirror, so it goes off the
-        # grid, where all their mirrors, 1 - _NUDGE mod 1, share one orbit;
-        # any other point of that denominator only takes the same detour
-        mirrored = lo + hi == 1
-        off_grid = {}
-        for k, x in enumerate(xs):
-            if mirrored and x.denominator != _NUDGE.denominator:
-                b0_mirror = b0[-1 - k]
-            else:
-                key = (1 - x) % 1
-                if key not in off_grid:
-                    off_grid[key] = semi_brjuno(key, digits,
-                                                keep_terms=False).value
-                b0_mirror = off_grid[key]
-            b0e = b0[k] + b0_mirror
-            b1 = brjuno_sum(x, 1, u, n, keep_terms=False).value
-            if which == 3:
-                rows.append([x.numerator / x.denominator, b0e, b1])
-            else:
-                # difference of the 15-digit values figure 3 publishes, so
-                # the two CSVs agree bit-for-bit
-                rows.append([x.numerator / x.denominator,
-                             float(f"{b1:.15g}") - float(f"{b0e:.15g}")])
-    return rows
+    return _figure_rows(which, lo, hi, points, n, digits)
+
+
+def _figure_rows(which, lo, hi, points, n, digits):
+    yield (["x", "value"] if which < 3 else ["x", "b0even", "b1"]
+           if which == 3 else ["x", "diff"])
+    u = make_u("inv_sqrt" if which == 1 else "log")
+    xs, mirrored = _figure_grid(lo, hi, points), lo + hi == 1
+    cols, key = (array("d"), array("d"), array("d")), None
+    # 512 points at a time: a block's Fractions, then its B0 sums, then its
+    # B1 sums run faster than the three interleaved point by point
+    while block := list(islice(xs, 512)):
+        # p/q of a Fraction is its correctly rounded double, as to_float
+        xf = [x.numerator / x.denominator for x in block]
+        if which != 1:
+            b0 = [semi_brjuno(x, digits, keep_terms=False).value
+                  for x in block]
+        if which != 2:
+            b1 = [brjuno_sum(x, 1, u, n, keep_terms=False).value
+                  for x in block]
+        if which < 3:
+            yield from zip(xf, b1 if which == 1 else b0)
+            continue
+        # one double per point of x, B0 and B1.  B0(1 - x) = B0 at the mirror
+        # point of a grid with lo + hi = 1; once both are in, both slots
+        # hold the even part.  Nudged points, n + _NUDGE, and all others of
+        # that denominator, go off the grid with their mirrors; those of
+        # nudged points, 1 - _NUDGE mod 1, share one orbit
+        k0 = len(cols[0])
+        for col, vals in zip(cols, (xf, b0, b1)):
+            col.extend(vals)
+        b0e = cols[1]
+        for k, x in enumerate(block, k0):
+            if not mirrored or x.denominator == _NUDGE.denominator:
+                if (1 - x) % 1 != key:
+                    key = (1 - x) % 1
+                    b0_key = semi_brjuno(key, digits, keep_terms=False).value
+                b0e[k] += b0_key
+            elif 2 * k >= points - 1:
+                j = points - 1 - k
+                b0e[k] = b0e[j] = b0e[k] + b0e[j]
+    if which == 3:
+        yield from zip(*cols)
+    elif which == 4:
+        # difference of the 15-digit values figure 3 publishes, so the two
+        # CSVs agree bit-for-bit
+        for x, e, b in zip(*cols):
+            yield x, float(f"{b:.15g}") - float(f"{e:.15g}")
 
 
 # -- functional equations --------------------------------------------------

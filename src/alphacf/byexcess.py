@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .alpha import _beta_float, _convergents, _expansion, alpha_step
+from .alpha import (_beta_float, _convergent_text, _convergents, _expansion,
+                    alpha_step)
 from .exact import DomainError, RealValue, _json_text, floor_shift, sign_val
 
 
@@ -56,22 +57,25 @@ class MinusExpansion:
         raise IndexError(f"digit b_{k} not expanded")
 
     def to_csv_rows(self) -> list[list]:
+        """Header and one row per digit; p* and q* are exact Decimals."""
         rows = [["n", "b", "p_star", "q_star", "beta_star", "in_I_star"]]
         signs = [-1] * len(self.digits)
+        pstar, qstar = _convergent_text([(b, -1) for b in self.digits], 1)
         for n in range(len(self.digits)):
-            rows.append([n, self.digits[n], self.pstar[n], self.qstar[n],
+            rows.append([n, self.digits[n], pstar[n], qstar[n],
                          _beta_float(self.betastars, self.remainders,
                                      self.qstar, signs, n),
                          int(self.digits[n] == 2)])
         return rows
 
     def to_json(self) -> str:
+        pstar, qstar = _convergent_text([(b, -1) for b in self.digits], 1)
         return _json_text({
             "x": str(self.x),
             "digits": self.digits,
             "tail2": self.reached_one,
             "convergents": [{"p": p, "q": q}
-                            for p, q in zip(self.pstar, self.qstar)],
+                            for p, q in zip(pstar, qstar)],
         })
 
 

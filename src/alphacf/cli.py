@@ -12,11 +12,13 @@ import csv
 import io
 import json
 import math
+import os
 import statistics
 import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import exact
 from .alpha import alpha_expand
@@ -32,13 +34,20 @@ EXIT_UNWRITABLE = 4
 EXIT_THRESHOLD = 5
 
 
-def _write_out(text: str, out_path) -> None:
+def _write_out(text, out_path) -> None:
+    # text: a str or str chunks; a failed chunk leaves no partial file
+    chunks = [text] if isinstance(text, str) else text
     if out_path is None or out_path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out_path, "w", newline="") as fh:
-            fh.write(text)
+            try:
+                fh.writelines(chunks)
+            except BaseException:
+                if os.path.isfile(out_path):
+                    os.remove(out_path)
+                raise
     except OSError as exc:
         raise _Unwritable(str(exc)) from exc
 
@@ -47,14 +56,17 @@ class _Unwritable(Exception):
     pass
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _csv_text(rows):
+    """The CSV text of rows, one line at a time."""
     for row in rows:
-        writer.writerow([f"{v:.15g}" if isinstance(v, float)
-                         else _int_text(v) if type(v) is int else v
-                         for v in row])
-    return buf.getvalue()
+        cells = [f"{v:.15g}" if isinstance(v, float)
+                 else _int_text(v) if type(v) is int else v for v in row]
+        if any(isinstance(v, str) for v in row):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow(cells)
+            yield buf.getvalue()
+        else:   # numbers need no quoting, nor csv's pass over long digits
+            yield ",".join(map(str, cells)) + "\n"
 
 
 # -- subcommands -----------------------------------------------------------
@@ -126,12 +138,13 @@ def cmd_dict(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    header, *rows = figure_rows(args.which, args.lo, args.hi, args.points,
-                                args.n, args.digits)
-    # all data cells are floats: one format per row, as _csv_text writes it
-    line = ",".join(["{:.15g}"] * len(header)) + "\n"
-    _write_out(",".join(header) + "\n" + "".join(
-        line.format(*row) for row in rows), args.out)
+    rows = figure_rows(args.which, args.lo, args.hi, args.points, args.n,
+                       args.digits)
+    header = next(rows)
+    # float cells, as _csv_text writes them, 1024 rows at a time
+    line = ",".join(["%.15g"] * len(header)) + "\n"
+    chunks = iter(lambda: "".join(map(line.__mod__, islice(rows, 1024))), "")
+    _write_out(chain([",".join(header) + "\n"], chunks), args.out)
     return 0
 
 

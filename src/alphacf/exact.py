@@ -522,7 +522,7 @@ def to_float(x: RealValue) -> float:
 
 # -- text of large integers ------------------------------------------------
 
-def _int_text(n: int) -> str:
+def _int_text(n) -> str:
     """str(n), also past the int-to-str digit limit (4300 by default)."""
     try:
         return str(n)
@@ -531,18 +531,15 @@ def _int_text(n: int) -> str:
 
 
 def _json_text(obj) -> str:
-    """json.dumps(obj), also past the int-to-str digit limit: then each int
-    goes in as its digits behind a NUL and comes out as a bare number."""
+    """json.dumps(obj) with each int or Decimal as a bare number, also past
+    the int-to-str digit limit: it goes in as its digits behind a NUL."""
     def swap(v):
         if isinstance(v, dict):
             return {k: swap(w) for k, w in v.items()}
         if isinstance(v, list):
             return [swap(w) for w in v]
-        return "\0" + _int_text(v) if type(v) is int else v
-    try:
-        return json.dumps(obj)
-    except ValueError:
-        return re.sub(r'"\\u0000(-?\d+)"', r"\1", json.dumps(swap(obj)))
+        return "\0" + _int_text(v) if type(v) in (int, decimal.Decimal) else v
+    return re.sub(r'"\\u0000(-?\d+)"', r"\1", json.dumps(swap(obj)))
 
 
 # -- parsing ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import decimal
 import math
 import os
 import subprocess
@@ -5,13 +6,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphacf import exact
-from alphacf.alpha import (alpha_expand, alpha_reduce, alpha_step, beta_check,
-                           decay_check, legendre_filter, reconstruction_check,
-                           rho_alpha)
+from alphacf.alpha import (_convergent_text, _convergents, alpha_expand,
+                           alpha_reduce, alpha_step, beta_check, decay_check,
+                           legendre_filter, reconstruction_check, rho_alpha)
 from alphacf.exact import AdaptiveReal, DomainError, Surd, compare, to_float
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -181,6 +182,23 @@ class TestIdentities:
                 assert beta_check(exp).all_ok
                 assert reconstruction_check(exp)
                 assert decay_check(exp)
+
+    @given(steps=st.lists(st.tuples(st.integers(1, 10 ** 12),
+                                    st.sampled_from((-1, 1))),
+                          max_size=600),
+           eps0=st.sampled_from((-1, 1)))
+    @settings(max_examples=40, deadline=None)
+    @example(steps=[(10 ** 9, 1)] * 500, eps0=1)
+    @example(steps=[(2, -1), (10 ** 5000, 1), (3, -1)], eps0=-1)
+    def test_decimal_convergents_match_the_integers(self, steps, eps0):
+        # the writers' Decimal run of the recurrence gives the digits of
+        # the integer one, also past the 4300-digit int-to-str limit, and
+        # leaves the thread's decimal context as it was
+        before = decimal.getcontext().prec
+        got = _convergent_text(steps, eps0)
+        assert decimal.getcontext().prec == before
+        for dec, ints in zip(got, _convergents(steps, eps0)):
+            assert [str(v) for v in dec] == [exact._int_text(v) for v in ints]
 
     def test_determinants(self):
         exp = alpha_expand(Fraction(13, 29), Fraction(1, 3), 20)

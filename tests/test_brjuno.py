@@ -231,7 +231,7 @@ class TestReports:
 
 class TestFigureRows:
     def test_header_and_length(self):
-        rows = figure_rows(3, 0, 1, 9, 80, 400)
+        rows = list(figure_rows(3, 0, 1, 9, 80, 400))
         assert rows[0] == ["x", "b0even", "b1"]
         assert len(rows) == 10
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -70,7 +71,7 @@ def oracle_even_csv(which, lo, hi, points, digits, n):
         else:
             rows.append([float(x),
                          float(f"{b1:.15g}") - float(f"{b0e:.15g}")])
-    return _csv_text(rows)
+    return "".join(_csv_text(rows))
 
 
 @st.composite
@@ -373,7 +374,8 @@ class TestFigure:
     @example(ends=(Fraction(-1, 3), Fraction(5, 3)), points=3)
     def test_grid_matches_fraction_formula(self, ends, points):
         lo, hi = ends
-        assert _figure_grid(lo, hi, points) == oracle_grid(lo, hi, points)
+        assert list(_figure_grid(lo, hi, points)) == oracle_grid(lo, hi,
+                                                                points)
 
     # symmetric grids reuse B0 at the mirror point; on the other two, 1 - x
     # is off the grid or, at the integers, not the mirror value
@@ -401,6 +403,47 @@ class TestFigure:
     def test_bad_range(self, capsys):
         assert main(["figure", "--which", "1", "--lo", "1",
                      "--hi", "0"]) == 2
+
+    # x_0 = 10^-400 underflows at the first grid point, or at the last one
+    # after two chunks of rows have gone to the file
+    @pytest.mark.parametrize("grid", [
+        ["--lo", f"1/{10 ** 400}", "--hi", "1"],
+        ["--lo", "0", "--hi", f"{10 ** 400 + 1}/{10 ** 400}",
+         "--points", "3000", "--n", "1"],
+    ], ids=["first_point", "last_point"])
+    def test_failed_point_leaves_no_file(self, capsys, tmp_path, grid):
+        out = tmp_path / "fig.csv"
+        assert main(["figure", "--which", "1", *grid,
+                     "--out", str(out)]) == 2
+        assert "x_0 is below 2**-1074" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stdout_matches_out_file(self, capsys, tmp_path):
+        out = tmp_path / "fig.csv"
+        args = ["figure", "--which", "3", "--points", "2500",
+                "--digits", "500", "--n", "80"]
+        assert main(args + ["--out", str(out)]) == 0
+        code, printed = run(capsys, *args)
+        assert code == 0
+        assert printed.encode() == out.read_bytes()
+
+    # integer grid points: n + _NUDGE takes one step in either orbit, which
+    # keeps 20000 points quick under tracemalloc.  Figures 3 and 4 may keep
+    # three doubles per point; a grid held in lists takes 250-320 B
+    @pytest.mark.parametrize("which, per_point", [
+        (1, 0), (2, 0), (3, 24), (4, 24)])
+    def test_memory_per_grid_point(self, tmp_path, which, per_point):
+        out = tmp_path / "fig.csv"
+        args = ["figure", "--which", str(which), "--points", "20000",
+                "--lo", "0", "--hi", "19999", "--digits", "10",
+                "--out", str(out)]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20000 * per_point + 2 ** 19
 
 
 class TestHolderCommand:

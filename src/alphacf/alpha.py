@@ -18,11 +18,11 @@ import math
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import cycle, islice
-from typing import Optional
+from itertools import chain, cycle, islice
+from typing import Iterator, Optional
 
 from .exact import (AdaptiveReal, DomainError, ExactnessUnavailable,
-                    NeedsPrecision, RealValue, Surd, _json_text, _ladder,
+                    NeedsPrecision, RealValue, Surd, _json_chunks, _ladder,
                     _power_cmp, _surd_double, _surd_sign, compare,
                     floor_shift, is_exact, recip, sign_val, to_float)
 
@@ -88,17 +88,18 @@ class AlphaExpansion:
                 eps_count += 1
         return out
 
-    def to_json(self) -> str:
+    def to_json_chunks(self) -> Iterator[str]:
+        """The JSON text, one convergent per chunk."""
         p_seq, q_seq = _convergent_text(
             [(d.a, d.eps) for d in self.digits], self.eps0)
-        return _json_text({
+        return _json_chunks({
             "alpha": str(self.alpha),
             "x": str(self.x),
             "integer_part": self.integer_part,
             "digits": [{"a": d.a, "eps": d.eps} for d in self.digits],
-            "convergents": [{"p": p, "q": q} for p, q in zip(p_seq, q_seq)],
+            "convergents": None,
             "terminated": self.terminated,
-        })
+        }, "convergents", ({"p": p, "q": q} for p, q in zip(p_seq, q_seq)))
 
     def to_csv_rows(self) -> list[list]:
         """Header and one row per digit; p and q are exact Decimals."""
@@ -158,10 +159,10 @@ def _orbit(x: RealValue, alpha, m: tuple):
     digit is 2, c = den - num stays fixed and num falls by c, so the whole
     run is one record with k = (num - 1) // c.  A rational x steps on
     num/den = x_n itself and ends at a remainder 0 (a terminating
-    expansion) or 1 (the by-excess fixed point).  A Surd walks its exact
-    (P, Q, D) states (_surd_orbit) and yields the correctly rounded double
-    of x_n over 1, taken once per distinct state from one root of D; from
-    the first repeated state on it replays the stored period.  An
+    expansion) or 1 (the by-excess fixed point).  A Surd reads the record
+    of its exact (P, Q, D) states (_surd_period) to a limit that doubles,
+    and yields the correctly rounded double of x_n over 1, once per
+    distinct state, from one root of D; then it replays the period.  An
     AdaptiveReal walks the rational orbits of both ends of one enclosure in
     lockstep, a pair of records (a step is a run of one) in one frame.  A
     step is accepted when the ends give the same digit, sign and double
@@ -199,12 +200,15 @@ def _orbit(x: RealValue, alpha, m: tuple):
                 num, den = rem, num
         return
     if isinstance(x, Surd):
-        P0, Q0, k, d = _surd_state(x, m)
-        D = k * k * d
-        root = math.isqrt(D << 128)
-        yield from _surd_orbit(
-            P0, Q0, D, alpha,
-            lambda P, Q, a, e: (_surd_double(P, 1, Q, 0, D, root), 1, a, e, 1))
+        P, Q, D, _k, _d = _surd_state(x, m)
+        recs, limit, root = [], 64, math.isqrt(D << 128)
+        while True:   # the limit doubles until the record repeats
+            states, i = _surd_period(P, Q, D, alpha, limit)
+            for p, q, a, e in states[len(recs):]:
+                recs.append((_surd_double(p, 1, q, 0, D, root), 1, a, e, 1))
+                yield recs[-1]
+            yield from cycle(recs[i:])
+            limit *= 2
     for bits in _ladder("orbit step not certified at %d bits"):
         lo, hi = x.enclosure(bits)
         last = None   # both ends' states at the last certified step, a, eps
@@ -249,49 +253,45 @@ def _orbit(x: RealValue, alpha, m: tuple):
             m = eps * (C - a * A), eps * (D - a * B), A, B
 
 
-def _surd_state(x: Surd, m: tuple) -> tuple[int, int, int, int]:
-    """(P, Q, k, d) with m(x) = (P + k sqrt(d))/Q and Q | k^2 d - P^2, for
-    a seed matrix m = (A, B, 0, 1)."""
+def _surd_state(x: Surd, m: tuple) -> tuple[int, int, int, int, int]:
+    """(P, Q, D, k, d) with m(x) = (P + sqrt(D))/Q = (P + k sqrt(d))/Q and
+    Q | D - P^2, for a seed matrix m = (A, B, 0, 1)."""
     A, B, _C, _D = m
     x0 = A * x + B
     # (a + b sqrt(d))/c = (P + k sqrt(d))/Q with k = |b| c, P = +-a c and
     # Q = +-c^2, so that Q divides k^2 d - P^2 = c^2 (b^2 d - a^2)
-    sgn = 1 if x0.b > 0 else -1
-    return sgn * x0.a * x0.c, sgn * x0.c * x0.c, abs(x0.b) * x0.c, x0.d
+    sgn, k = (1 if x0.b > 0 else -1), abs(x0.b) * x0.c
+    return sgn * x0.a * x0.c, sgn * x0.c * x0.c, k * k * x0.d, k, x0.d
 
 
-def _surd_orbit(P: int, Q: int, D: int, alpha, make):
-    """make(P_n, Q_n, a_{n+1}, eps_{n+1}) along the A_alpha orbit of
-    x_0 = (P + sqrt(D))/Q, Q | D - P^2, with x_n = (P_n + sqrt(D))/Q_n,
-    called once per distinct state (it never ends).
+def _surd_period(P: int, Q: int, D: int, alpha, limit: int):
+    """The A_alpha orbit of x_0 = (P + sqrt(D))/Q, Q | D - P^2, as a finite
+    record (states, i): at most limit distinct states (P_n, Q_n, a_{n+1},
+    eps_{n+1}) of x_n = (P_n + sqrt(D))/Q_n in first-visit order, and the
+    index i the first repeated state returns to (Lagrange), else len(states).
+    A state fixes the rest, so the orbit is chain(states, cycle(states[i:])).
 
     1/x_n = (P1 + sqrt(D))/Q1 for P1 = -P_n and the integer
     Q1 = (D - P_n^2)/Q_n.  For alpha = r/s and X = s P1 + (s - r) Q1 the
     digit floor(1/x_n + 1 - alpha) is floor((X + s sqrt(D))/(s Q1)).
     s sqrt(D) lies strictly between R = isqrt(s^2 D) and R + 1, so the
     digit is (X + R) // (s Q1) for Q1 > 0 and (X + R + 1) // (s Q1) for
-    Q1 < 0.  A state fixes the rest of the orbit, so once the state first
-    seen at index i comes back (Lagrange) the walk replays its steps from
-    i on with no arithmetic; walk keeps them in first-visit order, so the
-    position of a state is its first index.
+    Q1 < 0.  a and eps follow from (P, Q), so a state is its own key.
     """
     r, s = alpha.numerator, alpha.denominator
     R = math.isqrt(s * s * D)
-    walk: dict[tuple[int, int], tuple] = {}
-    while True:
-        state = P, Q
-        if state in walk:
-            i = list(walk).index(state)
-            yield from cycle(list(walk.values())[i:])
+    seen: dict[tuple, int] = {}   # each state and its first index
+    for n in range(limit):
         Q1 = (D - P * P) // Q
         X = (s - r) * Q1 - s * P + R
         a = (X if Q1 > 0 else X + 1) // (s * Q1)
         P1 = -P - a * Q1
         # eps is the sign of 1/x_n - a = (P1 + sqrt(D))/Q1
         eps = 1 if (P1 >= 0 or P1 * P1 < D) == (Q1 > 0) else -1
-        step = walk[state] = make(P, Q, a, eps)
-        yield step
+        if (i := seen.setdefault((P, Q, a, eps), n)) < n:
+            return list(seen), i
         P, Q = P1, eps * Q1
+    return list(seen), limit
 
 
 def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
@@ -304,10 +304,10 @@ def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
     budget.  A Fraction's record (num, den, a, eps, k) has x_n = num/den in
     lowest terms and den_{n+1} = num_n, so beta_n = num_n/den_0 with den_0
     the denominator of x (the seed's den row is (0, 1)); a run record is k
-    steps with c = den - num fixed.  A Surd walks its (P, Q, D) states, one
-    remainder per distinct state, replayed with its period after the first
-    repeated state; an AdaptiveReal walks the certified kernel.  For both,
-    x_n = m_n(x), and beta_n = A_n x + B_n is the image of the num row of
+    steps with c = den - num fixed.  A Surd reads the record of its
+    (P, Q, D) states (_surd_period), one remainder per distinct state and
+    its period replayed; an AdaptiveReal walks the certified kernel.  For
+    both, x_n = m_n(x), and beta_n = A_n x + B_n is the image of the num row of
     m_n, which is +-(q_n, -p_n) on x - n_0: Lemma 1,
     beta_n = |q_n x' - p_n|, with no product chain.
     """
@@ -327,11 +327,11 @@ def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
     else:
         surd = isinstance(x, Surd)
         if surd:
-            P0, Q0, k, d = _surd_state(x, m)
+            P, Q, D, k, d = _surd_state(x, m)
+            states, i = _surd_period(P, Q, D, alpha, max_digits + 1)
             # Surd is immutable, so a replayed step shares its remainder
-            walk = _surd_orbit(
-                P0, Q0, k * k * d, alpha,
-                lambda P, Q, a, eps: (Surd._field(P, k, Q, d), a, eps))
+            walk = [(Surd._field(P, k, Q, d), a, e) for P, Q, a, e in states]
+            walk = chain(walk, cycle(walk[i:]))
         else:
             walk = ((None, a, eps)
                     for _num, _den, a, eps, _k in _orbit(x, alpha, m))

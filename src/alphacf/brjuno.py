@@ -15,14 +15,14 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, cycle, islice
 from typing import Callable, Iterator, Optional, Sequence
 
-from .alpha import (_alpha_seed, _convergents, _orbit, alpha_bar, alpha_step,
-                    rho_alpha)
+from .alpha import (_alpha_seed, _convergents, _orbit, _surd_period,
+                    _surd_state, alpha_bar, alpha_step, rho_alpha)
 from .byexcess import _reduce_mod1, minus_step
-from .exact import (DomainError, RealValue, compare, is_exact, sign_val,
-                    to_float)
+from .exact import (DomainError, RealValue, Surd, _surd_double, compare,
+                    is_exact, sign_val, to_float)
 
 _DELTA = 0.1   # weights are checked on the scales _DELTA 2^-k near 0
 
@@ -131,7 +131,9 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
 
     The input is reduced by x0 = |x - floor(x+1-alpha)| first; rational
     orbits terminate and contribute only their finite terms.  One pass over
-    the orbit reads each x_n as its correctly rounded double.  Only
+    the orbit reads each x_n as its correctly rounded double; a Surd takes
+    the double and u of each distinct state of its record (_surd_period)
+    once, and a step past the record is an index into its period.  Only
     with_q_series runs the q-recurrence and the companion series
     sum u(1/a_{n+1})/q_n over the same records.
     """
@@ -150,23 +152,44 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
     terms, recent = [], []   # recent: u of x_n for n > n_max - 5
     last5 = n_max - 5
     try:
-        for n, (num, den, a, eps, _k) in enumerate(_orbit(x, alpha, m)):
-            xf = num / den
-            uval = f(xf)
-            term = beta_prev * uval
-            value += term
-            if keep_terms:
-                terms.append((n, beta_prev, xf, term))
-            if with_q_series:
-                qs += f(1.0 / a) * _inv(q)
-                q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
-            if n > last5:
-                recent.append(uval)
-                if n == n_max:
-                    break
-            beta_prev *= xf
-        else:   # the orbit reached 0 within the budget
-            return BrjunoResult(value, n_max, terms, 0.0, True, qs)
+        if isinstance(x, Surd):
+            P, Q, D, _k, _d = _surd_state(x, m)
+            states, i = _surd_period(P, Q, D, alpha, n_max + 1)
+            fs, us, root = [], [], math.isqrt(D << 128)
+            for n, (P, Q, _a, _eps) in enumerate(states):
+                fs.append(xf := _surd_double(P, 1, Q, 0, D, root))
+                us.append(f(xf))
+            js = range(len(fs))
+            for j in islice(chain(js, cycle(js[i:])), n_max + 1):
+                term = beta_prev * us[j]
+                value += term
+                if keep_terms:
+                    terms.append((len(terms), beta_prev, fs[j], term))
+                if with_q_series:
+                    _P, _Q, a, eps = states[j]
+                    qs += f(1.0 / a) * _inv(q)
+                    q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
+                beta_prev *= fs[j]
+            recent = [us[j] for j in islice(chain(js, cycle(js[i:])),
+                                            max(last5 + 1, 0), n_max + 1)]
+        else:
+            for n, (num, den, a, eps, _k) in enumerate(_orbit(x, alpha, m)):
+                xf = num / den
+                uval = f(xf)
+                term = beta_prev * uval
+                value += term
+                if keep_terms:
+                    terms.append((n, beta_prev, xf, term))
+                if with_q_series:
+                    qs += f(1.0 / a) * _inv(q)
+                    q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
+                if n > last5:
+                    recent.append(uval)
+                    if n == n_max:
+                        break
+                beta_prev *= xf
+            else:   # the orbit reached 0 within the budget
+                return BrjunoResult(value, n_max, terms, 0.0, True, qs)
     except (ValueError, ZeroDivisionError):
         if xf:
             raise

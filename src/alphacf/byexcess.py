@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .alpha import (_beta_float, _convergent_text, _convergents, _expansion,
                     alpha_step)
-from .exact import DomainError, RealValue, _json_text, floor_shift, sign_val
+from .exact import DomainError, RealValue, _json_chunks, floor_shift, sign_val
 
 
 class SideMismatch(ValueError):
@@ -68,15 +68,15 @@ class MinusExpansion:
                          int(self.digits[n] == 2)])
         return rows
 
-    def to_json(self) -> str:
+    def to_json_chunks(self) -> Iterator[str]:
+        """The JSON text, one convergent per chunk."""
         pstar, qstar = _convergent_text([(b, -1) for b in self.digits], 1)
-        return _json_text({
+        return _json_chunks({
             "x": str(self.x),
             "digits": self.digits,
             "tail2": self.reached_one,
-            "convergents": [{"p": p, "q": q}
-                            for p, q in zip(pstar, qstar)],
-        })
+            "convergents": None,
+        }, "convergents", ({"p": p, "q": q} for p, q in zip(pstar, qstar)))
 
 
 def minus_step(x: RealValue) -> tuple[int, RealValue]:

@@ -77,10 +77,8 @@ def cmd_expand(args) -> int:
     # alpha = 0 prints the by-excess expansion with its symbolic 2-tail
     exp = (minus_expand(x, args.n) if alpha == 0
            else alpha_expand(x, alpha, args.n))
-    if args.format == "json":
-        _write_out(exp.to_json() + "\n", args.out)
-    else:
-        _write_out(_csv_text(exp.to_csv_rows()), args.out)
+    _write_out(chain(exp.to_json_chunks(), "\n") if args.format == "json"
+               else _csv_text(exp.to_csv_rows()), args.out)
     return 0
 
 

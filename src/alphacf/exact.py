@@ -21,7 +21,7 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 DEFAULT_BITS = 128
 PRECISION_CAP = 1 << 16
@@ -415,7 +415,7 @@ def _surd_double(a: int, b: int, c: int, e: int, d: int, root=None) -> float:
     t, root = 64, root or math.isqrt(d << 128)
     while True:
         n, m = (a << t) + b * root, (c << t) + e * root
-        if m * (m + e) > 0:
+        if m > 0 < m + e or m < 0 > m + e:   # one sign, with no product
             f = n / m
             if f == (n + b) / (m + e):
                 return f
@@ -530,16 +530,24 @@ def _int_text(n) -> str:
         return str(decimal.Decimal(n))
 
 
-def _json_text(obj) -> str:
-    """json.dumps(obj) with each int or Decimal as a bare number, also past
-    the int-to-str digit limit: it goes in as its digits behind a NUL."""
+def _json_chunks(obj: dict, key: str, items) -> Iterator[str]:
+    """json.dumps(obj) with obj[key] the list of items, one item per chunk,
+    and each int or Decimal a bare number, also past the int-to-str digit
+    limit: it goes in as its digits behind a NUL."""
+    def text(v):
+        return re.sub(r'"\\u0000(-?\d+)"', r"\1", json.dumps(swap(v)))
+
     def swap(v):
         if isinstance(v, dict):
             return {k: swap(w) for k, w in v.items()}
         if isinstance(v, list):
             return [swap(w) for w in v]
         return "\0" + _int_text(v) if type(v) in (int, decimal.Decimal) else v
-    return re.sub(r'"\\u0000(-?\d+)"', r"\1", json.dumps(swap(obj)))
+    head, _, tail = text({**obj, key: "\1"}).partition('"\\u0001"')
+    yield head + "["
+    for n, item in enumerate(items):
+        yield (", " if n else "") + text(item)
+    yield "]" + tail
 
 
 # -- parsing ---------------------------------------------------------------

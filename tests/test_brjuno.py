@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import alphacf
-from alphacf import brjuno, exact
+from alphacf import alpha, brjuno, exact
 from alphacf.brjuno import (DIFF_KINDS, ConditionViolation, b0_even,
                             b0_qseries, brjuno_sum, diff_report, figure_rows,
                             functional_residual, log_denominator_sum, make_u,
@@ -19,6 +20,8 @@ GAMMA = Surd(-1, 1, 1, 2)
 
 LOG_G = math.log((math.sqrt(5) - 1) / 2)
 G_F = (math.sqrt(5) - 1) / 2
+# a radicand this large repeats no state within any budget here
+NO_REPEAT = Surd(1, 1, 2, 10 ** 29 + 319)
 
 
 class TestWeights:
@@ -149,6 +152,64 @@ class TestPrecisionIndependence:
         with exact.precision(bits=2, cap=2):
             assert [brjuno_sum(x, alpha, u, 200).tail_estimate
                     for alpha in (Fraction(1, 5), Fraction(3, 8))] == want
+
+
+class TestSurdRecord:
+    def test_one_double_per_distinct_state(self, monkeypatch):
+        # the golden mean at alpha = 1/2 repeats at once: 401 steps replay
+        # the double and the weight of one state
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return exact._surd_double(*args)
+
+        monkeypatch.setattr(brjuno, "_surd_double", counted)
+        for keep_terms in (False, True):
+            res = brjuno_sum(G, Fraction(1, 2), make_u("log"), 400,
+                             keep_terms=keep_terms, with_q_series=keep_terms)
+            assert res.value == pytest.approx(-2 * LOG_G / G_F, rel=1e-12)
+        assert len(calls) == 2 and calls[0] == calls[1]
+
+    def test_orbit_without_repeat_walks_what_it_reads(self, monkeypatch):
+        # semi_brjuno stops at beta* < 1e-22 after 200 of its 10^4 steps:
+        # the record doubles its limit from 64, and each double is taken
+        # as the sum reads it
+        doubles, records = [], []
+
+        def double(*args):
+            doubles.append(args)
+            return exact._surd_double(*args)
+
+        def period(*args, walk=alpha._surd_period):
+            states, i = walk(*args)
+            records.append(len(states))
+            return states, i
+
+        monkeypatch.setattr(alpha, "_surd_double", double)
+        monkeypatch.setattr(alpha, "_surd_period", period)
+        res = semi_brjuno(NO_REPEAT, 10 ** 4)
+        assert len(res.terms) == len(doubles) == 200
+        assert records == [64, 128, 256]
+
+    def test_memory_of_an_orbit_without_repeat(self):
+        # one key per state: 214 B per state, where a tuple and a double
+        # kept beside each key took 257 B
+        n = 2 * 10 ** 4
+        tracemalloc.start()
+        try:
+            brjuno_sum(NO_REPEAT, Fraction(1, 2), make_u("log"), n,
+                       keep_terms=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 235 * n
+
+    def test_surd_below_the_double_range(self):
+        x = Surd(1, 1, 10 ** 400, 2)
+        for u in ("log", "inv_sqrt"):
+            with pytest.raises(DomainError, match="x_0 is below 2"):
+                brjuno_sum(x, 1, make_u(u), 5)
 
 
 class TestFunctionalEquations:

@@ -848,3 +848,129 @@ def test_deep_cube_root_orbit():
                                                    with_q_series=True)))
     assert results[0][4]  # converged
     assert agree(results[0], results[1])
+
+
+# -- surd sums against a step chain that keeps no record -------------------
+#
+# brjuno_sum, q_series and semi_brjuno read a Surd's orbit off the record of
+# its distinct (P, Q, D) states and replay its period.  The chain below
+# steps the exact remainders with alpha_step (minus_step by excess) for the
+# whole budget and certifies each double by enclosures, so it shares
+# neither the record, nor its replay, nor the integer-rounded double.  The
+# budgets end just before and at the first repeat, i + L - 1 and i + L.
+
+PERIOD_ALPHAS = ALPHAS + (Fraction(1, 100),)
+PERIOD_STEPS = 400
+
+
+def benchmark_pool():
+    """(a + b sqrt(d))/c in (0, 1) for d in 2..13 square-free, c in 1..4
+    and b in (1, -1, 2), as the benchmark builds its surd pool."""
+    out = set()
+    for d in (2, 3, 5, 6, 7, 10, 11, 13):
+        for c in (1, 2, 3, 4):
+            for b in (1, -1, 2):
+                reach = abs(b) * (math.isqrt(d) + 1) + c
+                out.update(x for x in (Surd(a, b, c, d)
+                                       for a in range(-reach, reach + 1))
+                           if 0 < x < 1)
+    return sorted(out, key=lambda x: (x.d, x.c, x.b, x.a))
+
+
+PERIOD_SURDS = list(dict.fromkeys(SURDS + benchmark_pool()))
+
+
+def chain_without_record(x, alpha, steps):
+    """(doubles, digits, budgets): the certified double of x_0 .. x_steps
+    and the (a, eps) after each, from the exact step chain, and the budgets
+    0, 1, i + L - 1, i + L and steps, with i + L the first index whose
+    remainder came before (left out when none does within the chain)."""
+    chain = step_chain(x, alpha, steps + 1)
+    seen, budgets = set(), {0, 1, steps}
+    for n, (xn, _a, _eps) in enumerate(chain):
+        if xn in seen:
+            budgets.update((n - 1, n))
+            break
+        seen.add(xn)
+    return ([oracle_float(xn) for xn, _a, _eps in chain],
+            [(a, eps) for _xn, a, eps in chain], sorted(budgets))
+
+
+def chain_brjuno_sum(doubles, digits, alpha, u, n_max):
+    """brjuno_sum with its terms and companion q-series, term by term."""
+    value, beta, qs, q_prev, q, eps_prev = 0.0, 1.0, 0.0, 0, 1, 1
+    terms, weights = [], []
+    for n in range(n_max + 1):
+        xf, (a, eps) = doubles[n], digits[n]
+        weights.append(u.eval(xf))
+        term = beta * weights[-1]
+        value += term
+        terms.append((n, beta, xf, term))
+        qs += u.eval(1.0 / a) * _inv(q)
+        q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
+        beta *= xf
+    rho = to_float(rho_alpha(alpha))
+    tail = (float(alpha_bar(alpha)) * rho ** n_max / (1.0 - rho)
+            * max(max(weights[-5:]), u.M1))
+    return BrjunoResult(value, n_max, terms, tail,
+                        term < 1e-12 and tail < 1e-6, qs)
+
+
+def chain_semi_brjuno(doubles, digits, n_max):
+    """semi_brjuno of a Surd with its terms and companion q*-series, cut
+    where beta* falls below 1e-22."""
+    value = istar = qs = 0.0
+    beta, q_prev, q, terms = 1.0, 0, 1, []
+    for n in range(n_max + 1):
+        xf, b = doubles[n], digits[n][0]
+        term = beta * -math.log(xf)
+        value += term
+        if b == 2:
+            istar += term
+        else:
+            qs += math.log(b - 1) * _inv(q)
+        terms.append((n, beta, xf, term))
+        beta *= xf
+        q_prev, q = q, b * q - q_prev
+        if beta < 1e-22:
+            break
+    return BrjunoResult(value, n_max, terms, 2.0 * beta, 2.0 * beta < 1e-12,
+                        qs, istar)
+
+
+def hex_fields(res, terms=True):
+    def h(v):
+        return None if v is None else v.hex()
+    return (h(res.value), h(res.tail_estimate), res.converged,
+            h(res.companion_q_series), h(res.istar_sum),
+            [tuple(map(h, t[1:])) for t in res.terms] if terms else None)
+
+
+@pytest.mark.parametrize("alpha", PERIOD_ALPHAS, ids=str)
+def test_surd_sums_match_a_chain_without_record(alpha):
+    for x in PERIOD_SURDS:
+        doubles, digits, budgets = chain_without_record(x, alpha,
+                                                        PERIOD_STEPS)
+        for n in budgets:
+            for u in WEIGHTS.values():
+                want = chain_brjuno_sum(doubles, digits, alpha, u, n)
+                got = brjuno_sum(x, alpha, u, n, with_q_series=True)
+                assert hex_fields(got) == hex_fields(want), (x, n, u.name)
+                got = brjuno_sum(x, alpha, u, n, keep_terms=False)
+                assert hex_fields(got, False)[:3] == \
+                    hex_fields(want, False)[:3], (x, n, u.name)
+                assert q_series(x, alpha, u, n).hex() == \
+                    want.companion_q_series.hex(), (x, n, u.name)
+
+
+def test_surd_semi_brjuno_matches_a_chain_without_record():
+    for x in PERIOD_SURDS:
+        doubles, digits, budgets = chain_without_record(x, Fraction(0),
+                                                        PERIOD_STEPS)
+        for n in budgets:
+            want = chain_semi_brjuno(doubles, digits, n)
+            got = semi_brjuno(x, n, with_q_series=True)
+            assert hex_fields(got) == hex_fields(want), (x, n)
+            got = semi_brjuno(x, n, keep_terms=False)
+            assert hex_fields(got, False)[:3] + hex_fields(got)[4:5] == \
+                hex_fields(want, False)[:3] + hex_fields(want)[4:5], (x, n)

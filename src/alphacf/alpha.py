@@ -145,7 +145,9 @@ def _alpha_seed(x: RealValue, alpha) -> tuple[int, int, tuple]:
         eps0 = -1 if p < n0 * q else 1
     else:
         n0 = floor_shift(x, alpha)
-        eps0 = sign_val(x - n0) or 1
+        # x - n0 >= 0 at alpha = 1; else compare decides its sign, in
+        # integers for a Surd and with no Moebius image of an AdaptiveReal
+        eps0 = 1 if alpha == 1 else compare(x, n0) or 1
     return n0, eps0, (eps0, -eps0 * n0, 0, 1)
 
 
@@ -167,11 +169,10 @@ def _orbit(x: RealValue, alpha, m: tuple):
     lockstep, a pair of records (a step is a run of one) in one frame.  A
     step is accepted when the ends give the same digit, sign and double
     (all monotone in x_n), and the walk yields that certified double over
-    1.  Else it climbs the _ladder, and goes on from m_n: m_{n-1} is
-    solved from the two ends' last certified states, [num; den] = m_{n-1}
-    [p; q] for each end p/q, and stepped by that step's digit.  No matrix
-    is kept per step.  A point enclosure (lo = hi) walks the same lockstep
-    to the end of its orbit.
+    1.  Else it climbs the _ladder, and goes on from m_n, solved from the
+    two ends' states at the first uncertified step n: [num; den] = m_n
+    [p; q] for each end p/q.  No matrix or state is kept per step.  A point
+    enclosure (lo = hi) walks the same lockstep to the end of its orbit.
     """
     r, s = alpha.numerator, alpha.denominator
     if not 0 <= r <= s:
@@ -211,24 +212,23 @@ def _orbit(x: RealValue, alpha, m: tuple):
             limit *= 2
     for bits in _ladder("orbit step not certified at %d bits"):
         lo, hi = x.enclosure(bits)
-        last = None   # both ends' states at the last certified step, a, eps
+        k = None   # the steps left of the last record pair; None before one
         # an end that leaves (0, 1) stops its walk and so the zip; both
         # rows stay positive over the enclosure (the new den row is the old
         # num row), so the pole of m_n stays outside it
         for (num0, den0, a, eps, k0), (num1, den1, a1, eps1, k1) in zip(
                 _orbit(lo, alpha, m), _orbit(hi, alpha, m)):
-            if a != a1 or eps != eps1:
-                break
             # a record of k steps on each end, each end with its fixed c; an
             # inline min and no update after the last step keep k = 1 cheap
             k = k0 if k0 < k1 else k1
+            if a != a1 or eps != eps1:
+                break
             c0, c1 = den0 - num0, den1 - num1
             while True:
                 f = num0 / den0
                 if f != num1 / den1:
                     break
                 yield f, 1, a, eps, 1
-                last = num0, den0, num1, den1, a, eps
                 k -= 1
                 if not k:
                     break
@@ -239,29 +239,31 @@ def _orbit(x: RealValue, alpha, m: tuple):
         else:
             if lo == hi:
                 return   # a point enclosure: the orbit of x itself ended
-        if last is not None:
-            # m_{n-1} [p; q] = [num; den] on both ends; lo != hi, so the
-            # 2x2 system has the one (integer) solution
-            num0, den0, num1, den1, a, eps = last
-            p0, q0 = lo.numerator, lo.denominator
-            p1, q1 = hi.numerator, hi.denominator
-            det = p0 * q1 - p1 * q0
-            A = (num0 * q1 - num1 * q0) // det
-            B = (num1 * p0 - num0 * p1) // det
-            C = (den0 * q1 - den1 * q0) // det
-            D = (den1 * p0 - den0 * p1) // det
-            m = eps * (C - a * A), eps * (D - a * B), A, B
+        if k is None:
+            continue   # no record: m(lo) or m(hi) is outside (0, 1)
+        if not k:
+            # both ends hold the last certified step's state; step them
+            num0, den0 = eps * (den0 - a * num0), num0
+            num1, den1 = eps * (den1 - a * num1), num1
+        # m_n [p; q] = [num; den] on both ends at the first uncertified
+        # step n; lo != hi, so the 2x2 system has the one (integer) solution
+        p0, q0 = lo.numerator, lo.denominator
+        p1, q1 = hi.numerator, hi.denominator
+        det = p0 * q1 - p1 * q0
+        m = ((num0 * q1 - num1 * q0) // det, (num1 * p0 - num0 * p1) // det,
+             (den0 * q1 - den1 * q0) // det, (den1 * p0 - den0 * p1) // det)
 
 
 def _surd_state(x: Surd, m: tuple) -> tuple[int, int, int, int, int]:
     """(P, Q, D, k, d) with m(x) = (P + sqrt(D))/Q = (P + k sqrt(d))/Q and
-    Q | D - P^2, for a seed matrix m = (A, B, 0, 1)."""
+    Q | D - P^2, for a seed matrix m = (A, B, 0, 1) with A = +-1."""
     A, B, _C, _D = m
-    x0 = A * x + B
-    # (a + b sqrt(d))/c = (P + k sqrt(d))/Q with k = |b| c, P = +-a c and
-    # Q = +-c^2, so that Q divides k^2 d - P^2 = c^2 (b^2 d - a^2)
-    sgn, k = (1 if x0.b > 0 else -1), abs(x0.b) * x0.c
-    return sgn * x0.a * x0.c, sgn * x0.c * x0.c, k * k * x0.d, k, x0.d
+    a, b, c, d = x.a, x.b, x.c, x.d
+    # A x + B = (a' + A b sqrt(d))/c, a' = A a + B c, in lowest terms is
+    # (P + k sqrt(d))/Q with k = |b| c, P = +-a' c and Q = +-c^2 (the sign
+    # of A b), so that Q divides k^2 d - P^2 = c^2 (b^2 d - a'^2)
+    sgn, k = (A if b > 0 else -A), abs(b) * c
+    return sgn * (A * a + B * c) * c, sgn * c * c, k * k * d, k, d
 
 
 def _surd_period(P: int, Q: int, D: int, alpha, limit: int):
@@ -332,22 +334,22 @@ def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
             # Surd is immutable, so a replayed step shares its remainder
             walk = [(Surd._field(P, k, Q, d), a, e) for P, Q, a, e in states]
             walk = chain(walk, cycle(walk[i:]))
+            xa, xb, xc = x.a, x.b, x.c
         else:
             walk = ((None, a, eps)
                     for _num, _den, a, eps, _k in _orbit(x, alpha, m))
+        A, B, C, D = m
         for xn, a, eps in islice(walk, max_digits + 1):
-            A, B, C, D = m
             # beta_n = A x + B: the den row of m_{n+1} is the num row of
             # m_n, and m_0 has den 1
             if surd:
                 remainders.append(xn)
-                betas.append(Surd._field(A * x.a + B * x.c, A * x.b, x.c,
-                                         x.d))
+                betas.append(Surd._field(A * xa + B * xc, A * xb, xc, d))
             else:
                 remainders.append(x.mobius(A, B, C, D))
                 betas.append(x.mobius(A, B, 0, 1))
             steps.append((a, eps))
-            m = eps * (C - a * A), eps * (D - a * B), A, B
+            A, B, C, D = eps * (C - a * A), eps * (D - a * B), A, B
     ended = len(steps) <= max_digits
     if ended:
         # x_D is exactly 0, or the fixed point 1 at alpha = 0, where

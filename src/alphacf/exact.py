@@ -18,7 +18,7 @@ import decimal
 import json
 import math
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from fractions import Fraction
 from typing import Callable, Iterator, Union
@@ -143,11 +143,12 @@ class Surd:
         # c first: it is small where a and b can be long (a beta of a deep
         # orbit), and gcd stops at the first argument that brings it to 1
         g = math.gcd(c, a, b)
-        # the slot descriptors store directly, past the __setattr__ guard
-        Surd.a.__set__(self, a // g)
-        Surd.b.__set__(self, b // g)
-        Surd.c.__set__(self, c // g)
-        Surd.d.__set__(self, d)
+        # the slot descriptors' setters, bound once below, store past the
+        # __setattr__ guard with no method-wrapper built per call
+        _SET_A(self, a // g)
+        _SET_B(self, b // g)
+        _SET_C(self, c // g)
+        _SET_D(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Surd is immutable")
@@ -302,15 +303,13 @@ class Surd:
         return self._cmp(other) >= 0
 
     def enclosure(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Certified enclosure of width <= 2**(1-bits) * |b|/c roughly."""
-        s = math.isqrt(self.d << (2 * bits))
-        lo_rt = Fraction(s, 1 << bits)
-        hi_rt = Fraction(s + 1, 1 << bits)
-        if self.b >= 0:
-            t_lo, t_hi = self.b * lo_rt, self.b * hi_rt
-        else:
-            t_lo, t_hi = self.b * hi_rt, self.b * lo_rt
-        return (self.a + t_lo) / self.c, (self.a + t_hi) / self.c
+        """Certified enclosure of width <= 2**(1-bits).  sqrt(d) 2^t lies in
+        [s, s + 1] for s = isqrt(d 4^t), so the width is |b|/c 2^-t: t is
+        bits, with guard bits only where |b| > 2c."""
+        a, b, c = self.a, self.b, self.c
+        t = bits + max(((abs(b) - 1) // c).bit_length() - 1, 0)
+        n = (a << t) + b * math.isqrt(self.d << 2 * t)
+        return Fraction(min(n, n + b), c << t), Fraction(max(n, n + b), c << t)
 
     def __float__(self):
         # (+-a + sqrt(b^2 d))/(+-c), the sign of b: b r would cancel with a
@@ -319,9 +318,7 @@ class Surd:
                             self.b * self.b * self.d)
 
     def __floor__(self) -> int:
-        # b sqrt(d) lies strictly between +-r and +-(r + 1), r = isqrt(b^2 d)
-        r = math.isqrt(self.b * self.b * self.d)
-        return (self.a + r if self.b > 0 else self.a - r - 1) // self.c
+        return floor_shift(self, 1)
 
     def __repr__(self):
         return f"Surd({self.a}, {self.b}, {self.c}, {self.d})"
@@ -397,10 +394,14 @@ class AdaptiveReal:
         return _nearest_float(self)
 
     def __repr__(self):
-        return f"AdaptiveReal(~{float(self)!r})"
+        with suppress(NeedsPrecision):
+            return f"AdaptiveReal(~{float(self)!r})"
+        return "AdaptiveReal(~?, no double certified at the cap)"
 
 
 RealValue = Union[Fraction, Surd, AdaptiveReal]
+_SET_A, _SET_B, _SET_C, _SET_D = (Surd.a.__set__, Surd.b.__set__,
+                                  Surd.c.__set__, Surd.d.__set__)
 
 
 def _surd_double(a: int, b: int, c: int, e: int, d: int, root=None) -> float:
@@ -424,16 +425,14 @@ def _surd_double(a: int, b: int, c: int, e: int, d: int, root=None) -> float:
 
 
 def _nearest_float(x: AdaptiveReal) -> float:
-    """The correctly rounded double of x: the precision doubles until both
-    ends of an enclosure round to the same double (rounding is monotone);
-    at the cap the lower end's double is returned."""
-    bits, cap = _PRECISION.get()
-    while True:
+    """The correctly rounded double of x: the precision climbs the _ladder
+    until both ends of an enclosure round to the same double (rounding is
+    monotone), NeedsPrecision past the cap."""
+    for bits in _ladder("double not certified at %d bits"):
         lo, hi = x.enclosure(bits)
         f = float(lo)
-        if f == float(hi) or bits >= cap:
+        if f == float(hi):
             return f
-        bits *= 2
 
 
 # -- generic operations ----------------------------------------------------
@@ -505,13 +504,19 @@ def floor_shift(x: RealValue, alpha) -> int:
     alpha = Fraction(alpha)
     if isinstance(x, (int, Fraction)):
         return math.floor(Fraction(x) + 1 - alpha)
+    r, s = alpha.numerator, alpha.denominator
     if isinstance(x, Surd):
-        return math.floor(x + (1 - alpha))
+        # x + 1 - alpha = (a + b sqrt(d))/(s c), and b sqrt(d) lies strictly
+        # between +-q and +-(q + 1) for q = isqrt(b^2 d)
+        a, b = s * x.a + (s - r) * x.c, s * x.b
+        q = math.isqrt(b * b * x.d)
+        return (a + q if b > 0 else a - q - 1) // (s * x.c)
     for p in _ladder(f"floor(x + 1 - {alpha}) not certified at %d bits "
                      "(input may sit exactly on a boundary)"):
         lo, hi = x.enclosure(p)
-        flo = math.floor(lo + 1 - alpha)
-        fhi = math.floor(hi + 1 - alpha)
+        # floor(N/D + 1 - r/s) = (N s + (s - r) D) // (D s) on each end
+        flo, fhi = ((e.numerator * s + (s - r) * e.denominator)
+                    // (e.denominator * s) for e in (lo, hi))
         if flo == fhi:
             return flo
 

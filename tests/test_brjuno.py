@@ -154,6 +154,26 @@ class TestPrecisionIndependence:
                     for alpha in (Fraction(1, 5), Fraction(3, 8))] == want
 
 
+class TestAdaptiveSeed:
+    def test_gauss_seed_builds_no_moebius_image(self, monkeypatch):
+        # at alpha = 1, x - floor(x) >= 0 is not certified, and the orbit
+        # walks the ends of x's own enclosures: no Moebius image of x
+        images = []
+
+        def counted(self, *m, mobius=exact.AdaptiveReal.mobius):
+            images.append(m)
+            return mobius(self, *m)
+
+        monkeypatch.setattr(exact.AdaptiveReal, "mobius", counted)
+        semi = semi_brjuno(exact.AdaptiveReal.from_exact(G), 10 ** 4,
+                           keep_terms=False)
+        gauss = brjuno_sum(exact.AdaptiveReal.from_exact(G), 1, make_u("log"),
+                           400, keep_terms=False)
+        assert images == []
+        assert semi.value == pytest.approx(-3 * LOG_G, rel=1e-12)
+        assert gauss.value == pytest.approx(-LOG_G / G_F ** 2, rel=1e-12)
+
+
 class TestSurdRecord:
     def test_one_double_per_distinct_state(self, monkeypatch):
         # the golden mean at alpha = 1/2 repeats at once: 401 steps replay

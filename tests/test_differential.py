@@ -29,8 +29,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alphacf import exact
-from alphacf.alpha import (_alpha_seed, _orbit, alpha_bar, alpha_expand,
-                          alpha_reduce, alpha_step, decay_check, rho_alpha)
+from alphacf.alpha import (_alpha_seed, _orbit, _surd_state, alpha_bar,
+                          alpha_expand, alpha_reduce, alpha_step, decay_check,
+                          rho_alpha)
 from alphacf.brjuno import (BrjunoResult, _inv, _logq_vs_loga,
                             brjuno_sum, log_denominator_sum, make_u,
                             q_series, semi_brjuno)
@@ -588,6 +589,32 @@ def test_adaptive_restarts_inside_runs():
     assert inside >= 2
 
 
+TINY = Fraction(1, 2 ** 500)
+
+
+@pytest.mark.parametrize("alpha, x, generator, steps", [
+    # hi = 1/3 while the bits are below 500: its orbit ends after the first
+    # step, which both ends certify, so the zip stops on a certified step
+    (Fraction(1), Fraction(1, 3) - TINY, lambda x, bits: (
+        x - Fraction(1, 2 ** bits), min(x + Fraction(1, 2 ** bits),
+                                        Fraction(1, 3))), 2),
+    # the ends straddle 2/3, so x_1 straddles 1/2: the run of 2's of hi is
+    # one step longer than lo's, and the lockstep stops where lo's ends
+    (Fraction(0), Fraction(2, 3) + TINY, lambda x, bits: (
+        x - Fraction(1, 2 ** bits), x + Fraction(1, 2 ** bits)), 3),
+], ids=["end_terminates", "runs_differ"])
+def test_adaptive_restart_after_a_certified_step(alpha, x, generator, steps):
+    # the loop exits on a certified step, so the restart steps both ends
+    # once more before it solves m_n; else step 0 would come again
+    adaptive = AdaptiveReal(lambda bits: generator(x, bits))
+    m = (1, 0, 0, 1)
+    with exact.precision(bits=64):
+        got = list(islice(unroll(_orbit(adaptive, alpha, m)), steps))
+    want = list(islice(unroll(_orbit(x, alpha, m)), steps))
+    assert [(a, eps, (num / den).hex()) for num, den, a, eps in got] == \
+        [(a, eps, (num / den).hex()) for num, den, a, eps in want]
+
+
 EXPANSION_BUDGETS = (0, 1, 5, 120)
 
 
@@ -974,3 +1001,122 @@ def test_surd_semi_brjuno_matches_a_chain_without_record():
             got = semi_brjuno(x, n, keep_terms=False)
             assert hex_fields(got, False)[:3] + hex_fields(got)[4:5] == \
                 hex_fields(want, False)[:3] + hex_fields(want)[4:5], (x, n)
+
+
+# -- integer decisions of seeds, floors and enclosures ---------------------
+#
+# floor_shift, the seed's sign eps0, _surd_state and Surd.enclosure decide
+# in integers what was once computed with Fraction and Surd arithmetic; the
+# references below are that arithmetic.
+
+SEED_ALPHAS = (Fraction(0), Fraction(1, 100), Fraction(1, 5), Fraction(3, 7),
+               Fraction(1, 2), Fraction(1))
+# MIXED_SURDS has b < 0, c > 1, x < 0 and x > 1; (7 + sqrt(5))/2 at 1/5 and
+# (-9 - sqrt(2))/5 at 1/2 seed eps0 = -1, and the last two cancel far below
+# 1 in a + b sqrt(d)
+SEED_SURDS = MIXED_SURDS + [
+    Surd(7, 1, 2, 5), Surd(-9, -1, 5, 2), Surd(1, 1, 2, 10 ** 29 + 319),
+    Surd(-999999, 1, 1, 999998000002),
+    Surd(2999997, -3, 10 ** 6, 999998000002)]
+
+
+def surd_floor(y):
+    """floor(y) of a Surd in the integers of its (a, b, c, d)."""
+    r = math.isqrt(y.b * y.b * y.d)
+    return (y.a + r if y.b > 0 else y.a - r - 1) // y.c
+
+
+def surd_seed(x, alpha):
+    """(n0, eps0, _surd_state) from Surd arithmetic: the Surds x + 1 - alpha,
+    x - n0 and x_0 = eps0 x - eps0 n0."""
+    n0 = surd_floor(x + (1 - alpha))
+    eps0 = sign_val(x - n0) or 1
+    x0 = eps0 * x - eps0 * n0
+    sgn, k = (1 if x0.b > 0 else -1), abs(x0.b) * x0.c
+    return n0, eps0, (sgn * x0.a * x0.c, sgn * x0.c * x0.c, k * k * x0.d, k,
+                      x0.d)
+
+
+def check_seed(x, alpha):
+    n0, eps0, m = _alpha_seed(x, alpha)
+    assert exact.floor_shift(x, alpha) == n0
+    assert n0 <= x + (1 - alpha) < n0 + 1
+    assert (n0, eps0, _surd_state(x, m)) == surd_seed(x, alpha), (x, alpha)
+    return eps0
+
+
+@pytest.mark.parametrize("alpha", SEED_ALPHAS, ids=str)
+def test_surd_seed_matches_surd_arithmetic(alpha):
+    signs = {check_seed(x, alpha) for x in SEED_SURDS + benchmark_pool()}
+    assert signs == ({1} if alpha == 1 else {-1} if alpha == 0 else {-1, 1})
+
+
+@given(args=surd_args(), alpha=st.sampled_from(SEED_ALPHAS))
+@settings(max_examples=300, deadline=None)
+def test_surd_seed_matches_surd_arithmetic_at_random(args, alpha):
+    check_seed(Surd(*args), alpha)
+
+
+def fraction_floor_shift(x, alpha):
+    """floor(x + 1 - alpha) of an AdaptiveReal on its enclosures' ends, in
+    Fraction arithmetic, climbing the same ladder."""
+    for p in exact._ladder("floor not certified at %d bits"):
+        lo, hi = x.enclosure(p)
+        if math.floor(lo + 1 - alpha) == math.floor(hi + 1 - alpha):
+            return math.floor(lo + 1 - alpha)
+
+
+@given(n=st.integers(-5, 5), alpha=st.sampled_from(SEED_ALPHAS),
+       k=st.one_of(st.none(), st.integers(1, 80)),
+       side=st.sampled_from((-1, 1)), w=st.integers(1, 9))
+@settings(max_examples=300, deadline=None)
+def test_adaptive_floor_shift_matches_fraction_arithmetic(n, alpha, k, side,
+                                                          w):
+    # x sits 2^-k off (or, for k None, on) n - 1 + alpha, where
+    # floor(x + 1 - alpha) steps; the enclosures, of half-width
+    # (w/3) 2^-bits, straddle it until the bits pass k
+    v = n - 1 + alpha + (side * Fraction(1, 2 ** k) if k else 0)
+
+    def adaptive(asked):
+        return AdaptiveReal(lambda bits: asked.append(bits) or (
+            v - Fraction(w, 3 << bits), v + Fraction(w, 3 << bits)))
+
+    got, want = [], []
+    for floor, asked in ((exact.floor_shift, got),
+                         (fraction_floor_shift, want)):
+        x = adaptive(asked)
+        with exact.precision(bits=4, cap=256):
+            try:
+                asked.append(floor(x, alpha))
+            except exact.NeedsPrecision:
+                asked.append(None)
+    assert got == want
+    assert (got[-1] is None) == (k is None)
+
+
+def fraction_enclosure(x, bits):
+    """Surd.enclosure at bits in Fraction arithmetic: the ends a + b r over
+    c for the ends r of sqrt(d)'s dyadic enclosure."""
+    s = math.isqrt(x.d << (2 * bits))
+    lo_rt, hi_rt = Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)
+    t_lo, t_hi = ((x.b * lo_rt, x.b * hi_rt) if x.b >= 0
+                  else (x.b * hi_rt, x.b * lo_rt))
+    return (x.a + t_lo) / x.c, (x.a + t_hi) / x.c
+
+
+@given(args=surd_args(), bits=st.integers(1, 300))
+@settings(max_examples=300, deadline=None)
+@example(args=(-1, 1, 2, 5), bits=64)
+@example(args=(1, 2, 1, 3), bits=7)   # |b| = 2c, no guard bit
+@example(args=(1, 3, 1, 3), bits=7)   # |b| = 3c, one guard bit
+@example(args=(5, -1000, 1, 2), bits=128)
+def test_surd_enclosure_matches_fraction_arithmetic(args, bits):
+    # the Fraction ends at bits + g for the fewest guard bits g that keep
+    # the width within 2^(1-bits): none where |b| <= 2c
+    x = Surd(*args)
+    g = 0
+    while (lambda lo, hi: hi - lo)(*fraction_enclosure(x, bits + g)) > \
+            Fraction(2) ** (1 - bits):
+        g += 1
+    assert x.enclosure(bits) == fraction_enclosure(x, bits + g)
+    assert g == 0 or abs(x.b) > 2 * x.c

@@ -238,14 +238,17 @@ class TestAdaptive:
         assert lo <= Fraction(9, 7) <= hi
 
 
+# beta_40 at alpha = 1/2 and beta*_60 of the golden mean are tiny surds
+# with large coefficients, where a fixed-width midpoint is far off
+FLOAT_VALUES = pytest.mark.parametrize("value", [
+    G, Surd(-1, 1, 1, 2),
+    alpha_expand(G, Fraction(1, 2), 40).betas[40],
+    minus_expand(G, 60).betastars[60],
+], ids=["golden", "silver", "beta40", "betastar60"])
+
+
 class TestFloat:
-    # beta_40 at alpha = 1/2 and beta*_60 of the golden mean are tiny surds
-    # with large coefficients, where a fixed-width midpoint is far off
-    @pytest.mark.parametrize("value", [
-        G, Surd(-1, 1, 1, 2),
-        alpha_expand(G, Fraction(1, 2), 40).betas[40],
-        minus_expand(G, 60).betastars[60],
-    ], ids=["golden", "silver", "beta40", "betastar60"])
+    @FLOAT_VALUES
     def test_correctly_rounded(self, value):
         lo, hi = enclosure(value, 300)
         assert float(lo) == float(hi)
@@ -261,13 +264,34 @@ class TestFloat:
                  minus_expand(G, 60).betastars[60])):
             assert float(got) == float(enclosure(want, 300)[0])
 
-    def test_lower_end_at_the_cap(self):
+    @FLOAT_VALUES
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_enclosure_width(self, value, bits):
+        # AdaptiveReal's contract, also for a surd with |b| > 2c (beta40
+        # has |b|/c near 10^16), which takes guard bits
+        for x in (value, AdaptiveReal.from_exact(value)):
+            lo, hi = enclosure(x, bits)
+            assert lo < hi <= lo + Fraction(2) ** (1 - bits)
+
+    def test_tie_raises_at_the_cap(self):
         # 1 + 2**-53 is the tie between 1 and the next double, so no
         # enclosure around it rounds to one double
         tie = 1 + Fraction(1, 2 ** 53)
         x = AdaptiveReal(lambda bits: (tie - Fraction(1, 2 ** bits),
                                        tie + Fraction(1, 2 ** bits)))
-        assert float(x) == 1.0
+        with pytest.raises(NeedsPrecision) as err:
+            float(x)
+        assert str(err.value) == "double not certified at 65536 bits"
+        assert repr(x) == "AdaptiveReal(~?, no double certified at the cap)"
+
+    def test_float_climbs_the_ladder(self):
+        # at 32 bits the ends of sqrt(2) - 1 still round to two doubles;
+        # the lower one, 0x1.a827999c00000p-2, is not the value's
+        silver = AdaptiveReal.from_exact(Surd(-1, 1, 1, 2))
+        with pytest.raises(NeedsPrecision), precision(16, 32):
+            float(silver)
+        assert float(silver).hex() == "0x1.a827999fcef32p-2"
+        assert repr(silver) == "AdaptiveReal(~0.41421356237309503)"
 
 
 class TestParsing:

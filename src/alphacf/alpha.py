@@ -17,6 +17,7 @@ import decimal
 import math
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, cycle, islice
 from typing import Iterator, Optional
@@ -56,7 +57,9 @@ class ConvergentPair:
 
 @dataclass
 class AlphaExpansion:
-    """Digits, remainders, convergents and beta products of one input."""
+    """Digits, remainders, convergents and beta products of one input;
+    betas is built on first read (_betas) and cached, and assigning it
+    overrides it."""
 
     alpha: Fraction
     x: RealValue
@@ -66,8 +69,12 @@ class AlphaExpansion:
     remainders: list  # x_0 .. x_D
     p_seq: list[int]  # p_0 .. p_D
     q_seq: list[int]  # q_0 .. q_D
-    betas: list       # beta_0 .. beta_D
     terminated: bool
+
+    @cached_property
+    def betas(self) -> list:   # beta_0 .. beta_D
+        return _betas(self.x, self.eps0, self.integer_part,
+                      [(d.a, d.eps) for d in self.digits], self.remainders)
 
     def reduced(self) -> RealValue:
         """x - integer_part, the signed value the convergents approximate."""
@@ -107,21 +114,24 @@ class AlphaExpansion:
         signs = [d.eps for d in self.digits]
         p_seq, q_seq = _convergent_text(
             [(d.a, d.eps) for d in self.digits], self.eps0)
+        xr = self.reduced()   # a Surd's last row has no q_{n+1}: Lemma 1
+        beta = (lambda n: abs(xr * self.q_seq[n] - self.p_seq[n])
+                if isinstance(xr, Surd) else self.betas[n])
         for n, d in enumerate(self.digits, start=1):
             rows.append([n, d.a, d.eps, p_seq[n], q_seq[n],
-                         _beta_float(self.betas, self.remainders, self.q_seq,
+                         _beta_float(beta, self.remainders, self.q_seq,
                                      signs, n)])
         return rows
 
 
-def _beta_float(betas, remainders, q_seq, signs, n: int) -> float:
+def _beta_float(beta, remainders, q_seq, signs, n: int) -> float:
     """The double of beta_n, with signs[n] = eps_{n+1}.  A surd beta_n
     cancels to about 1/q_n, but 1/(q_{n+1} + eps_{n+1} q_n x_{n+1}) is
     c/(a' + b' sqrt(d)) for x_{n+1} = (a + b sqrt(d))/c, with nothing to
-    cancel, for _surd_double.  Else, or without q_{n+1}, to_float(beta_n)."""
+    cancel, for _surd_double.  Else, or without q_{n+1}, to_float(beta(n))."""
     x = remainders[n + 1] if n + 1 < len(q_seq) else None
     if not isinstance(x, Surd):
-        return to_float(betas[n])
+        return to_float(beta(n))
     eps_q = signs[n] * q_seq[n]
     return _surd_double(x.c, 0, x.c * q_seq[n + 1] + eps_q * x.a,
                         eps_q * x.b, x.d)
@@ -297,67 +307,67 @@ def _surd_period(P: int, Q: int, D: int, alpha, limit: int):
 
 
 def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
-    """(steps, remainders, betas, ended): the A_alpha orbit of x_0 = m(x),
-    read off the kernel for every carrier.
+    """(steps, remainders, ended): the A_alpha orbit of x_0 = m(x), read off
+    the kernel for every carrier, with no beta (_betas builds those).
 
-    steps are the (a, eps) of at most max_digits steps, remainders x_0 ..
-    x_D and betas x_0 ... x_n; ended says the orbit reached 0 (a
-    terminating expansion) or 1 (the by-excess fixed point) within the
-    budget.  A Fraction's record (num, den, a, eps, k) has x_n = num/den in
-    lowest terms and den_{n+1} = num_n, so beta_n = num_n/den_0 with den_0
-    the denominator of x (the seed's den row is (0, 1)); a run record is k
-    steps with c = den - num fixed.  A Surd reads the record of its
-    (P, Q, D) states (_surd_period), one remainder per distinct state and
-    its period replayed; an AdaptiveReal walks the certified kernel.  For
-    both, x_n = m_n(x), and beta_n = A_n x + B_n is the image of the num row of
-    m_n, which is +-(q_n, -p_n) on x - n_0: Lemma 1,
-    beta_n = |q_n x' - p_n|, with no product chain.
+    steps are the (a, eps) of at most max_digits steps and remainders x_0 ..
+    x_D; ended says the orbit reached 0 (a terminating expansion) or 1 (the
+    by-excess fixed point) within the budget.  A Fraction's record (num,
+    den, a, eps, k) is k steps from x_n = num/den with c = den - num fixed.
+    A Surd reads the record of its (P, Q, D) states (_surd_period), one
+    remainder per distinct state and its period replayed; an AdaptiveReal
+    walks the certified kernel, x_n = m_n(x).
     """
-    steps, remainders, betas = [], [], []
+    steps, remainders = [], []
     if isinstance(x, (int, Fraction)):
-        den0 = x.denominator
         for num, den, a, eps, k in _orbit(x, alpha, m):
             c = den - num
             # along a record den - num stays c and num falls by c per step
             run = range(num, num - k * c, -c)
             for n in run[:max_digits + 1 - len(steps)]:
                 remainders.append(Fraction(n, n + c))
-                betas.append(Fraction(n, den0))
                 steps.append((a, eps))
             if len(steps) > max_digits:
                 break
+    elif isinstance(x, Surd):
+        P, Q, D, k, d = _surd_state(x, m)
+        states, i = _surd_period(P, Q, D, alpha, max_digits + 1)
+        # Surd is immutable, so a replayed step shares its remainder
+        walk = [(Surd._field(P, k, Q, d), (a, e)) for P, Q, a, e in states]
+        walk = islice(chain(walk, cycle(walk[i:])), max_digits + 1)
+        remainders, steps = map(list, zip(*walk))
     else:
-        surd = isinstance(x, Surd)
-        if surd:
-            P, Q, D, k, d = _surd_state(x, m)
-            states, i = _surd_period(P, Q, D, alpha, max_digits + 1)
-            # Surd is immutable, so a replayed step shares its remainder
-            walk = [(Surd._field(P, k, Q, d), a, e) for P, Q, a, e in states]
-            walk = chain(walk, cycle(walk[i:]))
-            xa, xb, xc = x.a, x.b, x.c
-        else:
-            walk = ((None, a, eps)
-                    for _num, _den, a, eps, _k in _orbit(x, alpha, m))
         A, B, C, D = m
-        for xn, a, eps in islice(walk, max_digits + 1):
-            # beta_n = A x + B: the den row of m_{n+1} is the num row of
-            # m_n, and m_0 has den 1
-            if surd:
-                remainders.append(xn)
-                betas.append(Surd._field(A * xa + B * xc, A * xb, xc, d))
-            else:
-                remainders.append(x.mobius(A, B, C, D))
-                betas.append(x.mobius(A, B, 0, 1))
+        for _num, _den, a, eps, _k in islice(_orbit(x, alpha, m),
+                                             max_digits + 1):
+            remainders.append(x.mobius(A, B, C, D))
             steps.append((a, eps))
             A, B, C, D = eps * (C - a * A), eps * (D - a * B), A, B
     ended = len(steps) <= max_digits
-    if ended:
-        # x_D is exactly 0, or the fixed point 1 at alpha = 0, where
-        # beta_D = beta_{D-1} (or 1 for D = 0)
-        last = Fraction(0) if alpha else Fraction(1)
-        remainders.append(last)
-        betas.append(betas[-1] if alpha == 0 and betas else last)
-    return steps[:max_digits], remainders, betas, ended
+    if ended:   # x_D is exactly 0, or the fixed point 1 at alpha = 0
+        remainders.append(Fraction(0) if alpha else Fraction(1))
+    return steps[:max_digits], remainders, ended
+
+
+def _betas(x: RealValue, eps0: int, n0: int, steps, remainders) -> list:
+    """beta_n for each remainder x_n = m_n(x), m_0 = (eps0, -eps0 n0, 0, 1).
+    A Fraction's x_n = num_n/den_n is in lowest terms and den_{n+1} = num_n,
+    so beta_n = num_n/den_0 telescopes, den_0 that of x.  Else beta_n =
+    A_n x + B_n, the num row of m_n walked over the digits: +-(q_n, -p_n)
+    on x - n_0, so Lemma 1 with no product chain.  An ended orbit's 0 has
+    beta 0; alpha = 0's fixed point 1 repeats the last beta (1 for D = 0).
+    """
+    if isinstance(x, (int, Fraction)):
+        return [Fraction(r.numerator, x.denominator) for r in remainders]
+    betas, A, B, C, D = [], eps0, -eps0 * n0, 0, 1
+    for xn, (a, eps) in zip(remainders, chain(steps, [(0, 1)])):
+        if isinstance(xn, Fraction):   # the ended entry, or the 1's pad
+            betas.append(betas[-1] if xn and betas else xn)
+        else:   # the den row of m_{n+1} is the num row of m_n
+            betas.append(Surd._field(A * x.a + B * x.c, A * x.b, x.c, x.d)
+                         if isinstance(x, Surd) else x.mobius(A, B, 0, 1))
+            A, B, C, D = eps * (C - a * A), eps * (D - a * B), A, B
+    return betas
 
 
 def _convergents(steps, eps0: int, one=1) -> tuple[list, list]:
@@ -408,9 +418,8 @@ def alpha_expand(x: RealValue, alpha, max_digits: int) -> AlphaExpansion:
     Stops early when a remainder hits zero (rational input); at alpha = 0
     the fixed point 1 repeats the digit 2 with sign -1 up to the budget.
     Convergents follow p_n = a_n p_{n-1} + eps_{n-1} p_{n-2} from the
-    identity seed.  Every carrier walks the orbit kernel; beta_n is the
-    telescoped num_n/den_0 for a rational, else |q_n x' - p_n| (Lemma 1)
-    off a Surd's (P, Q, D) states or the certified integer-matrix orbit.
+    identity seed.  Every carrier walks the orbit kernel; exp.betas is
+    built on first read, cached and can be overridden (see _betas).
     """
     if max_digits < 0:
         raise ValueError("max_digits must be >= 0")
@@ -418,18 +427,17 @@ def alpha_expand(x: RealValue, alpha, max_digits: int) -> AlphaExpansion:
     if not 0 <= alpha <= 1:
         raise DomainError(f"alpha must be in [0,1], got {alpha}")
     n0, eps0, m = _alpha_seed(x, alpha)
-    steps, remainders, betas, ended = _expansion(x, alpha, m, max_digits)
+    steps, remainders, ended = _expansion(x, alpha, m, max_digits)
     if ended and alpha == 0:
         # A_0(1) = 1 with the digit 2 and the sign -1
         pad = max_digits - len(steps)
         steps += [(2, -1)] * pad
         remainders += [Fraction(1)] * pad
-        betas += betas[-1:] * pad
         ended = False
     p_seq, q_seq = _convergents(steps, eps0)
     return AlphaExpansion(alpha, x, n0, eps0,
                           [AlphaDigit(a, eps) for a, eps in steps],
-                          remainders, p_seq, q_seq, betas, ended)
+                          remainders, p_seq, q_seq, ended)
 
 
 @dataclass

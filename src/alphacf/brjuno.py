@@ -68,7 +68,7 @@ def _check_conditions(u: Callable[[float], float],
                       du: Callable[[float], float]) -> None:
     scales = [_DELTA * 2.0 ** (-k) for k in range(1, 51)]
     u_vals = [u(t) for t in scales]
-    if u_vals[-1] < 10.0 or u_vals[-1] <= u_vals[0]:
+    if not u_vals[-1] >= 10.0 or u_vals[-1] <= u_vals[0]:
         raise ConditionViolation("u does not diverge at the origin")
     for label, seq in (("x*u(x)", [t * u(t) for t in scales]),
                        ("x^2*u'(x)", [abs(t * t * du(t)) for t in scales])):
@@ -87,7 +87,7 @@ def make_u(name: str, sigma: Optional[float] = None,
         ev = lambda t: t ** -0.5
         dv = lambda t: -0.5 * t ** -1.5
     elif name == "power":
-        if sigma is None or sigma <= 1:
+        if sigma is None or not sigma > 1:
             raise ConditionViolation("power weight requires sigma > 1")
         ev = lambda t: t ** (-1.0 / sigma)
         dv = lambda t: -(1.0 / sigma) * t ** (-1.0 / sigma - 1.0)

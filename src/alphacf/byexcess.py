@@ -17,11 +17,12 @@ two expansions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .alpha import (_beta_float, _convergent_text, _convergents, _expansion,
-                    alpha_step)
+from .alpha import (_beta_float, _betas, _convergent_text, _convergents,
+                    _expansion, alpha_step)
 from .exact import DomainError, RealValue, _json_chunks, floor_shift, sign_val
 
 
@@ -35,7 +36,9 @@ class MalformedStream(ValueError):
 
 @dataclass
 class MinusExpansion:
-    """Finite prefix of a by-excess expansion, with a symbolic 2-tail."""
+    """Finite prefix of a by-excess expansion, with a symbolic 2-tail;
+    betastars is built on first read (_betas) and cached, and assigning it
+    overrides it."""
 
     x: RealValue
     x0: RealValue
@@ -43,8 +46,12 @@ class MinusExpansion:
     remainders: list        # x_0 .. x_D
     pstar: list[int]        # p*_0 .. p*_D
     qstar: list[int]        # q*_0 .. q*_D
-    betastars: list         # beta*_0 .. beta*_D  (= x_0...x_n)
     reached_one: bool       # remainder hit 1: all further digits are 2
+
+    @cached_property
+    def betastars(self) -> list:   # beta*_0 .. beta*_D (= x_0...x_n)
+        return _betas(self.x0, 1, 0, [(b, -1) for b in self.digits],
+                      self.remainders)
 
     def digit(self, k: int) -> int:
         """b_k (1-based); returns the symbolic tail of 2's past the end."""
@@ -63,8 +70,8 @@ class MinusExpansion:
         pstar, qstar = _convergent_text([(b, -1) for b in self.digits], 1)
         for n in range(len(self.digits)):
             rows.append([n, self.digits[n], pstar[n], qstar[n],
-                         _beta_float(self.betastars, self.remainders,
-                                     self.qstar, signs, n),
+                         _beta_float(lambda n: self.betastars[n],
+                                     self.remainders, self.qstar, signs, n),
                          int(self.digits[n] == 2)])
         return rows
 
@@ -105,18 +112,18 @@ def minus_expand(x: RealValue, max_digits: int) -> MinusExpansion:
     The input is reduced mod 1 into (0, 1] first (integers map to 1).
     Convergents satisfy p*_n = b_n p*_{n-1} - p*_{n-2} with seeds fixed by
     p*_1/q*_1 = 1/b_1 and unimodularity p*_n q*_{n-1} - p*_{n-1} q*_n = 1.
-    Every carrier walks the orbit kernel of x_0 (see ``alpha_expand``), with
-    beta*_n = num_n/den_0 for a rational and q*_n x_0 - p*_n otherwise.
+    Every carrier walks the orbit kernel of x_0 (see ``alpha_expand``);
+    betastars is built on first read, cached and can be overridden.
     """
     if max_digits < 0:
         raise ValueError("max_digits must be >= 0")
     x0 = _reduce_mod1(x)
-    steps, remainders, betastars, reached_one = _expansion(
+    steps, remainders, reached_one = _expansion(
         x0, Fraction(0), (1, 0, 0, 1), max_digits)
     # every sign is -1, so from eps_0 = +1 this is the p* recurrence
     pstar, qstar = _convergents(steps, 1)
     return MinusExpansion(x, x0, [b for b, _eps in steps], remainders,
-                          pstar, qstar, betastars, reached_one)
+                          pstar, qstar, reached_one)
 
 
 @dataclass

@@ -501,7 +501,7 @@ def floor_shift(x: RealValue, alpha) -> int:
     family: alpha=1 gives the plain floor, alpha=1/2 rounds to nearest,
     alpha=0 gives the by-excess ceiling-like floor.
     """
-    alpha = Fraction(alpha)
+    alpha = alpha if isinstance(alpha, (int, Fraction)) else Fraction(alpha)
     if isinstance(x, (int, Fraction)):
         return math.floor(Fraction(x) + 1 - alpha)
     r, s = alpha.numerator, alpha.denominator

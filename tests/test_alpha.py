@@ -13,6 +13,7 @@ from alphacf import exact
 from alphacf.alpha import (_convergent_text, _convergents, alpha_expand,
                            alpha_reduce, alpha_step, beta_check, decay_check,
                            legendre_filter, reconstruction_check, rho_alpha)
+from alphacf.byexcess import minus_expand
 from alphacf.exact import AdaptiveReal, DomainError, Surd, compare, to_float
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -205,6 +206,38 @@ class TestIdentities:
         for c in exp.convergents:
             assert c.p_prev * c.q - c.q_prev * c.p == c.det
             assert c.det in (-1, 1)
+
+
+class TestLazyBetas:
+    # an expansion builds its betas on first read, and its writers read
+    # none of a surd's: the CSV takes a surd beta from q_{n+1} and x_{n+1},
+    # or from Lemma 1 on its last row
+    @pytest.mark.parametrize("expand, key", [
+        (lambda x: alpha_expand(x, 0, 60), "betas"),
+        (lambda x: alpha_expand(x, Fraction(1, 2), 60), "betas"),
+        (lambda x: minus_expand(x, 60), "betastars"),
+    ], ids=["alpha_0", "alpha_1/2", "minus"])
+    def test_surd_expansion_and_writers_build_no_beta(self, expand, key):
+        exp = expand(Surd(2, -1, 4, 3))
+        assert key not in vars(exp)
+        exp.to_csv_rows()
+        assert key not in vars(exp)
+        "".join(exp.to_json_chunks())
+        assert key not in vars(exp)
+        betas = getattr(exp, key)
+        assert len(betas) == len(exp.remainders) == 61
+        assert getattr(exp, key) is betas is vars(exp)[key]
+
+    def test_rational_minus_expand_builds_no_beta(self):
+        exp = minus_expand(Fraction(4999, 5000), 6000)
+        assert "betastars" not in vars(exp)
+        assert exp.betastars[-1] == Fraction(1, 5000)
+
+    def test_assignment_overrides(self):
+        exp = alpha_expand(G, Fraction(1, 2), 10)
+        exp.betas = [Fraction(1)]
+        assert exp.betas == [Fraction(1)]
+        assert not beta_check(exp).all_ok
 
 
 class TestLegendre:

@@ -26,9 +26,16 @@ NO_REPEAT = Surd(1, 1, 2, 10 ** 29 + 319)
 
 class TestWeights:
     def test_power_needs_sigma_above_one(self):
-        with pytest.raises(ConditionViolation):
-            make_u("power", sigma=1.0)
+        for sigma in (1.0, math.nan):
+            with pytest.raises(ConditionViolation):
+                make_u("power", sigma=sigma)
         make_u("power", sigma=2.0)  # fine
+
+    def test_nan_weight_rejected(self):
+        # a NaN compares False both ways, so it must fail "u >= 10"
+        with pytest.raises(ConditionViolation):
+            make_u("custom", eval_fn=lambda t: math.nan,
+                   deriv_fn=lambda t: math.nan)
 
     def test_custom_violating_weight_rejected(self):
         # u = 1/x^2 fails lim x*u(x) < infinity

@@ -203,6 +203,12 @@ class TestScalarCommands:
                 f"error: x_{n} is below 2**-1074, outside the double range\n")
         assert run(capsys, "b0", "--x", str(x))[0] == 0
 
+    def test_nan_sigma_exits_2(self, capsys):
+        # a NaN sigma is no sigma > 1: a ConditionViolation, not "NaN"
+        assert main(["brjuno", "--x", "1/3", "--u", "power",
+                     "--sigma", "nan"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_ledger_csv(self, capsys):
         code, out = run(capsys, "b0", "--x", "5/7", "--ledger")
         assert code == 0

@@ -812,19 +812,22 @@ def encloses(adaptive, value) -> bool:
     return lo <= value <= hi
 
 
-@pytest.mark.parametrize("x", SURDS[:5], ids=str)
+@pytest.mark.parametrize("x", SURDS[:5] + [Fraction(5, 7), Fraction(3, 4)],
+                         ids=str)
 def test_adaptive_remainders_and_betas(x):
     # remainders and betas are Moebius images of x that enclose the exact
-    # surd values, and so are the single steps
+    # values, and so are the single steps; a rational's point enclosure
+    # ends its orbit, with the exact ended entry and, at alpha = 0, the pad
     adaptive = AdaptiveReal.from_exact(x)
-    alpha_pair = [alpha_expand(y, Fraction(1, 2), 40) for y in (x, adaptive)]
-    minus_pair = [minus_expand(y, 40) for y in (x, adaptive)]
-    for want, got in ((alpha_pair[0].remainders, alpha_pair[1].remainders),
-                      (alpha_pair[0].betas, alpha_pair[1].betas),
-                      (minus_pair[0].remainders, minus_pair[1].remainders),
-                      (minus_pair[0].betastars, minus_pair[1].betastars)):
-        assert len(got) == len(want)
-        assert all(encloses(g, w) for g, w in zip(got, want))
+    pairs = [[(alpha_expand(y, alpha, 40), "betas") for y in (x, adaptive)]
+             for alpha in (Fraction(1, 2), Fraction(0))]
+    pairs.append([(minus_expand(y, 40), "betastars") for y in (x, adaptive)])
+    for (exact_exp, key), (adaptive_exp, _key) in pairs:
+        for name in ("remainders", key):
+            want = getattr(exact_exp, name)
+            got = getattr(adaptive_exp, name)
+            assert len(got) == len(want)
+            assert all(encloses(g, w) for g, w in zip(got, want))
     for step in (lambda y: alpha_step(y, 1), minus_step):
         (digit, nxt), (a_digit, a_nxt) = step(x), step(adaptive)
         assert a_digit == digit and encloses(a_nxt, nxt)

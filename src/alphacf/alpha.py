@@ -27,6 +27,8 @@ from .exact import (AdaptiveReal, DomainError, ExactnessUnavailable,
                     _power_cmp, _surd_double, _surd_sign, compare,
                     floor_shift, is_exact, recip, sign_val, to_float)
 
+_RUN_RECORD = 64   # the most steps in one certified run record (_orbit)
+
 
 def alpha_bar(alpha) -> Fraction:
     """Right endpoint of the expansion interval: max(alpha, 1 - alpha)."""
@@ -106,7 +108,7 @@ class AlphaExpansion:
             "digits": [{"a": d.a, "eps": d.eps} for d in self.digits],
             "convergents": None,
             "terminated": self.terminated,
-        }, "convergents", ({"p": p, "q": q} for p, q in zip(p_seq, q_seq)))
+        }, "convergents", zip(p_seq, q_seq))
 
     def to_csv_rows(self) -> list[list]:
         """Header and one row per digit; p and q are exact Decimals."""
@@ -176,13 +178,16 @@ def _orbit(x: RealValue, alpha, m: tuple):
     and yields the correctly rounded double of x_n over 1, once per
     distinct state, from one root of D; then it replays the period.  An
     AdaptiveReal walks the rational orbits of both ends of one enclosure in
-    lockstep, a pair of records (a step is a run of one) in one frame.  A
-    step is accepted when the ends give the same digit, sign and double
-    (all monotone in x_n), and the walk yields that certified double over
-    1.  Else it climbs the _ladder, and goes on from m_n, solved from the
-    two ends' states at the first uncertified step n: [num; den] = m_n
-    [p; q] for each end p/q.  No matrix or state is kept per step.  A point
-    enclosure (lo = hi) walks the same lockstep to the end of its orbit.
+    lockstep, a pair of records in one frame.  A step is accepted when the
+    ends give the same digit, sign and double (all monotone in x_n), and
+    yields that certified double over 1, (f, 1, a, eps, 1); where both ends
+    hold runs (k > 1, alpha = 0 only) the certified doubles go out as
+    records (doubles, 0, 2, -1, len(doubles)) of at most _RUN_RECORD steps,
+    as a sum may stop inside a run.  At the first uncertified step n it
+    yields the certified prefix, climbs the _ladder, and goes on from m_n,
+    solved from the two ends' states there: [num; den] = m_n [p; q] for
+    each end p/q.  No matrix or state is kept per step.  A point enclosure
+    (lo = hi) walks the same lockstep to the end of its orbit.
     """
     r, s = alpha.numerator, alpha.denominator
     if not 0 <= r <= s:
@@ -228,22 +233,33 @@ def _orbit(x: RealValue, alpha, m: tuple):
         # num row), so the pole of m_n stays outside it
         for (num0, den0, a, eps, k0), (num1, den1, a1, eps1, k1) in zip(
                 _orbit(lo, alpha, m), _orbit(hi, alpha, m)):
-            # a record of k steps on each end, each end with its fixed c; an
-            # inline min and no update after the last step keep k = 1 cheap
             k = k0 if k0 < k1 else k1
             if a != a1 or eps != eps1:
                 break
-            c0, c1 = den0 - num0, den1 - num1
-            while True:
+            if k == 1:
                 f = num0 / den0
                 if f != num1 / den1:
                     break
                 yield f, 1, a, eps, 1
-                k -= 1
-                if not k:
-                    break
-                num0, den0 = num0 - c0, num0
-                num1, den1 = num1 - c1, num1
+                k = 0
+            else:   # runs on both ends, each with its fixed c
+                c0, c1 = den0 - num0, den1 - num1
+                fs = []
+                while True:
+                    f = num0 / den0
+                    if f != num1 / den1:
+                        break
+                    fs.append(f)
+                    k -= 1
+                    if not k:
+                        break
+                    if len(fs) == _RUN_RECORD:
+                        yield fs, 0, a, eps, _RUN_RECORD
+                        fs = []
+                    num0, den0 = num0 - c0, num0
+                    num1, den1 = num1 - c1, num1
+                if fs:   # the certified prefix of a run that parts
+                    yield fs, 0, a, eps, len(fs)
             if k or k0 != k1:
                 break   # an uncertified step, or one end's run goes on
         else:
@@ -316,7 +332,7 @@ def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
     den, a, eps, k) is k steps from x_n = num/den with c = den - num fixed.
     A Surd reads the record of its (P, Q, D) states (_surd_period), one
     remainder per distinct state and its period replayed; an AdaptiveReal
-    walks the certified kernel, x_n = m_n(x).
+    walks the certified kernel, k steps per record, x_n = m_n(x).
     """
     steps, remainders = [], []
     if isinstance(x, (int, Fraction)):
@@ -338,11 +354,13 @@ def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
         remainders, steps = map(list, zip(*walk))
     else:
         A, B, C, D = m
-        for _num, _den, a, eps, _k in islice(_orbit(x, alpha, m),
-                                             max_digits + 1):
-            remainders.append(x.mobius(A, B, C, D))
-            steps.append((a, eps))
-            A, B, C, D = eps * (C - a * A), eps * (D - a * B), A, B
+        for _num, _den, a, eps, k in _orbit(x, alpha, m):
+            for _ in range(min(k, max_digits + 1 - len(steps))):
+                remainders.append(x.mobius(A, B, C, D))
+                steps.append((a, eps))
+                A, B, C, D = eps * (C - a * A), eps * (D - a * B), A, B
+            if len(steps) > max_digits:
+                break
     ended = len(steps) <= max_digits
     if ended:   # x_D is exactly 0, or the fixed point 1 at alpha = 0
         remainders.append(Fraction(0) if alpha else Fraction(1))

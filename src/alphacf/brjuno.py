@@ -221,13 +221,13 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
     vanishes, so rational inputs produce exact finite sums.  The tail
     estimate is the run-block bound 2 * beta* at the truncation index (no
     geometric rate).  A run of 2's is one kernel record, summed in one
-    loop; q*_n is an arithmetic progression along it.  Only with_q_series
-    runs the q*-recurrence and the companion series
-    sum log(b_{n+1} - 1)/q*_n.
+    loop; q*_n is an arithmetic progression along it.  A Surd or an
+    AdaptiveReal, whose records hold doubles, sums -log(x_n) in its own
+    loop up to beta* < 1e-22.  Only with_q_series runs the q*-recurrence
+    and the companion series sum log(b_{n+1} - 1)/q*_n.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    rational = isinstance(x, (int, Fraction))
     log = math.log
     value = istar = qs = 0.0
     beta = 1.0
@@ -235,62 +235,85 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
     terms = []
     done = False
     _n0, _eps0, m = _alpha_seed(x, 1)
-    if rational:
-        # x_0 = num/den has den = x.denominator (the seed's den row is
-        # (0, 1)), and den_{n+1} = num_n: log(den) is the previous log(num)
-        log_den = log(x.denominator)
     n = 0   # the terms summed
-    for num, den, b, _eps, k in _orbit(x, 0, m):
-        if k > 1:
-            # a run of 2's of a rational x, which the budget may cut: the
-            # float operations of k single steps, in their order
-            k = min(k, n_max + 1 - n)
-            c = den - num
-            for num in range(num, num - k * c, -c):
-                xf = num / (num + c)
+    if isinstance(x, (int, Fraction)):
+        # x_0 = num/den has den = x.denominator (the seed's den row is
+        # (0, 1)), and den_{n+1} = num_n: log(den) is the previous log(num).
+        # The published figures were computed with log(den) - log(num)
+        log_den = log(x.denominator)
+        for num, den, b, _eps, k in _orbit(x, 0, m):
+            if k > 1:
+                # a run of 2's, which the budget may cut: the float
+                # operations of k single steps, in their order
+                k = min(k, n_max + 1 - n)
+                c = den - num
+                for num in range(num, num - k * c, -c):
+                    xf = num / (num + c)
+                    log_num = log(num)
+                    term = beta * (log_den - log_num)
+                    log_den = log_num
+                    value += term
+                    istar += term
+                    if keep_terms:
+                        terms.append((len(terms), beta, xf, term))
+                    beta *= xf
+                if with_q_series:   # an arithmetic progression along a run
+                    d = q_cur - q_prev
+                    q_prev, q_cur = q_cur + (k - 1) * d, q_cur + k * d
+            else:
+                xf = num / den
                 log_num = log(num)
                 term = beta * (log_den - log_num)
                 log_den = log_num
                 value += term
-                istar += term
+                if b == 2:
+                    istar += term
+                elif with_q_series:
+                    qs += log(b - 1) * _inv(q_cur)
                 if keep_terms:
-                    terms.append((len(terms), beta, xf, term))
+                    terms.append((n, beta, xf, term))
                 beta *= xf
-            if with_q_series:
-                # q*_n is an arithmetic progression along the run
-                step = q_cur - q_prev
-                q_cur += k * step
-                q_prev = q_cur - step
-        else:
-            xf = num / den
-            # rationals keep log(den) - log(num), which the published
-            # figures were computed with; a Surd or an AdaptiveReal yields
-            # its double over 1
-            if rational:
-                log_num = log(num)
-                term = beta * (log_den - log_num)
-                log_den = log_num
-            else:
-                term = beta * -log(xf)
-            value += term
-            if b == 2:
-                istar += term
-            elif with_q_series:
-                qs += log(b - 1) * _inv(q_cur)
-            if keep_terms:
-                terms.append((n, beta, xf, term))
-            beta *= xf
-            if with_q_series:
-                q_prev, q_cur = q_cur, b * q_cur - q_prev
-            if not rational and beta < 1e-22:
-                # contributions below double precision; the q-series tail
-                # is dominated by 1/q* which shrinks at least as fast
+                if with_q_series:
+                    q_prev, q_cur = q_cur, b * q_cur - q_prev
+            n += k
+            if n > n_max:
                 break
-        n += k
-        if n > n_max:
-            break
+        else:
+            done = True   # remainder 1 (0 at an integer x) within the budget
     else:
-        done = True   # remainder 1 (0 at an integer x) within the budget
+        # x_n as doubles, over 1 or as a certified run's list; past beta* <
+        # 1e-22 terms (and the q-series' 1/q* tail) are below double precision
+        for num, den, b, _eps, k in _orbit(x, 0, m):
+            if den:   # one step, x_n = num
+                term = beta * -log(num)
+                value += term
+                if b == 2:
+                    istar += term
+                elif with_q_series:
+                    qs += log(b - 1) * _inv(q_cur)
+                if keep_terms:
+                    terms.append((n, beta, num, term))
+                beta *= num
+                if with_q_series:
+                    q_prev, q_cur = q_cur, b * q_cur - q_prev
+            else:   # a run, cut by the budget
+                for xf in num[:n_max + 1 - n]:
+                    term = beta * -log(xf)
+                    value += term
+                    istar += term
+                    if keep_terms:
+                        terms.append((len(terms), beta, xf, term))
+                    beta *= xf
+                    if beta < 1e-22:
+                        break
+                if with_q_series:   # not read again if the run was cut
+                    d = q_cur - q_prev
+                    q_prev, q_cur = q_cur + (k - 1) * d, q_cur + k * d
+            n += k
+            if n > n_max or beta < 1e-22:
+                break
+        else:
+            done = True   # an exact point enclosure reached 1
     tail = 0.0 if done else 2.0 * beta
     return BrjunoResult(value, n_max, terms, tail, done or tail < 1e-12,
                         qs if with_q_series else None, istar)

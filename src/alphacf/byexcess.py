@@ -83,7 +83,7 @@ class MinusExpansion:
             "digits": self.digits,
             "tail2": self.reached_one,
             "convergents": None,
-        }, "convergents", ({"p": p, "q": q} for p, q in zip(pstar, qstar)))
+        }, "convergents", zip(pstar, qstar))
 
 
 def minus_step(x: RealValue) -> tuple[int, RealValue]:

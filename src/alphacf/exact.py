@@ -535,23 +535,16 @@ def _int_text(n) -> str:
         return str(decimal.Decimal(n))
 
 
-def _json_chunks(obj: dict, key: str, items) -> Iterator[str]:
-    """json.dumps(obj) with obj[key] the list of items, one item per chunk,
-    and each int or Decimal a bare number, also past the int-to-str digit
-    limit: it goes in as its digits behind a NUL."""
-    def text(v):
-        return re.sub(r'"\\u0000(-?\d+)"', r"\1", json.dumps(swap(v)))
-
-    def swap(v):
-        if isinstance(v, dict):
-            return {k: swap(w) for k, w in v.items()}
-        if isinstance(v, list):
-            return [swap(w) for w in v]
-        return "\0" + _int_text(v) if type(v) in (int, decimal.Decimal) else v
-    head, _, tail = text({**obj, key: "\1"}).partition('"\\u0001"')
+def _json_chunks(obj: dict, key: str, pairs) -> Iterator[str]:
+    """json.dumps(obj) with obj[key] the list of pairs (p, q), one chunk
+    {"p": p, "q": q} per pair, each an int or a Decimal written as its
+    digits, also past the int-to-str digit limit."""
+    head, _, tail = json.dumps({**obj, key: "\1"}).partition('"\\u0001"')
     yield head + "["
-    for n, item in enumerate(items):
-        yield (", " if n else "") + text(item)
+    sep = ""
+    for p, q in pairs:
+        yield f'{sep}{{"p": {_int_text(p)}, "q": {_int_text(q)}}}'
+        sep = ", "
     yield "]" + tail
 
 

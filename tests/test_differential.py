@@ -454,8 +454,12 @@ def kernel_inputs(draw):
 
 def unroll(records):
     """The kernel's steps (num, den, a, eps): a record (num, den, a, eps, k)
-    is k steps, and along a run of 2's c = den - num stays fixed."""
+    is k steps, and along a run of 2's c = den - num stays fixed; a record
+    with den 0 holds the k certified doubles of a run, each over 1."""
     for num, den, a, eps, k in records:
+        if not den:
+            yield from ((f, 1, a, eps) for f in num)
+            continue
         c = den - num
         for j in range(k):
             yield num - j * c, den - j * c, a, eps
@@ -744,11 +748,14 @@ def _expansions(x):
 
 
 @pytest.mark.parametrize(
-    "x", SURDS + Q1_NEGATIVE + [Fraction(13, 31), Fraction(4)], ids=str)
+    "x", SURDS + Q1_NEGATIVE + LONG_RUNS + [Fraction(13, 31), Fraction(4)],
+    ids=str)
 def test_adaptive_matches_exact(x):
     # a surd walks its exact states and an adaptive value the certified
     # enclosure orbit; both read correctly rounded doubles, so every float
-    # agrees bit for bit.  A point enclosure follows the rational orbit
+    # agrees bit for bit.  On LONG_RUNS the adaptive B0 reads run records
+    # of certified doubles, the surd's one step at a time.  A point
+    # enclosure follows the rational orbit
     # digit for digit; its B0 terms are -log(x_n) where the rational path
     # takes log(den) - log(num), so they may differ in the last bit
     adaptive = AdaptiveReal.from_exact(x)
@@ -878,6 +885,40 @@ def test_deep_cube_root_orbit():
                                                    with_q_series=True)))
     assert results[0][4]  # converged
     assert agree(results[0], results[1])
+
+
+# by excess, the cube roots of 122 and 213 walk short runs of 2's, then from
+# steps 243 and 176 runs of 13454 and 14057 steps.  The budgets cut runs
+# part-way.  From 64 bits the lockstep restarts at steps 26 and 157 (35 and
+# 181, inside a run) and from 512 bits at none, so the run records end at
+# different steps
+CUBE_BUDGETS = (63, 64, 65, 129, 10 ** 4)
+
+
+@pytest.mark.parametrize("n", [122, 213])
+def test_cube_root_run_records_match_oracle(n):
+    results = []
+    for bits in (64, 512):
+        with exact.precision(bits=bits):
+            results.append([fingerprint(semi_brjuno(cube_root(n), budget,
+                                                    with_q_series=True))
+                            for budget in CUBE_BUDGETS])
+    assert agree(results[0], results[1])
+    assert agree(results[0], [fingerprint(oracle_semi_brjuno(
+        cube_root(n), budget, with_q_series=True)) for budget in CUBE_BUDGETS])
+
+
+def test_cube_root_run_records_are_bounded():
+    # a certified run is a list of doubles over den 0, at most 64 a record
+    x = cube_root(122)
+    _n0, _eps0, m = _alpha_seed(x, Fraction(1))
+    ks = []
+    for num, den, a, eps, k in _orbit(x, Fraction(0), m):
+        assert 1 <= k <= 64 and (den or (len(num), a, eps) == (k, 2, -1))
+        ks.append(k)
+        if sum(ks) > 10 ** 4:
+            break
+    assert ks.count(64) > 100
 
 
 # -- surd sums against a step chain that keeps no record -------------------

@@ -2,14 +2,14 @@
 
 from .alpha import (AlphaDigit, AlphaExpansion, alpha_bar, alpha_expand,
                     alpha_reduce, alpha_step, beta_check, decay_check,
-                    legendre_filter, reconstruction_check, rho_alpha)
+                    reconstruction_check, rho_alpha)
 from .brjuno import (BoundReport, BrjunoResult, ConditionViolation,
                      SingularityU, b0_even, b0_qseries, brjuno_sum,
                      diff_report, figure_rows, functional_residual,
                      log_denominator_sum, make_u, q_series, semi_brjuno)
 from .byexcess import (MalformedStream, MinusExpansion, SideMismatch,
                        complement_regular, minus_expand, minus_step,
-                       minus_to_regular, regular_to_minus, run_decomposition)
+                       minus_to_regular, regular_to_minus)
 from .exact import (AdaptiveReal, DomainError, ExactnessUnavailable,
                     Fraction, InvalidRadicand, NeedsPrecision, NotASurd,
                     Surd, compare, floor_shift, is_exact, parse_real,
@@ -27,9 +27,8 @@ __all__ = [
     "alpha_expand", "alpha_reduce", "alpha_step", "b0_even", "b0_qseries",
     "beta_check", "brjuno_sum", "compare", "complement_regular",
     "decay_check", "diff_report", "estimate_holder", "figure_rows",
-    "floor_shift", "functional_residual", "is_exact", "legendre_filter",
-    "log_denominator_sum", "make_u", "minus_expand", "minus_step",
-    "minus_to_regular", "parse_real", "precision", "q_series", "recip",
-    "reconstruction_check", "regular_to_minus", "rho_alpha",
-    "run_decomposition", "semi_brjuno", "sign_val",
+    "floor_shift", "functional_residual", "is_exact", "log_denominator_sum",
+    "make_u", "minus_expand", "minus_step", "minus_to_regular",
+    "parse_real", "precision", "q_series", "recip", "reconstruction_check",
+    "regular_to_minus", "rho_alpha", "semi_brjuno", "sign_val",
 ]

@@ -19,7 +19,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, cycle, islice
+from itertools import chain, count, cycle, islice
 from typing import Iterator, Optional
 
 from .exact import (AdaptiveReal, DomainError, ExactnessUnavailable,
@@ -173,12 +173,12 @@ def _orbit(x: RealValue, alpha, m: tuple):
     digit is 2, c = den - num stays fixed and num falls by c, so the whole
     run is one record with k = (num - 1) // c.  A rational x steps on
     num/den = x_n itself and ends at a remainder 0 (a terminating
-    expansion) or 1 (the by-excess fixed point).  A Surd reads the record
-    of its exact (P, Q, D) states (_surd_period) to a limit that doubles,
-    and yields the correctly rounded double of x_n over 1, once per
-    distinct state, from one root of D; then it replays the period.  An
-    AdaptiveReal walks the rational orbits of both ends of one enclosure in
-    lockstep, a pair of records in one frame.  A step is accepted when the
+    expansion) or 1 (the by-excess fixed point).  A Surd walks its exact
+    (P, Q, D) states lazily (_SurdWalk) and yields the correctly rounded
+    double of x_n over 1, taken once per distinct state; past the first
+    repeated state it replays the period.  An AdaptiveReal walks the
+    rational orbits of both ends of one enclosure in lockstep, a pair of
+    records in one frame.  A step is accepted when the
     ends give the same digit, sign and double (all monotone in x_n), and
     yields that certified double over 1, (f, 1, a, eps, 1); where both ends
     hold runs (k > 1, alpha = 0 only) the certified doubles go out as
@@ -216,15 +216,12 @@ def _orbit(x: RealValue, alpha, m: tuple):
                 num, den = rem, num
         return
     if isinstance(x, Surd):
-        P, Q, D, _k, _d = _surd_state(x, m)
-        recs, limit, root = [], 64, math.isqrt(D << 128)
-        while True:   # the limit doubles until the record repeats
-            states, i = _surd_period(P, Q, D, alpha, limit)
-            for p, q, a, e in states[len(recs):]:
-                recs.append((_surd_double(p, 1, q, 0, D, root), 1, a, e, 1))
-                yield recs[-1]
-            yield from cycle(recs[i:])
-            limit *= 2
+        walk, recs = _SurdWalk(x, alpha, m), []
+        for j in walk:   # endless: a surd's orbit never reaches 0 or 1
+            if j == len(recs):
+                _P, _Q, a, eps = walk.states[j]
+                recs.append((walk.double(j), 1, a, eps, 1))
+            yield recs[j]
     for bits in _ladder("orbit step not certified at %d bits"):
         lo, hi = x.enclosure(bits)
         k = None   # the steps left of the last record pair; None before one
@@ -292,12 +289,16 @@ def _surd_state(x: Surd, m: tuple) -> tuple[int, int, int, int, int]:
     return sgn * (A * a + B * c) * c, sgn * c * c, k * k * d, k, d
 
 
-def _surd_period(P: int, Q: int, D: int, alpha, limit: int):
-    """The A_alpha orbit of x_0 = (P + sqrt(D))/Q, Q | D - P^2, as a finite
-    record (states, i): at most limit distinct states (P_n, Q_n, a_{n+1},
-    eps_{n+1}) of x_n = (P_n + sqrt(D))/Q_n in first-visit order, and the
-    index i the first repeated state returns to (Lagrange), else len(states).
-    A state fixes the rest, so the orbit is chain(states, cycle(states[i:])).
+class _SurdWalk:
+    """The A_alpha orbit of x_0 = m(x) for a Surd x, walked lazily: iterating
+    yields the index of each step x_n into ``states``, the distinct
+    (P_n, Q_n, a_{n+1}, eps_{n+1}) with x_n = (P_n + sqrt(D))/Q_n, in
+    first-visit order (_surd_state gives the seed).  A state fixes the rest
+    of the orbit and by Lagrange's theorem some state comes back, to the
+    index i: from there the walk replays range(i, len(states)) with no
+    arithmetic.  A state is appended only when it is read, and a reader
+    that stops reading is the only stop.  double(j) is state j's correctly
+    rounded double, from the one root of D, and index(n) step n's state.
 
     1/x_n = (P1 + sqrt(D))/Q1 for P1 = -P_n and the integer
     Q1 = (D - P_n^2)/Q_n.  For alpha = r/s and X = s P1 + (s - r) Q1 the
@@ -306,20 +307,45 @@ def _surd_period(P: int, Q: int, D: int, alpha, limit: int):
     digit is (X + R) // (s Q1) for Q1 > 0 and (X + R + 1) // (s Q1) for
     Q1 < 0.  a and eps follow from (P, Q), so a state is its own key.
     """
-    r, s = alpha.numerator, alpha.denominator
-    R = math.isqrt(s * s * D)
-    seen: dict[tuple, int] = {}   # each state and its first index
-    for n in range(limit):
-        Q1 = (D - P * P) // Q
-        X = (s - r) * Q1 - s * P + R
-        a = (X if Q1 > 0 else X + 1) // (s * Q1)
-        P1 = -P - a * Q1
-        # eps is the sign of 1/x_n - a = (P1 + sqrt(D))/Q1
-        eps = 1 if (P1 >= 0 or P1 * P1 < D) == (Q1 > 0) else -1
-        if (i := seen.setdefault((P, Q, a, eps), n)) < n:
-            return list(seen), i
-        P, Q = P1, eps * Q1
-    return list(seen), limit
+
+    def __init__(self, x: Surd, alpha, m: tuple):
+        self.alpha, self.states, self.i = alpha, [], None
+        self.P, self.Q, D, self.k, self.d = _surd_state(x, m)
+        self.D, self.root = D, math.isqrt(D << 128)
+
+    def __iter__(self) -> Iterator[int]:
+        # a new state's index goes out as (n,), and the period is replayed
+        # off a C iterator, with no generator frame per step
+        return chain.from_iterable(self._walk())
+
+    def _walk(self):
+        P, Q, D, states = self.P, self.Q, self.D, self.states
+        r, s = self.alpha.numerator, self.alpha.denominator
+        R = math.isqrt(s * s * D)
+        seen = {}   # the states, as keys: a dict is leaner than a set
+        for n in count():
+            Q1 = (D - P * P) // Q
+            X = (s - r) * Q1 - s * P + R
+            a = (X if Q1 > 0 else X + 1) // (s * Q1)
+            P1 = -P - a * Q1
+            # eps is the sign of 1/x_n - a = (P1 + sqrt(D))/Q1
+            eps = 1 if (P1 >= 0 or P1 * P1 < D) == (Q1 > 0) else -1
+            seen[state := (P, Q, a, eps)] = None
+            if len(seen) == n:   # x_n is a state the walk met before
+                self.i = states.index(state)
+                yield cycle(range(self.i, n))
+            states.append(state)
+            yield (n,)
+            P, Q = P1, eps * Q1
+
+    def index(self, n: int) -> int:
+        """The index into states of step n, which the walk has read."""
+        L = len(self.states)
+        return n if n < L else self.i + (n - self.i) % (L - self.i)
+
+    def double(self, j: int) -> float:
+        P, Q, _a, _eps = self.states[j]
+        return _surd_double(P, 1, Q, 0, self.D, self.root)
 
 
 def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
@@ -330,7 +356,7 @@ def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
     x_D; ended says the orbit reached 0 (a terminating expansion) or 1 (the
     by-excess fixed point) within the budget.  A Fraction's record (num,
     den, a, eps, k) is k steps from x_n = num/den with c = den - num fixed.
-    A Surd reads the record of its (P, Q, D) states (_surd_period), one
+    A Surd reads the walk of its (P, Q, D) states (_SurdWalk), one
     remainder per distinct state and its period replayed; an AdaptiveReal
     walks the certified kernel, k steps per record, x_n = m_n(x).
     """
@@ -346,12 +372,12 @@ def _expansion(x: RealValue, alpha: Fraction, m: tuple, max_digits: int):
             if len(steps) > max_digits:
                 break
     elif isinstance(x, Surd):
-        P, Q, D, k, d = _surd_state(x, m)
-        states, i = _surd_period(P, Q, D, alpha, max_digits + 1)
+        walk = _SurdWalk(x, alpha, m)
+        js = list(islice(walk, max_digits + 1))
         # Surd is immutable, so a replayed step shares its remainder
-        walk = [(Surd._field(P, k, Q, d), (a, e)) for P, Q, a, e in states]
-        walk = islice(chain(walk, cycle(walk[i:])), max_digits + 1)
-        remainders, steps = map(list, zip(*walk))
+        recs = [(Surd._field(P, walk.k, Q, walk.d), (a, eps))
+                for P, Q, a, eps in walk.states]
+        remainders, steps = map(list, zip(*map(recs.__getitem__, js)))
     else:
         A, B, C, D = m
         for _num, _den, a, eps, k in _orbit(x, alpha, m):
@@ -559,20 +585,3 @@ def reconstruction_check(exp: AlphaExpansion) -> bool:
         pm1, qm1 = exp.p_seq[n], exp.q_seq[n]
     return True
 
-
-def legendre_filter(x: RealValue, exp: AlphaExpansion) -> list[int]:
-    """Indices n whose convergent passes |x' - p/q| < 1/(2 q^2).
-
-    Convergents passing this half-Legendre test are guaranteed to also be
-    regular (alpha=1) convergents of x'.
-    """
-    if not is_exact(x):
-        raise ExactnessUnavailable("legendre_filter needs exact input")
-    xr = exp.reduced()
-    out = []
-    for n in range(len(exp.p_seq)):
-        q = exp.q_seq[n]
-        err = abs(xr - Fraction(exp.p_seq[n], q))
-        if compare(err, Fraction(1, 2 * q * q)) < 0:
-            out.append(n)
-    return out

@@ -15,14 +15,14 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle, islice
+from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence
 
-from .alpha import (_alpha_seed, _convergents, _orbit, _surd_period,
-                    _surd_state, alpha_bar, alpha_step, rho_alpha)
+from .alpha import (_SurdWalk, _alpha_seed, _convergents, _orbit,
+                    alpha_bar, alpha_step, rho_alpha)
 from .byexcess import _reduce_mod1, minus_step
-from .exact import (DomainError, RealValue, Surd, _surd_double, compare,
-                    is_exact, sign_val, to_float)
+from .exact import (DomainError, RealValue, Surd, compare, is_exact,
+                    sign_val, to_float)
 
 _DELTA = 0.1   # weights are checked on the scales _DELTA 2^-k near 0
 
@@ -131,9 +131,11 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
 
     The input is reduced by x0 = |x - floor(x+1-alpha)| first; rational
     orbits terminate and contribute only their finite terms.  One pass over
-    the orbit reads each x_n as its correctly rounded double; a Surd takes
-    the double and u of each distinct state of its record (_surd_period)
-    once, and a step past the record is an index into its period.  Only
+    the orbit reads each x_n as its correctly rounded double; a Surd reads
+    the indices of its lazy walk (_SurdWalk) and takes the double and u of
+    each distinct state once.  Without a ledger, a Surd's walk stops once
+    beta_prev, 1/q (with the q-series) and rho**n_max are all 0.0: no
+    later term, q-series term or tail can change a field.  Only
     with_q_series runs the q-recurrence and the companion series
     sum u(1/a_{n+1})/q_n over the same records.
     """
@@ -153,25 +155,35 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
     last5 = n_max - 5
     try:
         if isinstance(x, Surd):
-            P, Q, D, _k, _d = _surd_state(x, m)
-            states, i = _surd_period(P, Q, D, alpha, n_max + 1)
-            fs, us, root = [], [], math.isqrt(D << 128)
-            for n, (P, Q, _a, _eps) in enumerate(states):
-                fs.append(xf := _surd_double(P, 1, Q, 0, D, root))
-                us.append(f(xf))
-            js = range(len(fs))
-            for j in islice(chain(js, cycle(js[i:])), n_max + 1):
+            walk, fs, us, qw = _SurdWalk(x, alpha, m), [], [], []
+            # with no ledger and rho**n_max = 0.0 the tail is 0.0; past
+            # beta_prev = 0.0 so is every term, and past 1/q = 0.0 every
+            # q-series term: from there no field can change
+            rho = to_float(rho_alpha(alpha))
+            final, n = not (keep_terms or rho ** n_max), 0
+            for j in islice(walk, n_max + 1):
+                if final and not beta_prev and not (with_q_series and _inv(q)):
+                    term = 0.0   # and so is every term left
+                    break
+                if j == n:   # x_n, a new state, read first at step n
+                    fs.append(xf := walk.double(j))
+                    us.append(f(xf))
+                    if with_q_series:
+                        _P, _Q, a, eps = walk.states[j]
+                        qw.append((a, eps, f(1.0 / a)))
+                    n += 1
                 term = beta_prev * us[j]
                 value += term
                 if keep_terms:
                     terms.append((len(terms), beta_prev, fs[j], term))
                 if with_q_series:
-                    _P, _Q, a, eps = states[j]
-                    qs += f(1.0 / a) * _inv(q)
+                    a, eps, ua = qw[j]
+                    qs += ua * _inv(q)
                     q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
                 beta_prev *= fs[j]
-            recent = [us[j] for j in islice(chain(js, cycle(js[i:])),
-                                            max(last5 + 1, 0), n_max + 1)]
+            else:
+                recent = [us[walk.index(n)]
+                          for n in range(max(last5 + 1, 0), n_max + 1)]
         else:
             for n, (num, den, a, eps, _k) in enumerate(_orbit(x, alpha, m)):
                 xf = num / den
@@ -195,9 +207,10 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
             raise
         raise DomainError(f"x_{n} is below 2**-1074, outside the double "
                           "range") from None
-    rho = to_float(rho_alpha(alpha))
+    if not isinstance(x, Surd):
+        rho = to_float(rho_alpha(alpha))
     abar = float(alpha_bar(alpha))
-    tail = abar * rho ** n_max / (1.0 - rho) * max(max(recent), u.M1)
+    tail = abar * rho ** n_max / (1.0 - rho) * max([*recent, u.M1])
     converged = term < 1e-12 and tail < 1e-6
     return BrjunoResult(value, n_max, terms, tail, converged, qs)
 
@@ -221,10 +234,12 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
     vanishes, so rational inputs produce exact finite sums.  The tail
     estimate is the run-block bound 2 * beta* at the truncation index (no
     geometric rate).  A run of 2's is one kernel record, summed in one
-    loop; q*_n is an arithmetic progression along it.  A Surd or an
-    AdaptiveReal, whose records hold doubles, sums -log(x_n) in its own
-    loop up to beta* < 1e-22.  Only with_q_series runs the q*-recurrence
-    and the companion series sum log(b_{n+1} - 1)/q*_n.
+    loop; q*_n is an arithmetic progression along it.  A Surd reads the
+    indices of its lazy walk (_SurdWalk) and takes the double and -log of
+    each distinct state once; an AdaptiveReal, whose records hold doubles,
+    sums -log(x_n) in its own loop.  Both stop at beta* < 1e-22.  Only
+    with_q_series runs the q*-recurrence and the companion series
+    sum log(b_{n+1} - 1)/q*_n.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -280,9 +295,33 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
                 break
         else:
             done = True   # remainder 1 (0 at an integer x) within the budget
+    elif isinstance(x, Surd):
+        # one double and one -log per distinct state, read by index on a
+        # replay; past beta* < 1e-22 terms (and the q-series' 1/q* tail)
+        # are below double precision
+        walk, recs = _SurdWalk(x, 0, m), []
+        for j in islice(walk, n_max + 1):
+            if j == len(recs):
+                xf, b = walk.double(j), walk.states[j][2]
+                recs.append((xf, -log(xf), b,
+                             log(b - 1) if with_q_series and b > 2 else 0.0))
+            xf, w, b, wq = recs[j]
+            term = beta * w
+            value += term
+            if b == 2:
+                istar += term
+            elif with_q_series:
+                qs += wq * _inv(q_cur)
+            if keep_terms:
+                terms.append((len(terms), beta, xf, term))
+            beta *= xf
+            if with_q_series:
+                q_prev, q_cur = q_cur, b * q_cur - q_prev
+            if beta < 1e-22:
+                break
     else:
-        # x_n as doubles, over 1 or as a certified run's list; past beta* <
-        # 1e-22 terms (and the q-series' 1/q* tail) are below double precision
+        # an AdaptiveReal's x_n as doubles, over 1 or as a certified run's
+        # list, cut at beta* < 1e-22 as a Surd's
         for num, den, b, _eps, k in _orbit(x, 0, m):
             if den:   # one step, x_n = num
                 term = beta * -log(num)

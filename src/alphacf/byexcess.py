@@ -126,45 +126,6 @@ def minus_expand(x: RealValue, max_digits: int) -> MinusExpansion:
                           pstar, qstar, reached_one)
 
 
-@dataclass
-class RunDecomposition:
-    """Maximal runs of 2's between the digits greater than 2.
-
-    ``runs[i]`` is the paper-free reading of the block structure: run i
-    consists of runs[i]-1 copies of the digit 2 followed by one digit > 2,
-    whose 0-based position is ``t[i]``.  ``i_starstar`` collects those
-    positions (remainder <= 1/2); ``i_star`` is the complement over the
-    covered prefix.  ``open_run`` flags an unterminated trailing run of 2's.
-    """
-
-    runs: list[int]
-    t: list[int]
-    big_digits: list[int]   # the > 2 digit closing each run
-    i_star: list[int]
-    i_starstar: list[int]
-    open_run: bool
-
-
-def run_decomposition(digits: Sequence[int],
-                      tail_of_twos: bool = False) -> RunDecomposition:
-    """Split a by-excess digit stream into runs of 2's."""
-    for b in digits:
-        if b < 2:
-            raise MalformedStream(f"by-excess digits must be >= 2, got {b}")
-    runs, t, big = [], [], []
-    last_big = -1
-    for idx, b in enumerate(digits):
-        if b > 2:
-            runs.append(idx - last_big)
-            t.append(idx)
-            big.append(b)
-            last_big = idx
-    open_run = tail_of_twos or last_big < len(digits) - 1
-    i_starstar = list(t)
-    i_star = [n for n in range(len(digits)) if digits[n] == 2]
-    return RunDecomposition(runs, t, big, i_star, i_starstar, open_run)
-
-
 def _canonical_fixup(a: list[int]) -> list[int]:
     # finite regular CF: fold a trailing 1 into the previous digit
     if len(a) >= 2 and a[-1] == 1:
@@ -192,24 +153,32 @@ def minus_to_regular(digits: Sequence[int], side: Optional[str] = None,
     elif side != inferred:
         raise SideMismatch(f"side={side} but b_1={digits[0]}")
 
-    dec = run_decomposition(digits, tail_of_twos)
-    if not dec.runs:
+    # maximal runs of 2's: runs[j] - 1 digits 2, closed by the digit big[j]
+    runs, big, last_big = [], [], -1
+    for idx, b in enumerate(digits):
+        if b < 2:
+            raise MalformedStream(f"by-excess digits must be >= 2, got {b}")
+        if b > 2:
+            runs.append(idx - last_big)
+            big.append(b)
+            last_big = idx
+    if not runs:
         # all 2's: no complete information (or x = 1 if the tail is open)
         return [], False
     out: list[int] = []
     if side == "above_half":
-        if dec.runs[0] < 2:
+        if runs[0] < 2:
             raise SideMismatch("b_1 = 2 requires a leading run of length >= 2")
-        out = [1, dec.runs[0] - 1]
-        for j, bv in enumerate(dec.big_digits):
+        out = [1, runs[0] - 1]
+        for j, bv in enumerate(big):
             out.append(bv - 2)
-            if j + 1 < len(dec.runs):
-                out.append(dec.runs[j + 1])
+            if j + 1 < len(runs):
+                out.append(runs[j + 1])
     else:
-        out = [dec.big_digits[0] - 1]
-        for j in range(1, len(dec.runs)):
-            out.append(dec.runs[j])
-            out.append(dec.big_digits[j] - 2)
+        out = [big[0] - 1]
+        for j in range(1, len(runs)):
+            out.append(runs[j])
+            out.append(big[j] - 2)
     if tail_of_twos:
         return _canonical_fixup(out), True
     return out, False

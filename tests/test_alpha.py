@@ -1,5 +1,4 @@
 import decimal
-import math
 import os
 import subprocess
 import sys
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 from alphacf import exact
 from alphacf.alpha import (_convergent_text, _convergents, alpha_expand,
                            alpha_reduce, alpha_step, beta_check, decay_check,
-                           legendre_filter, reconstruction_check, rho_alpha)
+                           reconstruction_check, rho_alpha)
 from alphacf.byexcess import minus_expand
 from alphacf.exact import AdaptiveReal, DomainError, Surd, compare, to_float
 
@@ -238,17 +237,3 @@ class TestLazyBetas:
         exp.betas = [Fraction(1)]
         assert exp.betas == [Fraction(1)]
         assert not beta_check(exp).all_ok
-
-
-class TestLegendre:
-    def test_passing_indices_are_regular_convergents(self):
-        x = Fraction(355, 113) - 3
-        regular = alpha_expand(x, 1, 50)
-        regular_pq = set(zip(regular.p_seq, regular.q_seq))
-        for alpha in (Fraction(1, 2), Fraction(2, 5), Fraction(7, 10)):
-            exp = alpha_expand(x, alpha, 50)
-            for n in legendre_filter(x, exp):
-                if exp.q_seq[n] == 0:
-                    continue
-                g = math.gcd(exp.p_seq[n], exp.q_seq[n])
-                assert (exp.p_seq[n] // g, exp.q_seq[n] // g) in regular_pq

@@ -13,6 +13,7 @@ from alphacf.brjuno import (DIFF_KINDS, ConditionViolation, b0_even,
                             q_series, semi_brjuno)
 from alphacf.corpus import rational_corpus, surd_corpus
 from alphacf.exact import DomainError, Surd
+from test_differential import benchmark_pool
 
 G = Surd(-1, 1, 2, 5)
 G_SQ = Surd(3, -1, 2, 5)
@@ -191,38 +192,69 @@ class TestSurdRecord:
             calls.append(args)
             return exact._surd_double(*args)
 
-        monkeypatch.setattr(brjuno, "_surd_double", counted)
+        monkeypatch.setattr(alpha, "_surd_double", counted)
         for keep_terms in (False, True):
             res = brjuno_sum(G, Fraction(1, 2), make_u("log"), 400,
                              keep_terms=keep_terms, with_q_series=keep_terms)
             assert res.value == pytest.approx(-2 * LOG_G / G_F, rel=1e-12)
         assert len(calls) == 2 and calls[0] == calls[1]
 
-    def test_orbit_without_repeat_walks_what_it_reads(self, monkeypatch):
-        # semi_brjuno stops at beta* < 1e-22 after 200 of its 10^4 steps:
-        # the record doubles its limit from 64, and each double is taken
-        # as the sum reads it
-        doubles, records = [], []
+    def test_one_double_and_one_log_per_distinct_state(self, monkeypatch):
+        # B0 of a pool surd reads a few distinct by-excess states many
+        # times over: each state's double and -log are taken once
+        walks, doubles, logs = [], [], []
+
+        class Walk(alpha._SurdWalk):
+            def __init__(self, *args):
+                super().__init__(*args)
+                walks.append(self)
 
         def double(*args):
             doubles.append(args)
             return exact._surd_double(*args)
 
-        def period(*args, walk=alpha._surd_period):
-            states, i = walk(*args)
-            records.append(len(states))
-            return states, i
+        def log(t, log=math.log):
+            logs.append(t)
+            return log(t)
 
+        monkeypatch.setattr(brjuno, "_SurdWalk", Walk)
         monkeypatch.setattr(alpha, "_surd_double", double)
-        monkeypatch.setattr(alpha, "_surd_period", period)
+        monkeypatch.setattr(math, "log", log)
+        states = steps = 0
+        for x in benchmark_pool():
+            del walks[:], doubles[:], logs[:]
+            res = semi_brjuno(x, 10 ** 4)
+            assert len(walks) == 1, x
+            assert len(doubles) == len(logs) == len(walks[0].states), x
+            states += len(walks[0].states)
+            steps += len(res.terms)
+        assert steps > 5 * states
+
+    def test_orbit_without_repeat_walks_what_it_reads(self, monkeypatch):
+        # semi_brjuno stops at beta* < 1e-22 after 200 of its 10^4 steps:
+        # the walk takes as many integer states, and as many doubles, as
+        # the sum reads steps
+        walks, doubles = [], []
+
+        class Walk(alpha._SurdWalk):
+            def __init__(self, *args):
+                super().__init__(*args)
+                walks.append(self)
+
+        def double(*args):
+            doubles.append(args)
+            return exact._surd_double(*args)
+
+        monkeypatch.setattr(brjuno, "_SurdWalk", Walk)
+        monkeypatch.setattr(alpha, "_surd_double", double)
         res = semi_brjuno(NO_REPEAT, 10 ** 4)
-        assert len(res.terms) == len(doubles) == 200
-        assert records == [64, 128, 256]
+        assert len(walks[0].states) == len(doubles) == len(res.terms) == 200
 
     def test_memory_of_an_orbit_without_repeat(self):
-        # one key per state: 214 B per state, where a tuple and a double
-        # kept beside each key took 257 B
-        n = 2 * 10 ** 4
+        # one key per state in the walk, and a double and a weight per
+        # state in the sum.  beta_prev is 0.0 from step 443 on, but rho^800
+        # is not, so the sum reads all 801 states for the u of its tail
+        n = 800
         tracemalloc.start()
         try:
             brjuno_sum(NO_REPEAT, Fraction(1, 2), make_u("log"), n,

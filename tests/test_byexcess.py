@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from alphacf.alpha import alpha_expand
 from alphacf.byexcess import (MalformedStream, SideMismatch,
                               complement_regular, minus_expand, minus_step,
-                              minus_to_regular, regular_to_minus,
-                              run_decomposition)
+                              minus_to_regular, regular_to_minus)
 from alphacf.exact import DomainError, Surd, compare
 
 G = Surd(-1, 1, 2, 5)
@@ -69,29 +68,17 @@ class TestMinusExpansion:
         # the doubling estimate is proved for x > 1/2 (leading run of 2's)
         x = Fraction(16, 29)
         exp = minus_expand(x, 10 ** 5)
-        dec = run_decomposition(exp.digits, exp.reached_one)
-        for k, t in enumerate(dec.t, start=1):
-            assert exp.qstar[t] >= 2 ** k
-
-
-class TestRunDecomposition:
-    def test_golden_prefix(self):
-        dec = run_decomposition([2, 3, 3, 3])
-        assert dec.runs == [2, 1, 1]
-        assert dec.t == [1, 2, 3]
-        assert dec.i_starstar == [1, 2, 3]
-        assert dec.i_star == [0]
-
-    def test_open_trailing_run(self):
-        dec = run_decomposition([2, 3, 2, 2])
-        assert dec.open_run
-
-    def test_rejects_bad_digit(self):
-        with pytest.raises(MalformedStream):
-            run_decomposition([2, 1, 3])
+        # t_k: the position of the k-th digit > 2, which closes a block
+        t = [n for n, b in enumerate(exp.digits) if b > 2]
+        for k, t_k in enumerate(t, start=1):
+            assert exp.qstar[t_k] >= 2 ** k
 
 
 class TestDictionary:
+    def test_rejects_bad_digit(self):
+        with pytest.raises(MalformedStream):
+            minus_to_regular([2, 1, 3])
+
     def test_five_sevenths_forward(self):
         a, terminated = minus_to_regular([2, 2, 4], tail_of_twos=True)
         assert (a, terminated) == ([1, 2, 2], True)

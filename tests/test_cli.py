@@ -191,6 +191,34 @@ class TestScalarCommands:
         assert doc["istar_block_sum"] <= 2.0
 
     @pytest.mark.parametrize("x, n", [
+        ("(1+1*sqrt(100000000000000000000000000319))/2", 10 ** 9),
+        ("(-1+1*sqrt(5))/2", 10 ** 7),
+    ], ids=["no_repeat", "golden"])
+    def test_large_budget_brjuno_is_bounded(self, capsys, x, n):
+        # past the step where beta_prev, 1/q and rho^n are all 0.0 no field
+        # can change, so the walk stops there: a child process prints the
+        # JSON of --n 100000 within 30 s, in under 60 MB.  A process starts
+        # from the peak RSS of the one it was forked from, so a small
+        # wrapper starts the child and reads its ru_maxrss
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        wrapper = ("import resource, subprocess, sys; "
+                   "code = subprocess.run(sys.argv[1:]).returncode; "
+                   "print(resource.getrusage(resource.RUSAGE_CHILDREN)"
+                   ".ru_maxrss, file=sys.stderr); sys.exit(code)")
+        proc = subprocess.run(
+            [sys.executable, "-c", wrapper, sys.executable, "-m",
+             "alphacf.cli", "brjuno", "--x", x, "--alpha", "1/2", "--n",
+             str(n)], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stderr.split()[-1]) < 60 * 1024   # KiB
+        _code, out = run(capsys, "brjuno", "--x", x, "--alpha", "1/2",
+                         "--n", "100000")
+        got, want = json.loads(proc.stdout), json.loads(out)
+        for key in ("value", "tail_estimate", "q_series"):
+            assert got[key] == want[key], key
+
+    @pytest.mark.parametrize("x, n", [
         (Fraction(1, 10 ** 400), 0),
         (Fraction(10 ** 400, 2 * 10 ** 400 + 1), 1),
     ], ids=["x0", "x1"])

@@ -21,8 +21,9 @@ integer-rounded double of a Surd must be the double its enclosures certify.
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -1045,6 +1046,75 @@ def test_surd_semi_brjuno_matches_a_chain_without_record():
             got = semi_brjuno(x, n, keep_terms=False)
             assert hex_fields(got, False)[:3] + hex_fields(got)[4:5] == \
                 hex_fields(want, False)[:3] + hex_fields(want)[4:5], (x, n)
+
+
+# -- the exits of a surd sum -----------------------------------------------
+#
+# brjuno_sum stops reading a Surd's walk once beta_prev is 0.0, no ledger is
+# kept, 1/q is 0.0 (or there is no q-series) and rho**n_max is 0.0.  The
+# full walk below reads every step of the kernel's records, with no exit,
+# at the budgets just before, at and just after the first step whose float
+# beta_prev is 0.0 and the first n with rho**n = 0.0.
+
+def exit_budgets(x, alpha):
+    """n - 1, n and n + 1 for the first n with rho**n = 0.0 and for the
+    first step n whose float beta_prev is 0.0, if one comes before.  (Where
+    every x_n exceeds 1/2, beta_prev stops at 2**-1074.)"""
+    _n0, _eps0, m = _alpha_seed(x, alpha)
+    rho, beta = to_float(rho_alpha(alpha)), 1.0
+    firsts = [next(n for n in count() if not rho ** n)]
+    for n, (xf, _one, _a, _eps, _k) in enumerate(
+            islice(_orbit(x, alpha, m), firsts[0])):
+        if not beta:
+            firsts.append(n)
+            break
+        beta *= xf
+    return sorted({n + d for n in firsts for d in (-1, 0, 1)})
+
+
+def full_walk(x, alpha, u, budgets, with_q):
+    """brjuno_sum's value, tail, converged and q-series at each budget, from
+    every step of the kernel's records."""
+    _n0, _eps0, m = _alpha_seed(x, alpha)
+    rho, abar = to_float(rho_alpha(alpha)), float(alpha_bar(alpha))
+    value, beta, qs, q_prev, q, eps_prev = 0.0, 1.0, 0.0, 0, 1, 1
+    weights, fields = deque(maxlen=5), []
+    records = islice(_orbit(x, alpha, m), budgets[-1] + 1)
+    for n, (xf, _one, a, eps, _k) in enumerate(records):
+        weights.append(u.eval(xf))
+        term = beta * weights[-1]
+        value += term
+        if with_q:
+            qs += u.eval(1.0 / a) * _inv(q)
+            q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
+        if n in budgets:
+            tail = abar * rho ** n / (1.0 - rho) * max(max(weights), u.M1)
+            fields.append((value.hex(), tail.hex(),
+                           term < 1e-12 and tail < 1e-6,
+                           qs.hex() if with_q else None))
+        beta *= xf
+    return fields
+
+
+@pytest.mark.parametrize("alpha", PERIOD_ALPHAS, ids=str)
+def test_surd_sum_exits_match_the_full_walk(alpha):
+    u = WEIGHTS["log"]
+    for x in PERIOD_SURDS + LONG_RUNS:
+        budgets = exit_budgets(x, alpha)
+        # rho**n reaches 0.0 at n = 73,766 for alpha = 1/100, and the exact
+        # q recurrence over that many steps costs 0.4 s a sum: there those
+        # budgets go without the q-series, on SURDS and LONG_RUNS only
+        short = [n for n in budgets if n < 10 ** 4]
+        runs = [(short, True)]
+        if short != budgets and (x in SURDS or x in LONG_RUNS):
+            runs.append((budgets[len(short):], False))
+        for ns, with_q in runs:
+            got = [brjuno_sum(x, alpha, u, n, keep_terms=False,
+                              with_q_series=with_q) for n in ns]
+            assert [(r.value.hex(), r.tail_estimate.hex(), r.converged,
+                     None if r.companion_q_series is None
+                     else r.companion_q_series.hex())
+                    for r in got] == full_walk(x, alpha, u, ns, with_q), x
 
 
 # -- integer decisions of seeds, floors and enclosures ---------------------

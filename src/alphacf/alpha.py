@@ -520,13 +520,14 @@ def _rho_power(alpha) -> tuple[int, int, int, int, int]:
     """(a, b, c, e, k) with rho^k = (a + b sqrt(e))/c for rho_alpha(alpha):
     k = 2 below sqrt(2) - 1, where rho^2 = 1 - 2 alpha is rational, else
     k = 1 with the silver rho up to (sqrt(5) - 1)/2 and the golden above."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
+    if not isinstance(alpha, (int, Fraction)):
+        alpha = Fraction(alpha)
+    r, s = alpha.numerator, alpha.denominator
+    if r <= 0:
         raise DomainError("no geometric decay at alpha = 0 "
                           "(indifferent fixed point)")
-    if alpha > 1:
+    if r > s:
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
-    r, s = alpha.numerator, alpha.denominator
     if (2 * r + s) ** 2 > 5 * s * s:   # alpha > (sqrt(5) - 1)/2
         return -1, 1, 2, 5, 1
     if (r + s) ** 2 >= 2 * s * s:      # alpha >= sqrt(2) - 1

@@ -19,10 +19,10 @@ from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence
 
 from .alpha import (_SurdWalk, _alpha_seed, _convergents, _orbit,
-                    alpha_bar, alpha_step, rho_alpha)
+                    _rho_power, alpha_step)
 from .byexcess import _reduce_mod1, minus_step
-from .exact import (DomainError, RealValue, Surd, compare, is_exact,
-                    sign_val, to_float)
+from .exact import (DomainError, RealValue, Surd, _surd_double, compare,
+                    is_exact, sign_val, to_float)
 
 _DELTA = 0.1   # weights are checked on the scales _DELTA 2^-k near 0
 
@@ -36,6 +36,20 @@ def _inv(q: int) -> float:
     if q.bit_length() > 1023:
         return 0.0
     return 1.0 / q
+
+
+def _rates(alpha) -> tuple[float, float]:
+    """(rho, abar): the correctly rounded doubles of rho_alpha(alpha) and
+    alpha_bar(alpha), from the integers of _rho_power and alpha = r/s."""
+    a, b, c, e, k = _rho_power(alpha)
+    if k == 1:
+        rho = _surd_double(a, b, c, 0, e)
+    else:   # rho = sqrt(a/c) = sqrt(a c)/c, rational where a c is a square
+        d = a * c
+        root = math.isqrt(d)
+        rho = root / c if root * root == d else _surd_double(0, 1, c, 0, d)
+    r, s = alpha.numerator, alpha.denominator
+    return rho, max(r, s - r) / s
 
 
 @dataclass(frozen=True)
@@ -133,11 +147,23 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
     orbits terminate and contribute only their finite terms.  One pass over
     the orbit reads each x_n as its correctly rounded double; a Surd reads
     the indices of its lazy walk (_SurdWalk) and takes the double and u of
-    each distinct state once.  Without a ledger, a Surd's walk stops once
-    beta_prev, 1/q (with the q-series) and rho**n_max are all 0.0: no
-    later term, q-series term or tail can change a field.  Only
-    with_q_series runs the q-recurrence and the companion series
-    sum u(1/a_{n+1})/q_n over the same records.
+    each distinct state once.  Only with_q_series runs the q-recurrence and
+    the companion series sum u(1/a_{n+1})/q_n over the same records.
+
+    Without a ledger the sum stops where no field can change any more:
+    - a Surd or an AdaptiveReal, once beta_prev, 1/q (with the q-series)
+      and rho**n_max are all 0.0: every later term, q-series term and the
+      tail are 0.0.  An AdaptiveReal stops before its lockstep certifies
+      another step; a rational's orbit ends by itself;
+    - a Surd, from the first replayed step on, once beta_prev W and
+      Wq/q_n are absorbed: below half an ulp of the value and of the
+      q-series (or 0.0), and beta_prev W below 1e-12.  W and Wq are the
+      largest u(x_n) and u(1/a_{n+1}) over the period, and every weight
+      read is >= 0.  beta never grows (x_n <= 1) and q_n never shrinks (a
+      digit after a minus sign is >= 2), so no later term is larger.
+      ``converged`` reads the bound as the last term; the tail reads the
+      weights of the last five steps off the period.
+    So a periodic Surd's cost stops growing with n_max.
     """
     if not isinstance(alpha, (int, Fraction)):
         alpha = Fraction(alpha)
@@ -153,14 +179,17 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
     q_prev, q, eps_prev = 0, 1, 1
     terms, recent = [], []   # recent: u of x_n for n > n_max - 5
     last5 = n_max - 5
+    # an int or Fraction's orbit ends: it reads rho only for a tail.  With
+    # no ledger and rho**n_max = 0.0 the tail is 0.0; past beta_prev = 0.0
+    # so is every term, and past 1/q = 0.0 every q-series term: from there
+    # no field can change
+    rates = None if isinstance(x, (int, Fraction)) else _rates(alpha)
+    final = not (keep_terms or rates is None or rates[0] ** n_max)
     try:
         if isinstance(x, Surd):
             walk, fs, us, qw = _SurdWalk(x, alpha, m), [], [], []
-            # with no ledger and rho**n_max = 0.0 the tail is 0.0; past
-            # beta_prev = 0.0 so is every term, and past 1/q = 0.0 every
-            # q-series term: from there no field can change
-            rho = to_float(rho_alpha(alpha))
-            final, n = not (keep_terms or rho ** n_max), 0
+            n, W = 0, None   # W: the sup of u over the period, once closed
+            tail_steps = range(max(last5 + 1, 0), n_max + 1)
             for j in islice(walk, n_max + 1):
                 if final and not beta_prev and not (with_q_series and _inv(q)):
                     term = 0.0   # and so is every term left
@@ -172,6 +201,17 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
                         _P, _Q, a, eps = walk.states[j]
                         qw.append((a, eps, f(1.0 / a)))
                     n += 1
+                elif not keep_terms:   # a replayed step: the period closed
+                    if W is None:
+                        W, Wq = _period_sups(us, qw, walk.i)
+                    bound = beta_prev * W
+                    if bound < 1e-12 and (
+                            not bound or bound < math.ulp(value) / 2) and (
+                            not with_q_series or not (bq := Wq * _inv(q))
+                            or bq < math.ulp(qs) / 2):
+                        term = bound   # no later term is larger
+                        recent = [us[walk.index(k)] for k in tail_steps]
+                        break
                 term = beta_prev * us[j]
                 value += term
                 if keep_terms:
@@ -182,8 +222,7 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
                     q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
                 beta_prev *= fs[j]
             else:
-                recent = [us[walk.index(n)]
-                          for n in range(max(last5 + 1, 0), n_max + 1)]
+                recent = [us[walk.index(k)] for k in tail_steps]
         else:
             for n, (num, den, a, eps, _k) in enumerate(_orbit(x, alpha, m)):
                 xf = num / den
@@ -200,6 +239,11 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
                     if n == n_max:
                         break
                 beta_prev *= xf
+                # before the orbit certifies (an AdaptiveReal) another step
+                if final and not beta_prev and not (
+                        with_q_series and _inv(q)):
+                    term = 0.0   # and so is every term left
+                    break
             else:   # the orbit reached 0 within the budget
                 return BrjunoResult(value, n_max, terms, 0.0, True, qs)
     except (ValueError, ZeroDivisionError):
@@ -207,12 +251,20 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
             raise
         raise DomainError(f"x_{n} is below 2**-1074, outside the double "
                           "range") from None
-    if not isinstance(x, Surd):
-        rho = to_float(rho_alpha(alpha))
-    abar = float(alpha_bar(alpha))
+    rho, abar = rates or _rates(alpha)
     tail = abar * rho ** n_max / (1.0 - rho) * max([*recent, u.M1])
     converged = term < 1e-12 and tail < 1e-6
     return BrjunoResult(value, n_max, terms, tail, converged, qs)
+
+
+def _period_sups(us, qw, i: int) -> tuple[float, float]:
+    """(W, Wq): the sups of u(x_n) and u(1/a_{n+1}) over a Surd's period,
+    the records from i on; inf, which no bound passes, where a weight read
+    is not >= 0.  With none, the value and the q-series never fall."""
+    wqs = [ua for _a, _eps, ua in qw]
+    if not all(w >= 0 for w in us + wqs):
+        return math.inf, math.inf
+    return max(us[i:]), max(wqs[i:], default=0.0)
 
 
 def q_series(x: RealValue, alpha, u: SingularityU, n_max: int) -> float:

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alphacf import exact
-from alphacf.alpha import (_convergent_text, _convergents, alpha_expand,
-                           alpha_reduce, alpha_step, beta_check, decay_check,
-                           reconstruction_check, rho_alpha)
+from alphacf.alpha import (_convergent_text, _convergents, alpha_bar,
+                           alpha_expand, alpha_reduce, alpha_step, beta_check,
+                           decay_check, reconstruction_check, rho_alpha)
+from alphacf.brjuno import _rates
 from alphacf.byexcess import minus_expand
 from alphacf.exact import AdaptiveReal, DomainError, Surd, compare, to_float
 
@@ -106,12 +107,16 @@ class TestRho:
             rho_alpha(0)
 
     @pytest.mark.parametrize("alpha", ["1/5", "1/10", "3/10", "1/3", "2/5",
-                                       "3/8", "9/20", "7/10"])
+                                       "3/8", "9/20", "7/10", "5/18", "1/100",
+                                       "1"])
     def test_float_is_the_surd_double(self, alpha):
-        # the rate brjuno_sum reads is the correctly rounded double
-        rho = rho_alpha(Fraction(alpha))
+        # the rate brjuno_sum reads is the correctly rounded double, which
+        # it takes, with abar's, from the integers of _rho_power
+        alpha = Fraction(alpha)
+        rho = rho_alpha(alpha)
         assert to_float(rho) == \
             exact._nearest_float(AdaptiveReal.from_exact(rho))
+        assert _rates(alpha) == (to_float(rho), float(alpha_bar(alpha)))
 
     @pytest.mark.parametrize("code", [
         "from alphacf import brjuno_sum, make_u\n"

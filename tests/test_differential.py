@@ -1050,16 +1050,33 @@ def test_surd_semi_brjuno_matches_a_chain_without_record():
 
 # -- the exits of a surd sum -----------------------------------------------
 #
-# brjuno_sum stops reading a Surd's walk once beta_prev is 0.0, no ledger is
-# kept, 1/q is 0.0 (or there is no q-series) and rho**n_max is 0.0.  The
-# full walk below reads every step of the kernel's records, with no exit,
-# at the budgets just before, at and just after the first step whose float
-# beta_prev is 0.0 and the first n with rho**n = 0.0.
+# Without a ledger brjuno_sum stops reading a Surd's walk at one of two
+# exits: once beta_prev, 1/q (or there is no q-series) and rho**n_max are
+# all 0.0; or, once the period has closed, at the absorption step n_a, where
+# beta_prev W and Wq/q_n are absorbed (below half an ulp of the value and
+# of the q-series, or 0.0, and beta_prev W below 1e-12; W and Wq are the
+# largest u(x_n) and u(1/a_{n+1}) over the period).  The full walk below
+# reads every step of the kernel's records, with no exit, at the budgets
+# just before, at and just after each of these steps: the first n with
+# rho**n = 0.0, the first step whose float beta_prev is 0.0 and n_a.  The
+# period comes from the exact alpha_step chain, not from the walk.
 
-def exit_budgets(x, alpha):
-    """n - 1, n and n + 1 for the first n with rho**n = 0.0 and for the
-    first step n whose float beta_prev is 0.0, if one comes before.  (Where
-    every x_n exceeds 1/2, beta_prev stops at 2**-1074.)"""
+def period_of(x, alpha):
+    """(i, n_r): x_{n_r} = x_i is the first exact remainder that came
+    before, on the alpha_step chain."""
+    _n0, cur = alpha_reduce(x, alpha)
+    seen = {}
+    for n in count():
+        if cur in seen:
+            return seen[cur], n
+        seen[cur] = n
+        _digit, cur = alpha_step(cur, alpha)
+
+
+def exit_steps(x, alpha):
+    """The first n with rho**n = 0.0 and the first step n whose float
+    beta_prev is 0.0, if one comes before.  (Where every x_n exceeds 1/2,
+    beta_prev stops at 2**-1074.)"""
     _n0, _eps0, m = _alpha_seed(x, alpha)
     rho, beta = to_float(rho_alpha(alpha)), 1.0
     firsts = [next(n for n in count() if not rho ** n)]
@@ -1069,53 +1086,182 @@ def exit_budgets(x, alpha):
             firsts.append(n)
             break
         beta *= xf
-    return sorted({n + d for n in firsts for d in (-1, 0, 1)})
+    return firsts
 
 
-def full_walk(x, alpha, u, budgets, with_q):
-    """brjuno_sum's value, tail, converged and q-series at each budget, from
-    every step of the kernel's records."""
+def absorption_step(x, alpha, u, with_q, period):
+    """n_a: the first step n >= n_r, for the period (i, n_r), at which
+    beta_prev W and, with the q-series, Wq/q_n are absorbed."""
+    _n0, _eps0, m = _alpha_seed(x, alpha)
+    i, n_r = period
+    records = list(islice(_orbit(x, alpha, m), n_r))
+    W = max(u.eval(xf) for xf, _one, _a, _eps, _k in records[i:])
+    Wq = max(u.eval(1.0 / a) for _xf, _one, a, _eps, _k in records[i:])
+    value, beta, qs, q_prev, q, eps_prev = 0.0, 1.0, 0.0, 0, 1, 1
+    for n, (xf, _one, a, eps, _k) in enumerate(_orbit(x, alpha, m)):
+        bound, bq = beta * W, Wq * _inv(q)
+        if n >= n_r and bound < 1e-12 and (
+                not bound or bound < math.ulp(value) / 2) and (
+                not with_q or not bq or bq < math.ulp(qs) / 2):
+            return n
+        value += beta * u.eval(xf)
+        qs += u.eval(1.0 / a) * _inv(q)
+        q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
+        beta *= xf
+
+
+def full_walk(x, alpha, budgets, weights=tuple(WEIGHTS.values())):
+    """{u name: brjuno_sum's value, tail, converged and q-series at each
+    budget} from every step of the kernel's records, for each weight.  Each
+    q_n is checked not to fall below q_{n-1} and each digit after a minus
+    sign to be >= 2, which keeps q_n from falling from then on; past
+    1/q = 0.0 the q recurrence stops."""
     _n0, _eps0, m = _alpha_seed(x, alpha)
     rho, abar = to_float(rho_alpha(alpha)), float(alpha_bar(alpha))
-    value, beta, qs, q_prev, q, eps_prev = 0.0, 1.0, 0.0, 0, 1, 1
-    weights, fields = deque(maxlen=5), []
-    records = islice(_orbit(x, alpha, m), budgets[-1] + 1)
-    for n, (xf, _one, a, eps, _k) in enumerate(records):
-        weights.append(u.eval(xf))
-        term = beta * weights[-1]
-        value += term
-        if with_q:
-            qs += u.eval(1.0 / a) * _inv(q)
-            q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
+    k = len(weights)
+    values, qss, terms = [0.0] * k, [0.0] * k, [0.0] * k
+    recent = deque(maxlen=5)   # the weights of the last five steps
+    evals = {}   # the weights of a (double, digit) pair: u is pure
+    fields = {u.name: [] for u in weights}
+    q_prev, q, eps_prev = 0, 1, 1
+    beta, last = 1.0, max(budgets)
+    for n, (xf, _one, a, eps, _k) in enumerate(_orbit(x, alpha, m)):
+        if (xf, a) not in evals:
+            evals[xf, a] = [(u.eval(xf), u.eval(1.0 / a)) for u in weights]
+        inv_q, ws = _inv(q), evals[xf, a]
+        recent.append(ws)
+        for j, (w, wq) in enumerate(ws):
+            terms[j] = term = beta * w
+            values[j] += term
+            qss[j] += wq * inv_q
+        assert eps_prev == 1 or a >= 2, (x, alpha, n)
+        if inv_q:
+            q_prev, q = q, a * q + eps_prev * q_prev
+            assert q >= q_prev, (x, alpha, n)
+        eps_prev = eps
         if n in budgets:
-            tail = abar * rho ** n / (1.0 - rho) * max(max(weights), u.M1)
-            fields.append((value.hex(), tail.hex(),
-                           term < 1e-12 and tail < 1e-6,
-                           qs.hex() if with_q else None))
+            for j, u in enumerate(weights):
+                tail = (abar * rho ** n / (1.0 - rho)
+                        * max(max(step[j][0] for step in recent), u.M1))
+                fields[u.name].append((values[j].hex(), tail.hex(),
+                                       terms[j] < 1e-12 and tail < 1e-6,
+                                       qss[j].hex()))
+        if n == last:
+            return fields
         beta *= xf
-    return fields
+
+
+def sum_fields(x, alpha, u, n, with_q):
+    r = brjuno_sum(x, alpha, u, n, keep_terms=False, with_q_series=with_q)
+    return (r.value.hex(), r.tail_estimate.hex(), r.converged,
+            r.companion_q_series.hex() if with_q else None)
 
 
 @pytest.mark.parametrize("alpha", PERIOD_ALPHAS, ids=str)
 def test_surd_sum_exits_match_the_full_walk(alpha):
-    u = WEIGHTS["log"]
     for x in PERIOD_SURDS + LONG_RUNS:
-        budgets = exit_budgets(x, alpha)
-        # rho**n reaches 0.0 at n = 73,766 for alpha = 1/100, and the exact
-        # q recurrence over that many steps costs 0.4 s a sum: there those
-        # budgets go without the q-series, on SURDS and LONG_RUNS only
-        short = [n for n in budgets if n < 10 ** 4]
-        runs = [(short, True)]
-        if short != budgets and (x in SURDS or x in LONG_RUNS):
-            runs.append((budgets[len(short):], False))
-        for ns, with_q in runs:
-            got = [brjuno_sum(x, alpha, u, n, keep_terms=False,
-                              with_q_series=with_q) for n in ns]
-            assert [(r.value.hex(), r.tail_estimate.hex(), r.converged,
-                     None if r.companion_q_series is None
-                     else r.companion_q_series.hex())
-                    for r in got] == full_walk(x, alpha, u, ns, with_q), x
+        firsts, period = exit_steps(x, alpha), period_of(x, alpha)
+        budgets = {
+            (name, with_q): {n + d for d in (-1, 0, 1) for n in firsts + [
+                absorption_step(x, alpha, u, with_q, period)]}
+            for name, u in WEIGHTS.items() for with_q in (True, False)}
+        # rho**n reaches 0.0 at n = 73,766 for alpha = 1/100; a full walk
+        # that long costs 0.1 s, so there those budgets go on SURDS and
+        # LONG_RUNS only
+        if not (x in SURDS or x in LONG_RUNS):
+            budgets = {k: {n for n in ns if n < 10 ** 4}
+                       for k, ns in budgets.items()}
+        every = sorted(set().union(*budgets.values()))
+        want = full_walk(x, alpha, every)
+        for (name, with_q), ns in budgets.items():
+            walked = dict(zip(every, want[name]))
+            assert [sum_fields(x, alpha, WEIGHTS[name], n, with_q)
+                    for n in sorted(ns)] == [
+                walked[n][:3] + (walked[n][3] if with_q else None,)
+                for n in sorted(ns)], (x, name, with_q)
 
+
+def test_golden_mean_gauss_sum_at_a_large_budget():
+    # every digit is 1, so u(1/a) = 0 and the q-series stays 0.0, and every
+    # x_n exceeds 1/2, so beta_prev never reaches 0.0: only the absorption
+    # exit stops this walk, near n = 75 (28.8 s to n = 10**6 without it)
+    log = WEIGHTS["log"]
+    want = full_walk(G, Fraction(1), {10 ** 6}, (log,))["log"]
+    assert [sum_fields(G, Fraction(1), log, 10 ** 6, True)] == want
+
+
+def test_adaptive_sum_stops_where_beta_underflows():
+    # beta_prev reaches 0.0 near n = 800; without the exit the lockstep
+    # goes on to certify steps past the precision cap (NeedsPrecision)
+    g, log, half = AdaptiveReal.from_exact(G), WEIGHTS["log"], Fraction(1, 2)
+    got = [brjuno_sum(g, half, log, n, keep_terms=False, with_q_series=True)
+           for n in (20000, 10 ** 5)]
+    assert [(r.value.hex(), r.tail_estimate.hex(), r.converged,
+             r.companion_q_series.hex()) for r in got] == \
+        [sum_fields(G, half, log, 20000, True)] * 2
+
+
+# A term exactly at a bound of the absorption test is not absorbed.  Every
+# digit of TIE_X at alpha = 1 is 3, so x_n = x_0 and the terms are
+# beta_prev W and Wq/q_n.  The weights lam * -log t below put one term
+# exactly at half an ulp of a sum whose last bit is odd, where the tie
+# rounds up and the term changes the sum; or exactly at 1e-12, below half
+# an ulp, where a stop would report a last term that is not below 1e-12.
+
+TIE_X = Surd(-3, 1, 2, 13)
+
+
+def odd_half_ulp(v):
+    return math.ulp(v) / 2 if int(math.frexp(v)[0] * 2 ** 53) & 1 else None
+
+
+def tie_weight(guess, hit):
+    """The weight lam * -log t, lam near guess(beta_prev, q_n, L, Lq) at
+    some step n (L = -log x_n, Lq = log 3), whose walk on the orbit of
+    TIE_X at alpha = 1 meets hit(value, qs, beta_prev W, Wq/q_n) at step
+    n."""
+    xf = oracle_float(TIE_X)
+    beta, q_prev, q = 1.0, 0, 1
+    for n in range(1, 80):
+        beta, q_prev, q = beta * xf, q, 3 * q + q_prev
+        lam = guess(beta, q, -math.log(xf), math.log(3))
+        for _ in range(40):
+            lam = math.nextafter(lam, 0)
+        for _ in range(80):
+            lam = math.nextafter(lam, math.inf)
+            W, Wq = lam * -math.log(xf), lam * -math.log(1.0 / 3)
+            value = qs = 0.0
+            b, p_prev, p = 1.0, 0, 1
+            for _ in range(n):
+                value += b * W
+                qs += Wq * _inv(p)
+                b, p_prev, p = b * xf, p, 3 * p + p_prev
+            if hit(value, qs, b * W, Wq * _inv(p)):
+                return make_u(f"{lam!r} log", eval_fn=lambda t: lam * -math.log(t),
+                              deriv_fn=lambda t: -lam / t)
+    raise AssertionError("no weight meets the bound")
+
+
+@pytest.mark.parametrize("with_q, guess, hit", [
+    # value ~ 1.5 W at the tie
+    (False, lambda beta, q, L, Lq: 2.0 ** -53 / beta / L,
+     lambda v, qs, bound, bq: bound == odd_half_ulp(v)),
+    # value ~ 2^15, so that 1e-12 < ulp(value) / 2
+    (False, lambda beta, q, L, Lq: 1e-12 / beta / L,
+     lambda v, qs, bound, bq: bound == 1e-12 < math.ulp(v) / 2),
+    # the value's bound is absorbed and the q-series' at its tie
+    (True, lambda beta, q, L, Lq: 2.0 ** -53 * q / Lq,
+     lambda v, qs, bound, bq: bq == odd_half_ulp(qs)
+     and bound < min(1e-12, math.ulp(v) / 2)),
+], ids=["half_ulp", "1e-12", "q_half_ulp"])
+def test_a_term_at_a_bound_is_not_absorbed(with_q, guess, hit):
+    alpha, u = Fraction(1), tie_weight(guess, hit)
+    firsts, period = exit_steps(TIE_X, alpha), period_of(TIE_X, alpha)
+    n_a = absorption_step(TIE_X, alpha, u, with_q, period)
+    budgets = sorted({n + d for d in (-1, 0, 1) for n in firsts + [n_a]})
+    want = full_walk(TIE_X, alpha, budgets, (u,))[u.name]
+    assert [sum_fields(TIE_X, alpha, u, n, with_q) for n in budgets] == \
+        [w[:3] + (w[3] if with_q else None,) for w in want], u.name
 
 # -- integer decisions of seeds, floors and enclosures ---------------------
 #

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, count, cycle, islice
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .exact import (AdaptiveReal, DomainError, ExactnessUnavailable,
                     NeedsPrecision, RealValue, Surd, _json_chunks, _ladder,
@@ -36,16 +36,9 @@ def alpha_bar(alpha) -> Fraction:
     return max(alpha, 1 - alpha)
 
 
-@dataclass(frozen=True)
-class AlphaDigit:
+class AlphaDigit(NamedTuple):
     a: int
     eps: int  # sign of 1/x - a; +1 by convention on a terminating step
-
-    def __post_init__(self):
-        if self.a < 1:
-            raise ValueError(f"digit must be >= 1, got {self.a}")
-        if self.eps not in (-1, 1):
-            raise ValueError(f"sign must be +-1, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +68,8 @@ class AlphaExpansion:
 
     @cached_property
     def betas(self) -> list:   # beta_0 .. beta_D
-        return _betas(self.x, self.eps0, self.integer_part,
-                      [(d.a, d.eps) for d in self.digits], self.remainders)
+        return _betas(self.x, self.eps0, self.integer_part, self.digits,
+                      self.remainders)
 
     def reduced(self) -> RealValue:
         """x - integer_part, the signed value the convergents approximate."""
@@ -99,8 +92,7 @@ class AlphaExpansion:
 
     def to_json_chunks(self) -> Iterator[str]:
         """The JSON text, one convergent per chunk."""
-        p_seq, q_seq = _convergent_text(
-            [(d.a, d.eps) for d in self.digits], self.eps0)
+        p_seq, q_seq = _convergent_text(self.digits, self.eps0)
         return _json_chunks({
             "alpha": str(self.alpha),
             "x": str(self.x),
@@ -114,8 +106,7 @@ class AlphaExpansion:
         """Header and one row per digit; p and q are exact Decimals."""
         rows = [["n", "a", "eps", "p", "q", "beta"]]
         signs = [d.eps for d in self.digits]
-        p_seq, q_seq = _convergent_text(
-            [(d.a, d.eps) for d in self.digits], self.eps0)
+        p_seq, q_seq = _convergent_text(self.digits, self.eps0)
         xr = self.reduced()   # a Surd's last row has no q_{n+1}: Lemma 1
         beta = (lambda n: abs(xr * self.q_seq[n] - self.p_seq[n])
                 if isinstance(xr, Surd) else self.betas[n])
@@ -480,7 +471,7 @@ def alpha_expand(x: RealValue, alpha, max_digits: int) -> AlphaExpansion:
         ended = False
     p_seq, q_seq = _convergents(steps, eps0)
     return AlphaExpansion(alpha, x, n0, eps0,
-                          [AlphaDigit(a, eps) for a, eps in steps],
+                          list(map(AlphaDigit._make, steps)),
                           remainders, p_seq, q_seq, ended)
 
 

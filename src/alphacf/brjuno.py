@@ -270,7 +270,7 @@ def _period_sups(us, qw, i: int) -> tuple[float, float]:
 def q_series(x: RealValue, alpha, u: SingularityU, n_max: int) -> float:
     """Companion series sum u(1/a_{n+1}) / q_n over the same expansion."""
     if Fraction(alpha) == 0:
-        raise DomainError("alpha = 0: use b0_qseries")
+        raise DomainError("alpha = 0: use semi_brjuno(with_q_series=True)")
     return brjuno_sum(x, alpha, u, n_max, keep_terms=False,
                       with_q_series=True).companion_q_series
 
@@ -408,12 +408,6 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
     tail = 0.0 if done else 2.0 * beta
     return BrjunoResult(value, n_max, terms, tail, done or tail < 1e-12,
                         qs if with_q_series else None, istar)
-
-
-def b0_qseries(x: RealValue, n_max: int) -> float:
-    """Semi-Brjuno companion series sum log(b_{n+1} - 1) / q*_n."""
-    return semi_brjuno(x, n_max, keep_terms=False,
-                       with_q_series=True).companion_q_series
 
 
 def b0_even(x: RealValue, n_max: int) -> float:

@@ -19,15 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .alpha import (_beta_float, _betas, _convergent_text, _convergents,
                     _expansion, alpha_step)
 from .exact import DomainError, RealValue, _json_chunks, floor_shift, sign_val
-
-
-class SideMismatch(ValueError):
-    """Declared side of 1/2 contradicts the first by-excess digit."""
 
 
 class MalformedStream(ValueError):
@@ -52,16 +48,6 @@ class MinusExpansion:
     def betastars(self) -> list:   # beta*_0 .. beta*_D (= x_0...x_n)
         return _betas(self.x0, 1, 0, [(b, -1) for b in self.digits],
                       self.remainders)
-
-    def digit(self, k: int) -> int:
-        """b_k (1-based); returns the symbolic tail of 2's past the end."""
-        if k < 1:
-            raise IndexError(k)
-        if k <= len(self.digits):
-            return self.digits[k - 1]
-        if self.reached_one:
-            return 2
-        raise IndexError(f"digit b_{k} not expanded")
 
     def to_csv_rows(self) -> list[list]:
         """Header and one row per digit; p* and q* are exact Decimals."""
@@ -133,25 +119,20 @@ def _canonical_fixup(a: list[int]) -> list[int]:
     return a
 
 
-def minus_to_regular(digits: Sequence[int], side: Optional[str] = None,
+def minus_to_regular(digits: Sequence[int],
                      tail_of_twos: bool = False) -> tuple[list[int], bool]:
     """Translate by-excess digits into regular continued fraction digits.
 
-    ``side`` is "above_half" (first digit 2) or "below_half" (first digit
-    > 2); inferred from the stream when omitted.  Returns (a_digits,
-    terminated): a trailing open run of 2's marks a rational input, whose
-    regular expansion terminates (in canonical form, last digit >= 2).
-    For a plain prefix of an infinite stream, only digits derivable from
-    complete runs are emitted.
+    A first digit 2 puts x above 1/2 (regular digits 1, run - 1, ...), a
+    first digit > 2 below it.  Returns (a_digits, terminated): a trailing
+    open run of 2's marks a rational input, whose regular expansion
+    terminates (in canonical form, last digit >= 2).  For a plain prefix
+    of an infinite stream, only digits derivable from complete runs are
+    emitted.
     """
     digits = list(digits)
     if not digits:
         raise MalformedStream("empty by-excess stream")
-    inferred = "above_half" if digits[0] == 2 else "below_half"
-    if side is None:
-        side = inferred
-    elif side != inferred:
-        raise SideMismatch(f"side={side} but b_1={digits[0]}")
 
     # maximal runs of 2's: runs[j] - 1 digits 2, closed by the digit big[j]
     runs, big, last_big = [], [], -1
@@ -166,9 +147,7 @@ def minus_to_regular(digits: Sequence[int], side: Optional[str] = None,
         # all 2's: no complete information (or x = 1 if the tail is open)
         return [], False
     out: list[int] = []
-    if side == "above_half":
-        if runs[0] < 2:
-            raise SideMismatch("b_1 = 2 requires a leading run of length >= 2")
+    if digits[0] == 2:   # the first digit > 2 closes a run of length >= 2
         out = [1, runs[0] - 1]
         for j, bv in enumerate(big):
             out.append(bv - 2)

@@ -161,11 +161,12 @@ def cmd_holder(args) -> int:
     try:
         with open(args.input, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            if (header := next(reader, None)) is None:
+                raise ValueError("missing header row")
             col = (header.index(args.column) if args.column
                    else len(header) - 1)
             values = [float(row[col]) for row in reader]
-    except (OSError, ValueError, StopIteration, IndexError) as exc:
+    except (OSError, ValueError, IndexError) as exc:
         print(f"error: malformed CSV input: {exc}", file=sys.stderr)
         return EXIT_PARSE
     _write_out(json.dumps(asdict(estimate_holder(values))) + "\n", args.out)
@@ -213,7 +214,8 @@ def cmd_bench(args) -> int:
 
 # -- argument parsing ------------------------------------------------------
 
-_GLOBAL_DEFAULTS = {"precision_bits": 128, "precision_cap": 65536,
+_GLOBAL_DEFAULTS = {"precision_bits": exact.DEFAULT_BITS,
+                    "precision_cap": exact.PRECISION_CAP,
                     "format": "csv", "out": None, "seed": 0}
 
 

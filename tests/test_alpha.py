@@ -2,6 +2,7 @@ import decimal
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,24 @@ class TestIdentities:
                 assert beta_check(exp).all_ok
                 assert reconstruction_check(exp)
                 assert decay_check(exp)
+
+    @pytest.mark.parametrize("x, alpha", [
+        (Fraction(13, 29), Fraction(1, 3)), (GAMMA, Fraction(1, 2)),
+    ], ids=["rational", "surd"])
+    def test_reconstruction_check_catches_tampering(self, x, alpha):
+        # one remainder moved, or one digit's sign flipped, while the
+        # convergents stay: the identity must fail at that index
+        exp = alpha_expand(x, alpha, 12)
+        for n in range(len(exp.remainders)):
+            moved = list(exp.remainders)
+            moved[n] += Fraction(1, 10 ** 6)
+            assert not reconstruction_check(replace(exp, remainders=moved))
+        # a terminating step's sign multiplies the remainder 0
+        for n in range(len(exp.digits) - exp.terminated):
+            flipped = list(exp.digits)
+            flipped[n] = flipped[n]._replace(eps=-flipped[n].eps)
+            assert not reconstruction_check(replace(exp, digits=flipped))
+        assert reconstruction_check(exp)
 
     @given(steps=st.lists(st.tuples(st.integers(1, 10 ** 12),
                                     st.sampled_from((-1, 1))),

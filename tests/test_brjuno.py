@@ -8,7 +8,7 @@ import pytest
 import alphacf
 from alphacf import alpha, brjuno, exact
 from alphacf.brjuno import (DIFF_KINDS, ConditionViolation, b0_even,
-                            b0_qseries, brjuno_sum, diff_report, figure_rows,
+                            brjuno_sum, diff_report, figure_rows,
                             functional_residual, log_denominator_sum, make_u,
                             q_series, semi_brjuno)
 from alphacf.corpus import rational_corpus, surd_corpus
@@ -109,8 +109,8 @@ class TestCompanionSeries:
 
     def test_b0_qseries_skips_digit_two(self):
         # 1/2 has by-excess digits [3, tail of 2's]: single term log 2
-        assert b0_qseries(Fraction(1, 2), 50) == \
-            pytest.approx(math.log(2), abs=1e-12)
+        assert semi_brjuno(Fraction(1, 2), 50, with_q_series=True) \
+            .companion_q_series == pytest.approx(math.log(2), abs=1e-12)
 
     def test_istar_block_sum(self):
         for x in (Fraction(5, 7), Fraction(355, 113) - 3, G, GAMMA):
@@ -122,7 +122,7 @@ class TestBudgets:
     @pytest.mark.parametrize("call", [
         lambda: semi_brjuno(Fraction(5, 7), -1),
         lambda: semi_brjuno(G, -1),
-        lambda: b0_qseries(G, -1),
+        lambda: semi_brjuno(G, -1, with_q_series=True),
         lambda: b0_even(Fraction(5, 7), -1),
         lambda: brjuno_sum(Fraction(5, 7), 1, make_u("log"), -1),
         lambda: q_series(Fraction(5, 7), 1, make_u("log"), -1),
@@ -264,6 +264,30 @@ class TestSurdRecord:
             tracemalloc.stop()
         assert peak < 235 * n
 
+    @pytest.mark.parametrize("n", [40, 400, 4000])
+    def test_no_absorption_for_a_negative_weight(self, monkeypatch, n):
+        # -log(t) - 1/2 is negative at the golden mean, the whole period at
+        # alpha = 1: half an ulp toward zero bounds nothing there, so the
+        # exit is refused and the sum reads what the ledger's sum reads
+        u = make_u("shifted log", eval_fn=lambda t: -math.log(t) - 0.5,
+                   deriv_fn=lambda t: -1.0 / t)
+        sups = []
+
+        def period_sups(*args, real=brjuno._period_sups):
+            sups.append(real(*args))
+            return sups[-1]
+
+        def hexes(res):
+            return ([v.hex() for v in (res.value, res.tail_estimate,
+                                       res.companion_q_series)], res.converged)
+
+        monkeypatch.setattr(brjuno, "_period_sups", period_sups)
+        fast = brjuno_sum(G, 1, u, n, keep_terms=False, with_q_series=True)
+        ledger = brjuno_sum(G, 1, u, n, keep_terms=True, with_q_series=True)
+        assert sups == [(math.inf, math.inf)]
+        assert fast.value < 0
+        assert hexes(fast) == hexes(ledger)
+
     def test_surd_below_the_double_range(self):
         x = Surd(1, 1, 10 ** 400, 2)
         for u in ("log", "inv_sqrt"):
@@ -369,3 +393,11 @@ def test_all_lists_supported_names():
     assert "figure_rows" in alphacf.__all__
     assert "Fraction" not in alphacf.__all__
     assert alphacf.Fraction is Fraction   # still importable
+
+
+def test_removed_names_are_gone():
+    # b0_qseries was semi_brjuno(with_q_series=True); SideMismatch could
+    # not be raised once minus_to_regular infers the side
+    for name in ("b0_qseries", "SideMismatch"):
+        assert name not in alphacf.__all__
+        assert not hasattr(alphacf, name)

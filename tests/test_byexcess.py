@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphacf.alpha import alpha_expand
-from alphacf.byexcess import (MalformedStream, SideMismatch,
-                              complement_regular, minus_expand, minus_step,
-                              minus_to_regular, regular_to_minus)
+from alphacf.byexcess import (MalformedStream, complement_regular,
+                              minus_expand, minus_step, minus_to_regular,
+                              regular_to_minus)
 from alphacf.exact import DomainError, Surd, compare
 
 G = Surd(-1, 1, 2, 5)
@@ -42,8 +42,6 @@ class TestMinusExpansion:
         assert exp.reached_one
         assert exp.pstar == [0, 1, 2, 7]
         assert exp.qstar == [1, 2, 3, 10]
-        # symbolic tail of 2's past the expanded digits
-        assert exp.digit(4) == 2 and exp.digit(100) == 2
 
     def test_convergent_unimodularity(self):
         exp = minus_expand(Fraction(13, 29), 10 ** 5)
@@ -90,10 +88,6 @@ class TestDictionary:
         # 1/3 = by-excess [4, tail of 2's]; regular [3]
         a, terminated = minus_to_regular([4], tail_of_twos=True)
         assert (a, terminated) == ([3], True)
-
-    def test_side_mismatch(self):
-        with pytest.raises(SideMismatch):
-            minus_to_regular([2, 2, 4], side="below_half", tail_of_twos=True)
 
     @given(p=st.integers(1, 499), q=st.integers(2, 500))
     @settings(max_examples=100, deadline=None)

@@ -304,6 +304,12 @@ class TestScalarCommands:
         code, out = run(capsys, "dict", "--to", "minus", "--digits", "1 2 2")
         assert (code, out.strip()) == (0, "2 2 4 tail2")
 
+    def test_dict_open_prefix(self, capsys):
+        # without tail2 the last run of 2's may go on: the regular digits
+        # derived so far, then " ..."
+        code, out = run(capsys, "dict", "--to", "regular", "--digits", "2 2 4")
+        assert (code, out) == (0, "1 2 2 ...\n")
+
 
 class TestSweep:
     def test_threshold_exceeded_exit_code(self, capsys, tmp_path):
@@ -495,6 +501,15 @@ class TestHolderCommand:
 
     def test_missing_file(self, capsys):
         assert run(capsys, "holder", "--input", "/no/such.csv")[0] == 2
+
+    def test_empty_file_names_the_header(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert main(["holder", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "error: malformed CSV input: missing header row\n"
 
 
 class TestBench:

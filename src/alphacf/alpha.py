@@ -162,8 +162,9 @@ def _orbit(x: RealValue, alpha, m: tuple):
     steps from x_n = num/den, each with the digit a and the sign eps.  k is
     1 except in a by-excess run of 2's: at alpha = 0, while x_n > 1/2 the
     digit is 2, c = den - num stays fixed and num falls by c, so the whole
-    run is one record with k = (num - 1) // c.  A rational x steps on
-    num/den = x_n itself and ends at a remainder 0 (a terminating
+    run is one record with k = (num - 1) // c.  A rational x = p/q steps
+    on num/den = x_n itself, from [num; den] = m [p; q] (_rational_orbit,
+    which _orbit returns), and ends at a remainder 0 (a terminating
     expansion) or 1 (the by-excess fixed point).  A Surd walks its exact
     (P, Q, D) states lazily (_SurdWalk) and yields the correctly rounded
     double of x_n over 1, taken once per distinct state; past the first
@@ -186,26 +187,34 @@ def _orbit(x: RealValue, alpha, m: tuple):
     if isinstance(x, (int, Fraction)):
         A, B, C, D = m
         p, q = x.numerator, x.denominator
-        num, den = A * p + B * q, C * p + D * q
-        t = s - r
-        while 0 < num < den:
-            if not r and 2 * num > den:
-                c = den - num
-                k = (num - 1) // c   # the steps with num > c
-                yield num, den, 2, -1, k
-                num -= k * c
-                den = num + c
-            # step rule: num/den -> |den - a*num| / num with
-            # a = floor(den/num + 1 - alpha); gcd(num, den) never changes
-            a = (s * den + t * num) // (s * num)
-            rem = den - a * num
-            if rem < 0:
-                yield num, den, a, -1, 1
-                num, den = -rem, num
-            else:   # eps = +1, also on a terminating step
-                yield num, den, a, 1, 1
-                num, den = rem, num
-        return
+        return _rational_orbit(A * p + B * q, C * p + D * q, r, s)
+    return _real_orbit(x, alpha, m)
+
+
+def _rational_orbit(num: int, den: int, r: int, s: int):
+    """_orbit's records of x_0 = num/den at alpha = r/s, in integers."""
+    t = s - r
+    while 0 < num < den:
+        if not r and 2 * num > den:
+            c = den - num
+            k = (num - 1) // c   # the steps with num > c
+            yield num, den, 2, -1, k
+            num -= k * c
+            den = num + c
+        # step rule: num/den -> |den - a*num| / num with
+        # a = floor(den/num + 1 - alpha); gcd(num, den) never changes
+        a = (s * den + t * num) // (s * num)
+        rem = den - a * num
+        if rem < 0:
+            yield num, den, a, -1, 1
+            num, den = -rem, num
+        else:   # eps = +1, also on a terminating step
+            yield num, den, a, 1, 1
+            num, den = rem, num
+
+
+def _real_orbit(x: RealValue, alpha, m: tuple):
+    """_orbit's records of a Surd or an AdaptiveReal."""
     if isinstance(x, Surd):
         walk, recs = _SurdWalk(x, alpha, m), []
         for j in walk:   # endless: a surd's orbit never reaches 0 or 1

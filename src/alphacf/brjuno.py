@@ -19,7 +19,7 @@ from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence
 
 from .alpha import (_SurdWalk, _alpha_seed, _convergents, _orbit,
-                    _rho_power, alpha_step)
+                    _rational_orbit, _rho_power, alpha_step)
 from .byexcess import _reduce_mod1, minus_step
 from .exact import (DomainError, RealValue, Surd, _surd_double, compare,
                     is_exact, sign_val, to_float)
@@ -173,23 +173,28 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     _n0, _eps0, m = _alpha_seed(x, alpha)
-    f = u.eval
-    beta_prev, value, xf = 1.0, 0.0, 1.0
-    qs = 0.0 if with_q_series else None
-    q_prev, q, eps_prev = 0, 1, 1
-    terms, recent = [], []   # recent: u of x_n for n > n_max - 5
-    last5 = n_max - 5
     # an int or Fraction's orbit ends: it reads rho only for a tail.  With
     # no ledger and rho**n_max = 0.0 the tail is 0.0; past beta_prev = 0.0
     # so is every term, and past 1/q = 0.0 every q-series term: from there
     # no field can change
     rates = None if isinstance(x, (int, Fraction)) else _rates(alpha)
     final = not (keep_terms or rates is None or rates[0] ** n_max)
-    try:
-        if isinstance(x, Surd):
-            walk, fs, us, qw = _SurdWalk(x, alpha, m), [], [], []
-            n, W = 0, None   # W: the sup of u over the period, once closed
-            tail_steps = range(max(last5 + 1, 0), n_max + 1)
+    if not isinstance(x, Surd):
+        value, terms, qs, recent, term = _alpha_terms(
+            _orbit(x, alpha, m), u.eval, n_max, keep_terms, with_q_series,
+            final)
+        if term is None:   # the orbit reached 0 within the budget
+            return BrjunoResult(value, n_max, terms, 0.0, True, qs)
+    else:
+        f = u.eval
+        beta_prev, value, xf = 1.0, 0.0, 1.0
+        qs = 0.0 if with_q_series else None
+        q_prev, q, eps_prev = 0, 1, 1
+        terms, recent = [], []   # recent: u of x_n for n > n_max - 5
+        walk, fs, us, qw = _SurdWalk(x, alpha, m), [], [], []
+        n, W = 0, None   # W: the sup of u over the period, once closed
+        tail_steps = range(max(n_max - 4, 0), n_max + 1)
+        try:
             for j in islice(walk, n_max + 1):
                 if final and not beta_prev and not (with_q_series and _inv(q)):
                     term = 0.0   # and so is every term left
@@ -223,38 +228,56 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
                 beta_prev *= fs[j]
             else:
                 recent = [us[walk.index(k)] for k in tail_steps]
-        else:
-            for n, (num, den, a, eps, _k) in enumerate(_orbit(x, alpha, m)):
-                xf = num / den
-                uval = f(xf)
-                term = beta_prev * uval
-                value += term
-                if keep_terms:
-                    terms.append((n, beta_prev, xf, term))
-                if with_q_series:
-                    qs += f(1.0 / a) * _inv(q)
-                    q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
-                if n > last5:
-                    recent.append(uval)
-                    if n == n_max:
-                        break
-                beta_prev *= xf
-                # before the orbit certifies (an AdaptiveReal) another step
-                if final and not beta_prev and not (
-                        with_q_series and _inv(q)):
-                    term = 0.0   # and so is every term left
+        except (ValueError, ZeroDivisionError):
+            if xf:
+                raise
+            raise DomainError(f"x_{n} is below 2**-1074, outside the "
+                              "double range") from None
+    rho, abar = rates or _rates(alpha)
+    tail = abar * rho ** n_max / (1.0 - rho) * max([*recent, u.M1])
+    converged = term < 1e-12 and tail < 1e-6
+    return BrjunoResult(value, n_max, terms, tail, converged, qs)
+
+
+def _alpha_terms(orbit, f, n_max: int, keep_terms: bool, with_q_series: bool,
+                 final: bool) -> tuple:
+    """brjuno_sum's pass over the records (num, den, a, eps, 1) of a rational
+    or an AdaptiveReal: (value, terms, q-series, recent, last term), the
+    last term None where the orbit reached 0 within the budget n_max."""
+    beta_prev, value, xf = 1.0, 0.0, 1.0
+    qs = 0.0 if with_q_series else None
+    q_prev, q, eps_prev = 0, 1, 1
+    terms, recent = [], []   # recent: u of x_n for n > n_max - 5
+    last5 = n_max - 5
+    try:
+        for n, (num, den, a, eps, _k) in enumerate(orbit):
+            xf = num / den
+            uval = f(xf)
+            term = beta_prev * uval
+            value += term
+            if keep_terms:
+                terms.append((n, beta_prev, xf, term))
+            if with_q_series:
+                qs += f(1.0 / a) * _inv(q)
+                q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
+            if n > last5:
+                recent.append(uval)
+                if n == n_max:
                     break
-            else:   # the orbit reached 0 within the budget
-                return BrjunoResult(value, n_max, terms, 0.0, True, qs)
+            beta_prev *= xf
+            # before the orbit certifies (an AdaptiveReal) another step
+            if final and not beta_prev and not (
+                    with_q_series and _inv(q)):
+                term = 0.0   # and so is every term left
+                break
+        else:   # the orbit reached 0 within the budget
+            term = None
     except (ValueError, ZeroDivisionError):
         if xf:
             raise
         raise DomainError(f"x_{n} is below 2**-1074, outside the double "
                           "range") from None
-    rho, abar = rates or _rates(alpha)
-    tail = abar * rho ** n_max / (1.0 - rho) * max([*recent, u.M1])
-    converged = term < 1e-12 and tail < 1e-6
-    return BrjunoResult(value, n_max, terms, tail, converged, qs)
+    return value, terms, qs, recent, term
 
 
 def _period_sups(us, qw, i: int) -> tuple[float, float]:
@@ -301,57 +324,17 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
     q_prev, q_cur = 0, 1
     terms = []
     done = False
-    _n0, _eps0, m = _alpha_seed(x, 1)
     n = 0   # the terms summed
     if isinstance(x, (int, Fraction)):
-        # x_0 = num/den has den = x.denominator (the seed's den row is
-        # (0, 1)), and den_{n+1} = num_n: log(den) is the previous log(num).
-        # The published figures were computed with log(den) - log(num)
-        log_den = log(x.denominator)
-        for num, den, b, _eps, k in _orbit(x, 0, m):
-            if k > 1:
-                # a run of 2's, which the budget may cut: the float
-                # operations of k single steps, in their order
-                k = min(k, n_max + 1 - n)
-                c = den - num
-                for num in range(num, num - k * c, -c):
-                    xf = num / (num + c)
-                    log_num = log(num)
-                    term = beta * (log_den - log_num)
-                    log_den = log_num
-                    value += term
-                    istar += term
-                    if keep_terms:
-                        terms.append((len(terms), beta, xf, term))
-                    beta *= xf
-                if with_q_series:   # an arithmetic progression along a run
-                    d = q_cur - q_prev
-                    q_prev, q_cur = q_cur + (k - 1) * d, q_cur + k * d
-            else:
-                xf = num / den
-                log_num = log(num)
-                term = beta * (log_den - log_num)
-                log_den = log_num
-                value += term
-                if b == 2:
-                    istar += term
-                elif with_q_series:
-                    qs += log(b - 1) * _inv(q_cur)
-                if keep_terms:
-                    terms.append((n, beta, xf, term))
-                beta *= xf
-                if with_q_series:
-                    q_prev, q_cur = q_cur, b * q_cur - q_prev
-            n += k
-            if n > n_max:
-                break
-        else:
-            done = True   # remainder 1 (0 at an integer x) within the budget
+        # x_0 = frac(x): the seed's den row is (0, 1)
+        value, istar, qs, beta, terms, done = _b0_terms(
+            x.numerator % x.denominator, x.denominator, n_max, keep_terms,
+            with_q_series)
     elif isinstance(x, Surd):
         # one double and one -log per distinct state, read by index on a
         # replay; past beta* < 1e-22 terms (and the q-series' 1/q* tail)
         # are below double precision
-        walk, recs = _SurdWalk(x, 0, m), []
+        walk, recs = _SurdWalk(x, 0, _alpha_seed(x, 1)[2]), []
         for j in islice(walk, n_max + 1):
             if j == len(recs):
                 xf, b = walk.double(j), walk.states[j][2]
@@ -374,7 +357,7 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
     else:
         # an AdaptiveReal's x_n as doubles, over 1 or as a certified run's
         # list, cut at beta* < 1e-22 as a Surd's
-        for num, den, b, _eps, k in _orbit(x, 0, m):
+        for num, den, b, _eps, k in _orbit(x, 0, _alpha_seed(x, 1)[2]):
             if den:   # one step, x_n = num
                 term = beta * -log(num)
                 value += term
@@ -410,6 +393,60 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
                         qs if with_q_series else None, istar)
 
 
+def _b0_terms(num: int, den: int, n_max: int, keep_terms: bool,
+              with_q_series: bool) -> tuple:
+    """semi_brjuno's pass over the by-excess orbit of x_0 = num/den, in
+    lowest terms: (value, istar, q*-series, beta*, terms, done), done where
+    the orbit reached 1 (0 at num = 0) within the budget n_max."""
+    log = math.log
+    value = istar = qs = 0.0
+    beta = 1.0
+    q_prev, q_cur = 0, 1
+    terms = []
+    n = 0   # the terms summed
+    # den_{n+1} = num_n: log(den) is the previous log(num).  The published
+    # figures were computed with log(den) - log(num)
+    log_den = log(den)
+    for num, den, b, _eps, k in _rational_orbit(num, den, 0, 1):
+        if k > 1:
+            # a run of 2's, which the budget may cut: the float
+            # operations of k single steps, in their order
+            k = min(k, n_max + 1 - n)
+            c = den - num
+            for num in range(num, num - k * c, -c):
+                xf = num / (num + c)
+                log_num = log(num)
+                term = beta * (log_den - log_num)
+                log_den = log_num
+                value += term
+                istar += term
+                if keep_terms:
+                    terms.append((len(terms), beta, xf, term))
+                beta *= xf
+            if with_q_series:   # an arithmetic progression along a run
+                d = q_cur - q_prev
+                q_prev, q_cur = q_cur + (k - 1) * d, q_cur + k * d
+        else:
+            xf = num / den
+            log_num = log(num)
+            term = beta * (log_den - log_num)
+            log_den = log_num
+            value += term
+            if b == 2:
+                istar += term
+            elif with_q_series:
+                qs += log(b - 1) * _inv(q_cur)
+            if keep_terms:
+                terms.append((n, beta, xf, term))
+            beta *= xf
+            if with_q_series:
+                q_prev, q_cur = q_cur, b * q_cur - q_prev
+        n += k
+        if n > n_max:
+            return value, istar, qs, beta, terms, False
+    return value, istar, qs, beta, terms, True
+
+
 def b0_even(x: RealValue, n_max: int) -> float:
     """Even part B0(x) + B0(-x); -x mod 1 is 1 - frac(x)."""
     x0 = _reduce_mod1(x)
@@ -422,20 +459,21 @@ def b0_even(x: RealValue, n_max: int) -> float:
 
 # -- figure grids ----------------------------------------------------------
 
-_NUDGE = Fraction(1, 2 * 10 ** 9)
+_NUDGE = 2 * 10 ** 9   # grid points on the integers move by 1/_NUDGE
 
 
 def _figure_grid(lo: Fraction, hi: Fraction, points: int) -> Iterator:
-    """x_k = lo + (hi - lo) k / (points - 1), moved off the integers by
-    _NUDGE = 1/(2*10^9).  For lo = a/b and hi = c/d that is
-    (a d (P-1) + (c b - a d) k) / (b d (P-1)): one Fraction per point."""
+    """x_k = lo + (hi - lo) k / (points - 1) as a reduced pair (p, q), q > 0,
+    an integer n moved to (n _NUDGE + 1, _NUDGE).  For lo = a/b and hi =
+    c/d, x_k = (a d (P-1) + (c b - a d) k) / (b d (P-1))."""
     a, b = lo.numerator, lo.denominator
     c, d = hi.numerator, hi.denominator
     m = points - 1
     start, step, den = a * d * m, c * b - a * d, b * d * m
-    for k in range(points):
-        x = Fraction(start + step * k, den)
-        yield x + _NUDGE if x.denominator == 1 else x
+    for num in range(start, start + step * points, step):
+        g = math.gcd(num, den)
+        p, q = num // g, den // g
+        yield (p, q) if q != 1 else (p * _NUDGE + 1, _NUDGE)
 
 
 def figure_rows(which: int, lo, hi, points: int, n: int,
@@ -443,49 +481,53 @@ def figure_rows(which: int, lo, hi, points: int, n: int,
     """Figure ``which`` on ``points`` grid points in [lo, hi], lazily: the
     header, then a tuple of floats per point.  1 is B_{1,u} for u = x^(-1/2),
     2 is B0, 3 the even part B0(x) + B0(-x) and B_{1,log}, 4 their difference.
-    B_1 takes n terms and B0 ``digits``; the arguments are checked at once."""
+    B_1 takes n terms and B0 ``digits``; the arguments are checked at once.
+    Each point p/q runs the sums' loops, _alpha_terms and _b0_terms, on
+    the integers of x_0 = (p % q)/q."""
     if which not in (1, 2, 3, 4):
         raise ValueError(f"no figure {which!r}")
     lo, hi = Fraction(lo), Fraction(hi)
     if not lo < hi or points < 2:
         raise ValueError("need lo < hi and points >= 2")
+    if n < 0 or digits < 0:
+        raise ValueError("n_max must be >= 0")
     return _figure_rows(which, lo, hi, points, n, digits)
 
 
 def _figure_rows(which, lo, hi, points, n, digits):
     yield (["x", "value"] if which < 3 else ["x", "b0even", "b1"]
            if which == 3 else ["x", "diff"])
-    u = make_u("inv_sqrt" if which == 1 else "log")
+    f = make_u("inv_sqrt" if which == 1 else "log").eval
     xs, mirrored = _figure_grid(lo, hi, points), lo + hi == 1
     cols, key = (array("d"), array("d"), array("d")), None
-    # 512 points at a time: a block's Fractions, then its B0 sums, then its
+    # 512 points at a time: a block's points, then its B0 sums, then its
     # B1 sums run faster than the three interleaved point by point
     while block := list(islice(xs, 512)):
-        # p/q of a Fraction is its correctly rounded double, as to_float
-        xf = [x.numerator / x.denominator for x in block]
+        # p/q is the correctly rounded double of the point, as to_float
+        xf = [p / q for p, q in block]
         if which != 1:
-            b0 = [semi_brjuno(x, digits, keep_terms=False).value
-                  for x in block]
+            b0 = [_b0_terms(p % q, q, digits, False, False)[0]
+                  for p, q in block]
         if which != 2:
-            b1 = [brjuno_sum(x, 1, u, n, keep_terms=False).value
-                  for x in block]
+            b1 = [_alpha_terms(_rational_orbit(p % q, q, 1, 1), f, n, False,
+                               False, False)[0] for p, q in block]
         if which < 3:
             yield from zip(xf, b1 if which == 1 else b0)
             continue
         # one double per point of x, B0 and B1.  B0(1 - x) = B0 at the mirror
         # point of a grid with lo + hi = 1; once both are in, both slots
-        # hold the even part.  Nudged points, n + _NUDGE, and all others of
-        # that denominator, go off the grid with their mirrors; those of
-        # nudged points, 1 - _NUDGE mod 1, share one orbit
+        # hold the even part.  Nudged points, n + 1/_NUDGE, and all others
+        # of that denominator, go off the grid with their mirrors; those of
+        # nudged points, 1 - 1/_NUDGE mod 1, share one orbit
         k0 = len(cols[0])
         for col, vals in zip(cols, (xf, b0, b1)):
             col.extend(vals)
         b0e = cols[1]
-        for k, x in enumerate(block, k0):
-            if not mirrored or x.denominator == _NUDGE.denominator:
-                if (1 - x) % 1 != key:
-                    key = (1 - x) % 1
-                    b0_key = semi_brjuno(key, digits, keep_terms=False).value
+        for k, (p, q) in enumerate(block, k0):
+            if not mirrored or q == _NUDGE:
+                if ((q - p) % q, q) != key:   # 1 - x mod 1, in lowest terms
+                    key = (q - p) % q, q
+                    b0_key = _b0_terms(*key, digits, False, False)[0]
                 b0e[k] += b0_key
             elif 2 * k >= points - 1:
                 j = points - 1 - k

@@ -37,8 +37,9 @@ def estimate_holder(values) -> HolderEstimate:
     if n < 2 ** (MIN_SCALES + 4):
         raise InsufficientScales(
             f"need at least {2 ** (MIN_SCALES + 4)} samples, got {n}")
-    if any(math.isnan(y) for y in v):   # max and min would pass over it
-        raise InsufficientScales("no usable scales: a sample is NaN")
+    # max and min would pass over a NaN, and an inf makes the slope NaN
+    if not all(map(math.isfinite, v)):
+        raise InsufficientScales("no usable scales: a sample is not finite")
     scales, oscs = [], []
     # windows below 8 samples resolve a cusp too coarsely and bias the
     # slope upward, so the smallest scales are skipped

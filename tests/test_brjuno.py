@@ -381,7 +381,9 @@ class TestFigureRows:
 
     @pytest.mark.parametrize("args", [
         (5, 0, 1, 9, 80, 400), (1, 1, 0, 9, 80, 400), (2, 0, 1, 1, 80, 400),
-    ], ids=["no_such_figure", "empty_range", "one_point"])
+        (2, 0, 1, 8, 200, -1), (1, 0, 1, 8, -1, 200),
+    ], ids=["no_such_figure", "empty_range", "one_point", "negative_digits",
+            "negative_n"])
     def test_rejected(self, args):
         with pytest.raises(ValueError):
             figure_rows(*args)

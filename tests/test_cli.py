@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from alphacf import cli, exact
 from alphacf.alpha import alpha_expand
-from alphacf.brjuno import _figure_grid, brjuno_sum, make_u, semi_brjuno
+from alphacf.brjuno import (_figure_grid, brjuno_sum, figure_rows, make_u,
+                            semi_brjuno)
 from alphacf.byexcess import minus_expand
 from alphacf.cli import _csv_text, main
 from alphacf.corpus import GOLDEN, _reduced_count, rational_corpus
@@ -414,8 +415,28 @@ class TestFigure:
     @example(ends=(Fraction(-1, 3), Fraction(5, 3)), points=3)
     def test_grid_matches_fraction_formula(self, ends, points):
         lo, hi = ends
-        assert list(_figure_grid(lo, hi, points)) == oracle_grid(lo, hi,
+        pairs = list(_figure_grid(lo, hi, points))
+        # B0 reads log(den): an unreduced pair would change the bytes
+        assert all(q > 0 and math.gcd(p, q) == 1 for p, q in pairs)
+        assert [Fraction(p, q) for p, q in pairs] == oracle_grid(lo, hi,
                                                                 points)
+
+    # figures 1 and 2 run the loops of the public sums on each point's
+    # integers.  The grid steps by 1/16 from -2, over four nudged integers
+    # and x_0 = 15/16, a by-excess run of 14 2's: at n = 2 and digits = 3
+    # the n == n_max cut and the cut inside a run both fire
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("n, digits", [(2, 3), (200, 2000)])
+    def test_rows_match_public_sums(self, which, n, digits):
+        lo, hi, points = Fraction(-2), Fraction(3, 2), 57
+        u, xs = make_u("inv_sqrt"), oracle_grid(lo, hi, points)
+        sums = [brjuno_sum(x, 1, u, n, keep_terms=False) if which == 1
+                else semi_brjuno(x, digits, keep_terms=False) for x in xs]
+        rows = list(figure_rows(which, lo, hi, points, n, digits))[1:]
+        assert [(x.hex(), v.hex()) for x, v in rows] == [
+            (float(x).hex(), res.value.hex()) for x, res in zip(xs, sums)]
+        # a cut sum has a tail; one whose orbit ended within n has none
+        assert any(res.tail_estimate for res in sums) == (n == 2)
 
     # symmetric grids reuse B0 at the mirror point; on the other two, 1 - x
     # is off the grid or, at the integers, not the mirror value

@@ -52,3 +52,13 @@ def test_nan_sample_rejected():
     values[100] = math.nan
     with pytest.raises(InsufficientScales):
         estimate_holder(values)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf], ids=["inf", "-inf"])
+def test_infinite_sample_rejected(bad):
+    # an infinite sample makes an infinite oscillation and a NaN slope,
+    # which is no JSON number
+    values = sample(lambda x: abs(x - 0.5))
+    values[100] = bad
+    with pytest.raises(InsufficientScales, match="not finite"):
+        estimate_holder(values)

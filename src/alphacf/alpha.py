@@ -165,12 +165,13 @@ def _orbit(x: RealValue, alpha, m: tuple):
     run is one record with k = (num - 1) // c.  A rational x = p/q steps
     on num/den = x_n itself, from [num; den] = m [p; q] (_rational_orbit,
     which _orbit returns), and ends at a remainder 0 (a terminating
-    expansion) or 1 (the by-excess fixed point).  A Surd walks its exact
-    (P, Q, D) states lazily (_SurdWalk) and yields the correctly rounded
-    double of x_n over 1, taken once per distinct state; past the first
-    repeated state it replays the period.  An AdaptiveReal walks the
-    rational orbits of both ends of one enclosure in lockstep, a pair of
-    records in one frame.  A step is accepted when the
+    expansion) or 1 (the by-excess fixed point); the rational sums
+    (brjuno._b1_terms, _b0_terms) step the same integers inline.  A Surd
+    walks its exact (P, Q, D) states lazily (_SurdWalk) and yields the
+    correctly rounded double of x_n over 1, taken once per distinct state;
+    past the first repeated state it replays the period.  An AdaptiveReal
+    walks the rational orbits of both ends of one enclosure in lockstep, a
+    pair of records in one frame.  A step is accepted when the
     ends give the same digit, sign and double (all monotone in x_n), and
     yields that certified double over 1, (f, 1, a, eps, 1); where both ends
     hold runs (k > 1, alpha = 0 only) the certified doubles go out as

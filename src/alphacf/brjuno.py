@@ -18,13 +18,15 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence
 
-from .alpha import (_SurdWalk, _alpha_seed, _convergents, _orbit,
-                    _rational_orbit, _rho_power, alpha_step)
+from .alpha import (_SurdWalk, _alpha_seed, _convergents, _orbit, _rho_power,
+                    alpha_step)
 from .byexcess import _reduce_mod1, minus_step
 from .exact import (DomainError, RealValue, Surd, _surd_double, compare,
                     is_exact, sign_val, to_float)
 
 _DELTA = 0.1   # weights are checked on the scales _DELTA 2^-k near 0
+_LO = _DELTA / (1 + _DELTA)   # M1 is the sup of u on (_LO, 1)
+_HUGE = 2 ** 1024 - 2 ** 970   # the least int whose double overflows
 
 
 class ConditionViolation(ValueError):
@@ -36,6 +38,15 @@ def _inv(q: int) -> float:
     if q.bit_length() > 1023:
         return 0.0
     return 1.0 / q
+
+
+def _recip(a: int) -> float:
+    """1/a for the q-series weight u(1/a): 1.0 / a while the double of a is
+    finite, past it the correctly rounded 1 / a."""
+    if w := 1.0 / a if a < _HUGE else 1 / a:
+        return w
+    raise DomainError(f"1/a_n is below 2**-1074 for a digit of "
+                      f"{a.bit_length()} bits, outside the double range")
 
 
 def _rates(alpha) -> tuple[float, float]:
@@ -56,8 +67,8 @@ def _rates(alpha) -> tuple[float, float]:
 class SingularityU:
     """A positive C^1 weight on (0,1), singular at the origin.
 
-    M1 is the supremum of u on (_DELTA/(1+_DELTA), 1), which scales the tail
-    estimate of ``brjuno_sum``.
+    M1 is the supremum of u on (_LO, 1), which scales the tail estimate of
+    ``brjuno_sum``.
     """
 
     name: str
@@ -93,7 +104,10 @@ def _check_conditions(u: Callable[[float], float],
 def make_u(name: str, sigma: Optional[float] = None,
            eval_fn: Optional[Callable[[float], float]] = None,
            deriv_fn: Optional[Callable[[float], float]] = None) -> SingularityU:
-    """Build a weight: 'log', 'inv_sqrt', 'power' (with sigma > 1) or custom."""
+    """Build a weight: 'log', 'inv_sqrt', 'power' (with sigma > 1) or custom.
+
+    M1 is the max of u over _grid_sup's grid on (_LO, 1); a built-in weight
+    decreases, so it is u at the grid's first point."""
     if name == "log":
         ev = lambda t: -math.log(t)
         dv = lambda t: -1.0 / t
@@ -106,11 +120,12 @@ def make_u(name: str, sigma: Optional[float] = None,
         ev = lambda t: t ** (-1.0 / sigma)
         dv = lambda t: -(1.0 / sigma) * t ** (-1.0 / sigma - 1.0)
     elif eval_fn is not None and deriv_fn is not None:
-        ev, dv = eval_fn, deriv_fn
+        _check_conditions(eval_fn, deriv_fn)
+        return SingularityU(name, eval_fn, _grid_sup(eval_fn, _LO, 1.0))
     else:
         raise ValueError(f"unknown weight {name!r} and no custom (eval, deriv)")
     _check_conditions(ev, dv)
-    return SingularityU(name, ev, _grid_sup(ev, _DELTA / (1 + _DELTA), 1.0))
+    return SingularityU(name, ev, ev(_LO + (1.0 - _LO) * 1e-12))
 
 
 @dataclass
@@ -172,19 +187,24 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
                           "use semi_brjuno for the log weight")
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    _n0, _eps0, m = _alpha_seed(x, alpha)
+    n0, eps0, m = _alpha_seed(x, alpha)
     # an int or Fraction's orbit ends: it reads rho only for a tail.  With
     # no ledger and rho**n_max = 0.0 the tail is 0.0; past beta_prev = 0.0
     # so is every term, and past 1/q = 0.0 every q-series term: from there
     # no field can change
     rates = None if isinstance(x, (int, Fraction)) else _rates(alpha)
     final = not (keep_terms or rates is None or rates[0] ** n_max)
-    if not isinstance(x, Surd):
+    if rates is None:
+        r, s = alpha.numerator, alpha.denominator
+        if not 0 < r <= s:
+            raise DomainError(f"alpha must be in [0,1], got {alpha}")
+        value, terms, qs, recent, term = _b1_terms(
+            eps0 * (x.numerator - n0 * x.denominator), x.denominator, r, s,
+            u.eval, n_max, keep_terms, with_q_series)
+    elif not isinstance(x, Surd):
         value, terms, qs, recent, term = _alpha_terms(
             _orbit(x, alpha, m), u.eval, n_max, keep_terms, with_q_series,
             final)
-        if term is None:   # the orbit reached 0 within the budget
-            return BrjunoResult(value, n_max, terms, 0.0, True, qs)
     else:
         f = u.eval
         beta_prev, value, xf = 1.0, 0.0, 1.0
@@ -204,7 +224,7 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
                     us.append(f(xf))
                     if with_q_series:
                         _P, _Q, a, eps = walk.states[j]
-                        qw.append((a, eps, f(1.0 / a)))
+                        qw.append((a, eps, f(_recip(a))))
                     n += 1
                 elif not keep_terms:   # a replayed step: the period closed
                     if W is None:
@@ -233,17 +253,59 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
                 raise
             raise DomainError(f"x_{n} is below 2**-1074, outside the "
                               "double range") from None
+    if term is None:   # the orbit reached 0 within the budget
+        return BrjunoResult(value, n_max, terms, 0.0, True, qs)
     rho, abar = rates or _rates(alpha)
     tail = abar * rho ** n_max / (1.0 - rho) * max([*recent, u.M1])
     converged = term < 1e-12 and tail < 1e-6
     return BrjunoResult(value, n_max, terms, tail, converged, qs)
 
 
+def _b1_terms(num: int, den: int, r: int, s: int, f, n_max: int,
+              keep_terms: bool, with_q_series: bool) -> tuple:
+    """brjuno_sum's pass over a rational x_0 = num/den at alpha = r/s > 0,
+    stepped by _rational_orbit's rule: (value, terms, q-series, recent,
+    last term), the last term None where the orbit reached 0 within n_max."""
+    beta_prev, value, xf = 1.0, 0.0, 1.0
+    qs = 0.0 if with_q_series else None
+    q_prev, q, eps_prev = 0, 1, 1
+    terms, recent = [], []   # recent: u of x_n for n > n_max - 5
+    last5, t, n = n_max - 5, s - r, 0
+    try:
+        while 0 < num < den:
+            xf = num / den
+            uval = f(xf)
+            term = beta_prev * uval
+            value += term
+            if keep_terms:
+                terms.append((n, beta_prev, xf, term))
+            a = (s * den + t * num) // (s * num)
+            rem = den - a * num
+            if with_q_series:
+                qs += f(_recip(a)) * _inv(q)
+                q_prev, q = q, a * q + eps_prev * q_prev
+                eps_prev = -1 if rem < 0 else 1
+            if n > last5:
+                recent.append(uval)
+                if n == n_max:
+                    break
+            beta_prev *= xf
+            num, den, n = abs(rem), num, n + 1
+        else:   # the orbit reached 0 within the budget
+            term = None
+    except (ValueError, ZeroDivisionError):
+        if xf:
+            raise
+        raise DomainError(f"x_{n} is below 2**-1074, outside the double "
+                          "range") from None
+    return value, terms, qs, recent, term
+
+
 def _alpha_terms(orbit, f, n_max: int, keep_terms: bool, with_q_series: bool,
                  final: bool) -> tuple:
-    """brjuno_sum's pass over the records (num, den, a, eps, 1) of a rational
-    or an AdaptiveReal: (value, terms, q-series, recent, last term), the
-    last term None where the orbit reached 0 within the budget n_max."""
+    """_b1_terms over the records (num, den, a, eps, 1) of an AdaptiveReal,
+    a certified double over 1, with the ``final`` exit before the lockstep
+    certifies another step."""
     beta_prev, value, xf = 1.0, 0.0, 1.0
     qs = 0.0 if with_q_series else None
     q_prev, q, eps_prev = 0, 1, 1
@@ -258,14 +320,14 @@ def _alpha_terms(orbit, f, n_max: int, keep_terms: bool, with_q_series: bool,
             if keep_terms:
                 terms.append((n, beta_prev, xf, term))
             if with_q_series:
-                qs += f(1.0 / a) * _inv(q)
+                qs += f(_recip(a)) * _inv(q)
                 q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
             if n > last5:
                 recent.append(uval)
                 if n == n_max:
                     break
             beta_prev *= xf
-            # before the orbit certifies (an AdaptiveReal) another step
+            # before the orbit certifies another step
             if final and not beta_prev and not (
                     with_q_series and _inv(q)):
                 term = 0.0   # and so is every term left
@@ -407,12 +469,11 @@ def _b0_terms(num: int, den: int, n_max: int, keep_terms: bool,
     # den_{n+1} = num_n: log(den) is the previous log(num).  The published
     # figures were computed with log(den) - log(num)
     log_den = log(den)
-    for num, den, b, _eps, k in _rational_orbit(num, den, 0, 1):
-        if k > 1:
-            # a run of 2's, which the budget may cut: the float
-            # operations of k single steps, in their order
-            k = min(k, n_max + 1 - n)
-            c = den - num
+    while 0 < num < den:
+        c = den - num
+        if num > c:   # x_n > 1/2: a run of 2's, which the budget may cut;
+            # the float operations of k single steps, in their order
+            k = min((num - 1) // c, n_max + 1 - n)
             for num in range(num, num - k * c, -c):
                 xf = num / (num + c)
                 log_num = log(num)
@@ -423,24 +484,24 @@ def _b0_terms(num: int, den: int, n_max: int, keep_terms: bool,
                 if keep_terms:
                     terms.append((len(terms), beta, xf, term))
                 beta *= xf
+            num, den = num - c, num
             if with_q_series:   # an arithmetic progression along a run
                 d = q_cur - q_prev
                 q_prev, q_cur = q_cur + (k - 1) * d, q_cur + k * d
-        else:
+        else:   # the digit b = den // num + 1 >= 3
+            k, b = 1, den // num + 1
             xf = num / den
             log_num = log(num)
             term = beta * (log_den - log_num)
             log_den = log_num
             value += term
-            if b == 2:
-                istar += term
-            elif with_q_series:
+            if with_q_series:
                 qs += log(b - 1) * _inv(q_cur)
+                q_prev, q_cur = q_cur, b * q_cur - q_prev
             if keep_terms:
                 terms.append((n, beta, xf, term))
             beta *= xf
-            if with_q_series:
-                q_prev, q_cur = q_cur, b * q_cur - q_prev
+            num, den = b * num - den, num
         n += k
         if n > n_max:
             return value, istar, qs, beta, terms, False
@@ -482,8 +543,8 @@ def figure_rows(which: int, lo, hi, points: int, n: int,
     header, then a tuple of floats per point.  1 is B_{1,u} for u = x^(-1/2),
     2 is B0, 3 the even part B0(x) + B0(-x) and B_{1,log}, 4 their difference.
     B_1 takes n terms and B0 ``digits``; the arguments are checked at once.
-    Each point p/q runs the sums' loops, _alpha_terms and _b0_terms, on
-    the integers of x_0 = (p % q)/q."""
+    Each point p/q runs the sums' integer loops, _b1_terms and _b0_terms,
+    on x_0 = (p % q)/q."""
     if which not in (1, 2, 3, 4):
         raise ValueError(f"no figure {which!r}")
     lo, hi = Fraction(lo), Fraction(hi)
@@ -509,8 +570,8 @@ def _figure_rows(which, lo, hi, points, n, digits):
             b0 = [_b0_terms(p % q, q, digits, False, False)[0]
                   for p, q in block]
         if which != 2:
-            b1 = [_alpha_terms(_rational_orbit(p % q, q, 1, 1), f, n, False,
-                               False, False)[0] for p, q in block]
+            b1 = [_b1_terms(p % q, q, 1, 1, f, n, False, False)[0]
+                  for p, q in block]
         if which < 3:
             yield from zip(xf, b1 if which == 1 else b0)
             continue

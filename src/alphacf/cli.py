@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import re
 import statistics
 import sys
 import time
@@ -305,9 +306,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = _build_parser()
+_OPTION, _NEGATIVE = re.compile(r"--\w[\w-]*"), re.compile(r"-[\d.(]")
 
 
 def main(argv=None) -> int:
+    # argparse reads a value such as -5/7 after an option as an option of
+    # its own; join it to the option, as --x=-5/7
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if _NEGATIVE.match(argv[i]) and _OPTION.fullmatch(argv[i - 1]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     try:
         args = _PARSER.parse_args(argv, argparse.Namespace(**_GLOBAL_DEFAULTS))
     except SystemExit as exc:

@@ -82,8 +82,8 @@ def _reduced_count(qmax: int) -> int:
 def mixed_corpus(size: int, qmax: int = 10 ** 6, seed: int = 0,
                  surds: int = 5) -> list[RealValue]:
     """Rationals plus `surds` corpus surds, deterministic in the seed."""
-    if size < 0:
-        raise ValueError(f"corpus size must be >= 0, got {size}")
+    if size < 0 or qmax < 2:
+        raise ValueError(f"need size >= 0 and qmax >= 2, got {size}, {qmax}")
     out: list[RealValue] = list(rational_corpus(max(size - surds, 0),
                                                 qmax, seed))
     out.extend(surd_corpus(surds))

@@ -45,6 +45,15 @@ class TestWeights:
                    deriv_fn=lambda t: -2.0 * t ** -3.0)
 
 
+    @pytest.mark.parametrize("name, sigma", [
+        ("log", None), ("inv_sqrt", None),
+        *[("power", sigma) for sigma in (1.0000001, 1.5, 2, 3, 7.3, 12)]])
+    def test_builtin_m1_is_the_grid_sup(self, name, sigma):
+        # a built-in weight decreases: M1 is u at the grid's first point
+        u = make_u(name, sigma=sigma)
+        assert u.M1 == brjuno._grid_sup(u.eval, 0.1 / 1.1, 1.0)
+
+
 class TestClosedForms:
     def test_gauss_log_at_golden(self):
         want = -LOG_G / G_F ** 2
@@ -116,6 +125,49 @@ class TestCompanionSeries:
         for x in (Fraction(5, 7), Fraction(355, 113) - 3, G, GAMMA):
             res = semi_brjuno(x, 5000, keep_terms=False)
             assert 0.0 <= res.istar_sum <= 2.0
+
+
+class TestHugeDigits:
+    """A digit a past the double range, a >= 2**1024 - 2**970, where
+    1.0 / a overflows: the q-series weight reads the correctly rounded
+    1 / a, and a DomainError where that is 0.0."""
+
+    N = 2 ** 1030
+
+    def test_reciprocal_past_the_double_range(self):
+        edge = 2 ** 1024 - 2 ** 970   # the least int whose double is inf
+        with pytest.raises(OverflowError):
+            1.0 / edge
+        assert brjuno._recip(edge - 1) == 1.0 / (edge - 1)
+        for a in (edge, 2 ** 1030, 2 ** 1075 - 1):
+            assert brjuno._recip(a) == 1 / a > 0.0
+        with pytest.raises(DomainError, match="1/a_n is below 2"):
+            brjuno._recip(2 ** 1075)
+
+    @pytest.mark.parametrize("u_name", ["log", "inv_sqrt"])
+    def test_rational(self, u_name):
+        # 1/N: one term, u(1/N), and one q-series term, u(1/a_1) / q_0
+        u = make_u(u_name)
+        res = brjuno_sum(Fraction(1, self.N), 1, u, 200, with_q_series=True)
+        assert res.value == res.companion_q_series == u.eval(2.0 ** -1030)
+
+    def test_surd(self):
+        # sqrt(N^2 + 1) - N = [0; 2N, 2N, ...]
+        x = Surd(-self.N, 1, 1, self.N ** 2 + 1)
+        u = make_u("log")
+        res = brjuno_sum(x, 1, u, 0, with_q_series=True)
+        assert res.companion_q_series == u.eval(2.0 ** -1031)
+        assert math.isfinite(
+            brjuno_sum(x, 1, u, 5, with_q_series=True).companion_q_series)
+
+    def test_reciprocal_below_the_double_range(self):
+        # x_0 = 2/(2^1076 - 1) rounds to 2^-1074, its digit at alpha = 1/2
+        # is 2^1075 and 1/a rounds to 0.0
+        x = Fraction(2, 2 ** 1076 - 1)
+        with pytest.raises(DomainError, match="1/a_n is below 2"):
+            brjuno_sum(x, Fraction(1, 2), make_u("log"), 5,
+                       with_q_series=True)
+        assert brjuno_sum(x, Fraction(1, 2), make_u("log"), 5).value > 0
 
 
 class TestBudgets:
@@ -387,6 +439,64 @@ class TestFigureRows:
     def test_rejected(self, args):
         with pytest.raises(ValueError):
             figure_rows(*args)
+
+
+def _hexed(fields):
+    """_b1_terms' fields (value, terms, q-series, recent, last term) with
+    each float as its float.hex, so -0.0, NaN and the last bit count."""
+    value, terms, qs, recent, term = fields
+    return (value.hex(), [(n, b.hex(), x.hex(), t.hex())
+                          for n, b, x, t in terms],
+            qs if qs is None else qs.hex(), list(map(float.hex, recent)),
+            term if term is None else term.hex())
+
+
+# the paper's 4096-point figure grid on [0, 1], plus seeded p/q, q <= 10^12
+_RATIONAL_POINTS = [Fraction(p, q) for p, q in brjuno._figure_grid(
+    Fraction(0), Fraction(1), 4096)] + rational_corpus(300, 10 ** 12, seed=31)
+
+
+class TestRationalLoops:
+    """The rational sums, _b1_terms and _b0_terms, step the integers of
+    x_n = num/den by _rational_orbit's rule themselves: each must read the
+    states the kernel walks."""
+
+    @pytest.mark.parametrize("u_name", ["log", "inv_sqrt"])
+    @pytest.mark.parametrize("a", ["1", "1/2", "1/5", "3/7", "1/100"])
+    def test_b1_terms_match_the_kernel_walk(self, a, u_name):
+        a, f = Fraction(a), make_u(u_name).eval
+        r, s = a.numerator, a.denominator
+        for x in _RATIONAL_POINTS:
+            n0, eps0, _m = alpha._alpha_seed(x, a)
+            num, den = eps0 * (x.numerator - n0 * x.denominator), x.denominator
+            for n_max in (0, 1, 3, 200):
+                for keep, with_q in ((False, False), (False, True),
+                                     (True, False), (True, True)):
+                    got = brjuno._b1_terms(num, den, r, s, f, n_max, keep,
+                                           with_q)
+                    want = brjuno._alpha_terms(
+                        alpha._rational_orbit(num, den, r, s), f, n_max,
+                        keep, with_q, False)
+                    assert _hexed(got) == _hexed(want), (x, n_max, keep,
+                                                         with_q)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 3, 10 ** 4])
+    def test_b0_terms_read_the_kernel_states(self, n_max):
+        for x in _RATIONAL_POINTS + [Fraction(4999, 5000),
+                                     1 - Fraction(1, 2 * 10 ** 9)]:
+            num, den = x.numerator % x.denominator, x.denominator
+            states = []
+            for p, q, _b, _eps, k in alpha._rational_orbit(num, den, 0, 1):
+                c = q - p
+                states += [(p - j * c) / (q - j * c)
+                           for j in range(min(k, n_max + 1 - len(states)))]
+                if len(states) > n_max:
+                    break
+            *_sums, terms, done = brjuno._b0_terms(num, den, n_max, True, False)
+            assert [t[0] for t in terms] == list(range(len(terms)))
+            assert [t[2].hex() for t in terms] == list(
+                map(float.hex, states)), x
+            assert done == (len(states) <= n_max)
 
 
 def test_all_lists_supported_names():

@@ -298,6 +298,36 @@ class TestScalarCommands:
     def test_negative_budget_rejected(self, capsys, argv):
         assert run(capsys, *argv)[0] == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["brjuno", "--x", "-5/7"],
+        ["brjuno", "--alpha", "1/2", "--x", "-5/7", "--ledger"],
+        ["b0", "--x", "-5/7"], ["b0", "--x", "-.25"],
+        ["figure", "--which", "2", "--lo", "-1/3", "--points", "16"],
+    ], ids=["brjuno", "brjuno_ledger", "b0", "b0_decimal", "figure_lo"])
+    def test_negative_literal_after_a_space(self, capsys, argv):
+        # argparse reads -5/7 after a space as an option; main joins it to
+        # its option, so both forms exit 0 with the same bytes
+        joined = []
+        for a in argv:
+            if a[0] == "-" and a[1] != "-":
+                joined[-1] += "=" + a
+            else:
+                joined.append(a)
+        code, out = run(capsys, *argv)
+        assert (code, out) == run(capsys, *joined) and code == 0
+
+    def test_huge_digit_q_series(self, capsys):
+        # the q-series weight u(1/a) of a = 2^1030, past the double range
+        n = 2 ** 1030
+        for x in (f"1/{n}", f"(-{n}+1*sqrt({n * n + 1}))/1"):
+            code, out = run(capsys, "brjuno", "--x", x, "--n", "5")
+            assert code == 0
+            assert math.isfinite(json.loads(out)["q_series"])
+        assert main(["brjuno", "--x", f"2/{2 ** 1076 - 1}",
+                     "--alpha", "1/2"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: 1/a_n is below 2**-1074")
+
     def test_dict_both_ways(self, capsys):
         code, out = run(capsys, "dict", "--to", "regular",
                         "--digits", "2 2 4 tail2")
@@ -344,6 +374,14 @@ class TestSweep:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, timeout=10)
         assert proc.returncode == 2, proc.stderr
+
+    def test_impossible_corpus_names_the_size_given(self, capsys):
+        # 3 is all surds, so no rationals are drawn; the message still
+        # names the size the user gave
+        assert main(["sweep", "--kind", "logq_vs_loga", "--corpus-size", "3",
+                     "--qmax", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: need size >= 0 and qmax >= 2, got 3, 1\n")
 
     def test_corpus_of_every_fraction(self):
         every = {Fraction(p, q) for q in range(2, 21) for p in range(1, q)}

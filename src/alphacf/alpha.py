@@ -166,13 +166,14 @@ def _orbit(x: RealValue, alpha, m: tuple):
     on num/den = x_n itself, from [num; den] = m [p; q] (_rational_orbit,
     which _orbit returns), and ends at a remainder 0 (a terminating
     expansion) or 1 (the by-excess fixed point); the rational sums
-    (brjuno._b1_terms, _b0_terms) step the same integers inline.  A Surd
-    walks its exact (P, Q, D) states lazily (_SurdWalk) and yields the
+    (brjuno._b1_terms, _b0_terms) step the same integers inline, and each
+    series' irrational loop reads a Surd's walk or the records below.  A
+    Surd walks its exact (P, Q, D) states lazily (_SurdWalk) and yields the
     correctly rounded double of x_n over 1, taken once per distinct state;
     past the first repeated state it replays the period.  An AdaptiveReal
     walks the rational orbits of both ends of one enclosure in lockstep, a
-    pair of records in one frame.  A step is accepted when the
-    ends give the same digit, sign and double (all monotone in x_n), and
+    pair of records in one frame.  A step is accepted when the ends give
+    the same digit, sign and double (all monotone in x_n), and
     yields that certified double over 1, (f, 1, a, eps, 1); where both ends
     hold runs (k > 1, alpha = 0 only) the certified doubles go out as
     records (doubles, 0, 2, -1, len(doubles)) of at most _RUN_RECORD steps,

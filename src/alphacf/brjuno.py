@@ -34,16 +34,14 @@ class ConditionViolation(ValueError):
 
 
 def _inv(q: int) -> float:
-    # 1/q as a float; denominators past the double range underflow to 0.0
-    if q.bit_length() > 1023:
-        return 0.0
-    return 1.0 / q
+    """1/q as a double: 1.0 / q while the double of q is finite, past it the
+    correctly rounded 1 / q, which is 0.0 from q = 2**1075 on."""
+    return 1.0 / q if q < _HUGE else 1 / q
 
 
 def _recip(a: int) -> float:
-    """1/a for the q-series weight u(1/a): 1.0 / a while the double of a is
-    finite, past it the correctly rounded 1 / a."""
-    if w := 1.0 / a if a < _HUGE else 1 / a:
+    """_inv(a) for the q-series weight u(1/a), which must not be 0.0."""
+    if w := _inv(a):
         return w
     raise DomainError(f"1/a_n is below 2**-1074 for a digit of "
                       f"{a.bit_length()} bits, outside the double range")
@@ -68,12 +66,16 @@ class SingularityU:
     """A positive C^1 weight on (0,1), singular at the origin.
 
     M1 is the supremum of u on (_LO, 1), which scales the tail estimate of
-    ``brjuno_sum``.
+    ``brjuno_sum``.  U bounds u at every double a sum can read, those in
+    [2**-1074, 1]: u(2**-1074) for a built-in weight, which decreases, and
+    inf for a custom one or where u(2**-1074) overflows.  ``brjuno_sum``
+    stops on it once no later term can change a field.
     """
 
     name: str
     eval: Callable[[float], float]
     M1: float
+    U: float = math.inf
 
 
 def _grid_sup(f: Callable[[float], float], lo: float, hi: float,
@@ -107,7 +109,8 @@ def make_u(name: str, sigma: Optional[float] = None,
     """Build a weight: 'log', 'inv_sqrt', 'power' (with sigma > 1) or custom.
 
     M1 is the max of u over _grid_sup's grid on (_LO, 1); a built-in weight
-    decreases, so it is u at the grid's first point."""
+    decreases, so it is u at the grid's first point, and U is u(2**-1074)
+    (see SingularityU)."""
     if name == "log":
         ev = lambda t: -math.log(t)
         dv = lambda t: -1.0 / t
@@ -125,7 +128,11 @@ def make_u(name: str, sigma: Optional[float] = None,
     else:
         raise ValueError(f"unknown weight {name!r} and no custom (eval, deriv)")
     _check_conditions(ev, dv)
-    return SingularityU(name, ev, ev(_LO + (1.0 - _LO) * 1e-12))
+    try:
+        U = ev(2.0 ** -1074)
+    except OverflowError:   # power with sigma < 1074/1024
+        U = math.inf
+    return SingularityU(name, ev, ev(_LO + (1.0 - _LO) * 1e-12), U)
 
 
 @dataclass
@@ -160,25 +167,27 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
 
     The input is reduced by x0 = |x - floor(x+1-alpha)| first; rational
     orbits terminate and contribute only their finite terms.  One pass over
-    the orbit reads each x_n as its correctly rounded double; a Surd reads
-    the indices of its lazy walk (_SurdWalk) and takes the double and u of
-    each distinct state once.  Only with_q_series runs the q-recurrence and
-    the companion series sum u(1/a_{n+1})/q_n over the same records.
+    the orbit reads each x_n as its correctly rounded double: _b1_terms
+    steps a rational's integers, and _real_terms reads a Surd's lazy walk
+    (_SurdWalk), taking the double and u of each distinct state once, or an
+    AdaptiveReal's certified records.  Only with_q_series runs the
+    q-recurrence and the companion series sum u(1/a_{n+1})/q_n over the
+    same records.
 
-    Without a ledger the sum stops where no field can change any more:
-    - a Surd or an AdaptiveReal, once beta_prev, 1/q (with the q-series)
-      and rho**n_max are all 0.0: every later term, q-series term and the
-      tail are 0.0.  An AdaptiveReal stops before its lockstep certifies
-      another step; a rational's orbit ends by itself;
-    - a Surd, from the first replayed step on, once beta_prev W and
-      Wq/q_n are absorbed: below half an ulp of the value and of the
-      q-series (or 0.0), and beta_prev W below 1e-12.  W and Wq are the
-      largest u(x_n) and u(1/a_{n+1}) over the period, and every weight
-      read is >= 0.  beta never grows (x_n <= 1) and q_n never shrinks (a
-      digit after a minus sign is >= 2), so no later term is larger.
-      ``converged`` reads the bound as the last term; the tail reads the
-      weights of the last five steps off the period.
-    So a periodic Surd's cost stops growing with n_max.
+    Without a ledger an irrational sum stops, before the orbit certifies
+    another step, where no field can change any more: once beta_prev W and
+    Wq/q_n are absorbed, below half an ulp of the value and of the q-series
+    (or 0.0), and beta_prev W below 1e-12.  W and Wq bound every later
+    u(x_n) and u(1/a_{n+1}).  Once a Surd replays they are the largest of
+    each over its period (inf, which no bound passes, where a weight read
+    is not >= 0).  Otherwise both are u.U, and only where rho**n_max is
+    0.0, so that the tail is 0.0 too.  beta never grows (x_n <= 1) and q_n
+    never shrinks (a digit after a minus sign is >= 2), so no later term is
+    larger.  At beta_prev = 0.0 the bound is 0.0, also for W = inf.
+    ``converged`` reads the bound as the last term, and a Surd's tail reads
+    the weights of the last five steps off the period.  So a periodic
+    Surd's cost stops growing with n_max, and a later x_n below 2**-1074
+    that the exit skips raises nothing.
     """
     if not isinstance(alpha, (int, Fraction)):
         alpha = Fraction(alpha)
@@ -188,71 +197,22 @@ def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     n0, eps0, m = _alpha_seed(x, alpha)
-    # an int or Fraction's orbit ends: it reads rho only for a tail.  With
-    # no ledger and rho**n_max = 0.0 the tail is 0.0; past beta_prev = 0.0
-    # so is every term, and past 1/q = 0.0 every q-series term: from there
-    # no field can change
-    rates = None if isinstance(x, (int, Fraction)) else _rates(alpha)
-    final = not (keep_terms or rates is None or rates[0] ** n_max)
-    if rates is None:
+    rates = None   # an int or Fraction's orbit ends: rho only for a tail
+    if isinstance(x, (int, Fraction)):
         r, s = alpha.numerator, alpha.denominator
         if not 0 < r <= s:
             raise DomainError(f"alpha must be in [0,1], got {alpha}")
         value, terms, qs, recent, term = _b1_terms(
             eps0 * (x.numerator - n0 * x.denominator), x.denominator, r, s,
             u.eval, n_max, keep_terms, with_q_series)
-    elif not isinstance(x, Surd):
-        value, terms, qs, recent, term = _alpha_terms(
-            _orbit(x, alpha, m), u.eval, n_max, keep_terms, with_q_series,
-            final)
     else:
-        f = u.eval
-        beta_prev, value, xf = 1.0, 0.0, 1.0
-        qs = 0.0 if with_q_series else None
-        q_prev, q, eps_prev = 0, 1, 1
-        terms, recent = [], []   # recent: u of x_n for n > n_max - 5
-        walk, fs, us, qw = _SurdWalk(x, alpha, m), [], [], []
-        n, W = 0, None   # W: the sup of u over the period, once closed
-        tail_steps = range(max(n_max - 4, 0), n_max + 1)
-        try:
-            for j in islice(walk, n_max + 1):
-                if final and not beta_prev and not (with_q_series and _inv(q)):
-                    term = 0.0   # and so is every term left
-                    break
-                if j == n:   # x_n, a new state, read first at step n
-                    fs.append(xf := walk.double(j))
-                    us.append(f(xf))
-                    if with_q_series:
-                        _P, _Q, a, eps = walk.states[j]
-                        qw.append((a, eps, f(_recip(a))))
-                    n += 1
-                elif not keep_terms:   # a replayed step: the period closed
-                    if W is None:
-                        W, Wq = _period_sups(us, qw, walk.i)
-                    bound = beta_prev * W
-                    if bound < 1e-12 and (
-                            not bound or bound < math.ulp(value) / 2) and (
-                            not with_q_series or not (bq := Wq * _inv(q))
-                            or bq < math.ulp(qs) / 2):
-                        term = bound   # no later term is larger
-                        recent = [us[walk.index(k)] for k in tail_steps]
-                        break
-                term = beta_prev * us[j]
-                value += term
-                if keep_terms:
-                    terms.append((len(terms), beta_prev, fs[j], term))
-                if with_q_series:
-                    a, eps, ua = qw[j]
-                    qs += ua * _inv(q)
-                    q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
-                beta_prev *= fs[j]
-            else:
-                recent = [us[walk.index(k)] for k in tail_steps]
-        except (ValueError, ZeroDivisionError):
-            if xf:
-                raise
-            raise DomainError(f"x_{n} is below 2**-1074, outside the "
-                              "double range") from None
+        rates = _rates(alpha)
+        # with no ledger and rho**n_max = 0.0 the tail is 0.0
+        final = not (keep_terms or rates[0] ** n_max)
+        value, terms, qs, recent, term = _real_terms(
+            _SurdWalk(x, alpha, m) if isinstance(x, Surd)
+            else _orbit(x, alpha, m), u.eval, n_max, keep_terms,
+            with_q_series, u.U if final else None)
     if term is None:   # the orbit reached 0 within the budget
         return BrjunoResult(value, n_max, terms, 0.0, True, qs)
     rho, abar = rates or _rates(alpha)
@@ -301,37 +261,67 @@ def _b1_terms(num: int, den: int, r: int, s: int, f, n_max: int,
     return value, terms, qs, recent, term
 
 
-def _alpha_terms(orbit, f, n_max: int, keep_terms: bool, with_q_series: bool,
-                 final: bool) -> tuple:
-    """_b1_terms over the records (num, den, a, eps, 1) of an AdaptiveReal,
-    a certified double over 1, with the ``final`` exit before the lockstep
-    certifies another step."""
+def _real_terms(orbit, f, n_max: int, keep_terms: bool, with_q_series: bool,
+                U: Optional[float]) -> tuple:
+    """_b1_terms over an irrational orbit: a Surd's _SurdWalk, whose double
+    and weights it takes once per distinct state and reads by index on a
+    replay, or an AdaptiveReal's records (f, 1, a, eps, 1), a certified
+    double over 1.  Without a ledger it stops at brjuno_sum's exit, tested
+    before the orbit certifies another step; U bounds every weight until a
+    Surd's period closes, and None gives no bound."""
+    walk = orbit if isinstance(orbit, _SurdWalk) else None
     beta_prev, value, xf = 1.0, 0.0, 1.0
     qs = 0.0 if with_q_series else None
     q_prev, q, eps_prev = 0, 1, 1
     terms, recent = [], []   # recent: u of x_n for n > n_max - 5
+    fs, us, qw = [], [], []   # per Surd state: x_n, u(x_n), (a, eps, u(1/a))
+    W = Wq = U   # the bounds on every later u(x_n) and u(1/a_{n+1})
+    closing = walk is not None and not keep_terms   # W waits for the period
     last5 = n_max - 5
     try:
-        for n, (num, den, a, eps, _k) in enumerate(orbit):
-            xf = num / den
-            uval = f(xf)
+        for n, step in enumerate(orbit):
+            if walk is None:
+                num, den, a, eps, _k = step
+                xf = num / den
+                uval = f(xf)
+                if with_q_series:
+                    ua = f(_recip(a))
+            else:
+                if step == len(fs):   # x_n, a new state
+                    fs.append(xf := walk.double(step))
+                    us.append(f(xf))
+                    if with_q_series:
+                        _P, _Q, a, eps = walk.states[step]
+                        qw.append((a, eps, f(_recip(a))))
+                xf, uval = fs[step], us[step]
+                if with_q_series:
+                    a, eps, ua = qw[step]
             term = beta_prev * uval
             value += term
             if keep_terms:
                 terms.append((n, beta_prev, xf, term))
             if with_q_series:
-                qs += f(_recip(a)) * _inv(q)
+                qs += ua * _inv(q)
                 q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
             if n > last5:
                 recent.append(uval)
                 if n == n_max:
                     break
             beta_prev *= xf
-            # before the orbit certifies another step
-            if final and not beta_prev and not (
-                    with_q_series and _inv(q)):
-                term = 0.0   # and so is every term left
-                break
+            if closing and walk.i is not None:   # a replayed step
+                closing = False
+                W, Wq = _period_sups(us, qw, walk.i)
+            if W is None:
+                continue
+            bound = beta_prev and beta_prev * W
+            if bound < 1e-12 and (not bound or bound < math.ulp(value) / 2):
+                bq = with_q_series and (iq := _inv(q)) and Wq * iq
+                if not bq or bq < math.ulp(qs) / 2:
+                    term = bound   # no later term is larger
+                    if walk is not None and not closing:
+                        recent = [us[walk.index(k)] for k in
+                                  range(max(n_max - 4, 0), n_max + 1)]
+                    break
         else:   # the orbit reached 0 within the budget
             term = None
     except (ValueError, ZeroDivisionError):
@@ -370,13 +360,13 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
     x - floor(x), in one pass.  Once the orbit reaches 1 every later term
     vanishes, so rational inputs produce exact finite sums.  The tail
     estimate is the run-block bound 2 * beta* at the truncation index (no
-    geometric rate).  A run of 2's is one kernel record, summed in one
-    loop; q*_n is an arithmetic progression along it.  A Surd reads the
-    indices of its lazy walk (_SurdWalk) and takes the double and -log of
-    each distinct state once; an AdaptiveReal, whose records hold doubles,
-    sums -log(x_n) in its own loop.  Both stop at beta* < 1e-22.  Only
-    with_q_series runs the q*-recurrence and the companion series
-    sum log(b_{n+1} - 1)/q*_n.
+    geometric rate).  A rational runs _b0_terms.  An irrational x runs one
+    loop that stops at beta* < 1e-22: a Surd reads the indices of its lazy
+    walk (_SurdWalk) and takes the double and -log of each distinct state
+    once, and an AdaptiveReal reads its records, a certified double over 1
+    or a run of 2's as a list of them, summed in an inner loop; q*_n is an
+    arithmetic progression along a run.  Only with_q_series runs the
+    q*-recurrence and the companion series sum log(b_{n+1} - 1)/q*_n.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -386,65 +376,55 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
     q_prev, q_cur = 0, 1
     terms = []
     done = False
-    n = 0   # the terms summed
     if isinstance(x, (int, Fraction)):
         # x_0 = frac(x): the seed's den row is (0, 1)
         value, istar, qs, beta, terms, done = _b0_terms(
             x.numerator % x.denominator, x.denominator, n_max, keep_terms,
             with_q_series)
-    elif isinstance(x, Surd):
-        # one double and one -log per distinct state, read by index on a
-        # replay; past beta* < 1e-22 terms (and the q-series' 1/q* tail)
-        # are below double precision
-        walk, recs = _SurdWalk(x, 0, _alpha_seed(x, 1)[2]), []
-        for j in islice(walk, n_max + 1):
-            if j == len(recs):
-                xf, b = walk.double(j), walk.states[j][2]
-                recs.append((xf, -log(xf), b,
-                             log(b - 1) if with_q_series and b > 2 else 0.0))
-            xf, w, b, wq = recs[j]
-            term = beta * w
-            value += term
-            if b == 2:
-                istar += term
-            elif with_q_series:
-                qs += wq * _inv(q_cur)
-            if keep_terms:
-                terms.append((len(terms), beta, xf, term))
-            beta *= xf
-            if with_q_series:
-                q_prev, q_cur = q_cur, b * q_cur - q_prev
-            if beta < 1e-22:
-                break
     else:
-        # an AdaptiveReal's x_n as doubles, over 1 or as a certified run's
-        # list, cut at beta* < 1e-22 as a Surd's
-        for num, den, b, _eps, k in _orbit(x, 0, _alpha_seed(x, 1)[2]):
-            if den:   # one step, x_n = num
-                term = beta * -log(num)
+        # past beta* < 1e-22 the terms (and the q-series' 1/q* tail) are
+        # below double precision
+        m = _alpha_seed(x, 1)[2]
+        walk = _SurdWalk(x, 0, m) if isinstance(x, Surd) else None
+        recs = []   # per Surd state: x_n, -log x_n, b and log(b - 1)
+        n, den, k = 0, 1, 1   # the terms summed; a Surd's steps are single
+        for step in _orbit(x, 0, m) if walk is None else walk:
+            if walk is not None:   # x_n is the walk's state step
+                if step == len(recs):
+                    xf, b = walk.double(step), walk.states[step][2]
+                    recs.append((xf, -log(xf), b, log(b - 1)
+                                 if with_q_series and b > 2 else 0.0))
+                xf, w, b, wq = recs[step]
+            else:
+                xf, den, b, _eps, k = step
+                if den:   # one step, x_n = xf
+                    w = -log(xf)
+                    wq = log(b - 1) if with_q_series and b > 2 else 0.0
+                else:   # a run of 2's as a list, which the budget may cut
+                    for xf in xf[:n_max + 1 - n]:
+                        term = beta * -log(xf)
+                        value += term
+                        istar += term
+                        if keep_terms:
+                            terms.append((len(terms), beta, xf, term))
+                        beta *= xf
+                        if beta < 1e-22:
+                            break
+                    if with_q_series:   # not read again if the run was cut
+                        d = q_cur - q_prev
+                        q_prev, q_cur = q_cur + (k - 1) * d, q_cur + k * d
+            if den:
+                term = beta * w
                 value += term
                 if b == 2:
                     istar += term
                 elif with_q_series:
-                    qs += log(b - 1) * _inv(q_cur)
+                    qs += wq * _inv(q_cur)
                 if keep_terms:
-                    terms.append((n, beta, num, term))
-                beta *= num
+                    terms.append((n, beta, xf, term))
+                beta *= xf
                 if with_q_series:
                     q_prev, q_cur = q_cur, b * q_cur - q_prev
-            else:   # a run, cut by the budget
-                for xf in num[:n_max + 1 - n]:
-                    term = beta * -log(xf)
-                    value += term
-                    istar += term
-                    if keep_terms:
-                        terms.append((len(terms), beta, xf, term))
-                    beta *= xf
-                    if beta < 1e-22:
-                        break
-                if with_q_series:   # not read again if the run was cut
-                    d = q_cur - q_prev
-                    q_prev, q_cur = q_cur + (k - 1) * d, q_cur + k * d
             n += k
             if n > n_max or beta < 1e-22:
                 break

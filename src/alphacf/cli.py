@@ -38,10 +38,12 @@ EXIT_THRESHOLD = 5
 def _write_out(text, out_path) -> None:
     # text: a str or str chunks; a failed chunk leaves no partial file
     chunks = [text] if isinstance(text, str) else text
-    if out_path is None or out_path == "-":
-        sys.stdout.writelines(chunks)
-        return
     try:
+        if out_path is None or out_path == "-":
+            # a closed pipe (`| head`) fails here, not at shutdown
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+            return
         with open(out_path, "w", newline="") as fh:
             try:
                 fh.writelines(chunks)
@@ -333,7 +335,7 @@ def main(argv=None) -> int:
     except _Unwritable as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

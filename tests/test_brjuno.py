@@ -53,6 +53,20 @@ class TestWeights:
         u = make_u(name, sigma=sigma)
         assert u.M1 == brjuno._grid_sup(u.eval, 0.1 / 1.1, 1.0)
 
+    def test_u_is_the_weight_at_the_least_double(self):
+        # a built-in weight decreases, so no double in [2^-1074, 1] has a
+        # larger u; u(2^-1074) overflows for power at sigma < 1074/1024
+        tiny = 2.0 ** -1074
+        assert make_u("log").U == -math.log(tiny) == 1074 * math.log(2)
+        assert make_u("inv_sqrt").U == make_u("power", sigma=2).U == 2.0 ** 537
+        assert make_u("power", sigma=1.0489).U == tiny ** (-1 / 1.0489)
+        assert make_u("power", sigma=1.0487).U == math.inf
+        custom = make_u("custom", eval_fn=lambda t: -math.log(t),
+                        deriv_fn=lambda t: -1.0 / t)
+        assert custom.U == math.inf
+        assert brjuno.SingularityU("bare", custom.eval, custom.M1).U == \
+            math.inf
+
 
 class TestClosedForms:
     def test_gauss_log_at_golden(self):
@@ -160,6 +174,22 @@ class TestHugeDigits:
         assert math.isfinite(
             brjuno_sum(x, 1, u, 5, with_q_series=True).companion_q_series)
 
+    def test_q_series_past_2_to_the_1023(self):
+        # x = [0; 1 (x1476), 2]: every q-series weight is u(1) = 0 but the
+        # last, log 2 / q_1476, where q_1476 has 1025 bits and 1/q_1476 is
+        # a subnormal double (it read 0.0 while 1/q stopped at 2^1023)
+        x, q_prev, q = Fraction(1, 2), 0, 1
+        for _ in range(1476):
+            x, q_prev, q = 1 / (1 + x), q, q + q_prev
+        assert q.bit_length() == 1025
+        for n_max in (1476, 2000):
+            res = brjuno_sum(x, 1, make_u("log"), n_max, with_q_series=True)
+            assert res.companion_q_series == math.log(2) * (1 / q) == \
+                3.277674436815073e-309
+        assert brjuno._inv(2 ** 1023) == 2.0 ** -1023
+        assert brjuno._inv(2 ** 1075 - 1) == 2.0 ** -1074
+        assert brjuno._inv(2 ** 1075) == 0.0
+
     def test_reciprocal_below_the_double_range(self):
         # x_0 = 2/(2^1076 - 1) rounds to 2^-1074, its digit at alpha = 1/2
         # is 2^1075 and 1/a rounds to 0.0
@@ -232,6 +262,19 @@ class TestAdaptiveSeed:
         assert images == []
         assert semi.value == pytest.approx(-3 * LOG_G, rel=1e-12)
         assert gauss.value == pytest.approx(-LOG_G / G_F ** 2, rel=1e-12)
+
+
+class TestAdaptiveExit:
+    def test_golden_mean_at_a_large_budget(self):
+        # every x_n exceeds 1/2, so beta stops at 2^-1074 and never reaches
+        # 0.0; the sum stops once beta_prev U is absorbed, with the Surd's
+        # fields (it raised NeedsPrecision, past the cap, at 10^5)
+        u = make_u("log")
+        for n in (10 ** 5, 10 ** 7):
+            got, want = (brjuno_sum(x, 1, u, n, keep_terms=False)
+                         for x in (exact.AdaptiveReal.from_exact(G), G))
+            assert (got.value.hex(), got.tail_estimate, got.converged) == \
+                (want.value.hex(), want.tail_estimate, want.converged)
 
 
 class TestSurdRecord:
@@ -474,9 +517,9 @@ class TestRationalLoops:
                                      (True, False), (True, True)):
                     got = brjuno._b1_terms(num, den, r, s, f, n_max, keep,
                                            with_q)
-                    want = brjuno._alpha_terms(
+                    want = brjuno._real_terms(
                         alpha._rational_orbit(num, den, r, s), f, n_max,
-                        keep, with_q, False)
+                        keep, with_q, None)
                     assert _hexed(got) == _hexed(want), (x, n_max, keep,
                                                          with_q)
 

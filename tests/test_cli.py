@@ -1,16 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alphacf import cli, exact
@@ -644,3 +648,166 @@ class TestPrecisionFlags:
               "expand", "--x", x, "--alpha", "1"])
         assert (exact.DEFAULT_BITS, exact.PRECISION_CAP) == (128, 65536)
         assert exact._PRECISION.get() == (128, 65536)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ["figure", "--which", "2", "--points", "200000"],
+        ["brjuno", "--x", "(1+1*sqrt(100000000000000000000000000319))/2",
+         "--alpha", "1/2", "--n", "20000", "--ledger"],
+    ], ids=["figure", "brjuno_ledger"])
+    def test_closed_pipe_exits_4(self, argv):
+        # `alphacf ... | head -1`: the reader closes the pipe after one
+        # line; the next write fails, and the command names it and exits 4
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "alphacf.cli", *argv],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 4, err
+        assert err.splitlines() == [
+            "error: cannot write output: [Errno 32] Broken pipe"]
+
+
+# -- every input ends in a documented exit code ----------------------------
+
+class _Slow(Exception):
+    """Raised in a call past its time bound, which main() lets through."""
+
+
+def _alarm(_signum, _frame):
+    raise _Slow
+
+
+HUGE = (2 ** 1023, 2 ** 1030, 2 ** 1075, 2 ** 1076 - 1, 10 ** 400)
+
+
+@st.composite
+def literals(draw):
+    """(literal, huge, run): huge for a digit past 2^20, and run for an x
+    whose x - floor(x) starts a by-excess run of 2's past 2^10 steps."""
+    kind = draw(st.sampled_from(
+        ("rational", "integer", "tiny", "near_one", "surd", "bad")))
+    sign = draw(st.sampled_from(("", "-")))
+    if kind == "rational":
+        p, q = draw(st.integers(0, 60)), draw(st.integers(1, 60))
+        return f"{sign}{p}/{q}", False, False
+    if kind == "integer":
+        return f"{sign}{draw(st.integers(0, 3))}", False, False
+    n = draw(st.sampled_from(HUGE + (6, 1000)))
+    huge = n > 2 ** 20
+    if kind == "tiny":   # 1/N: one digit N, past or below the double range
+        return f"{sign}{draw(st.sampled_from((1, 2)))}/{n}", huge, \
+            bool(sign) and n > 2 ** 10
+    if kind == "near_one":   # [0; 1, N]
+        return f"{sign}{n}/{n + 1}", huge, not sign and n > 2 ** 10
+    if kind == "surd":   # sqrt(N^2 + 1) - N = [0; 2N, 2N, ...]
+        a = f"{-n}+1" if sign == "" else f"{n}-1"
+        return f"({a}*sqrt({n * n + 1}))/1", huge, \
+            bool(sign) and n > 2 ** 10
+    return draw(st.sampled_from(
+        ("", "x", "1/0", "(1+1*sqrt(4))/2", "--", "1e400", "nan"))), \
+        False, False
+
+
+ALPHA_TEXT = st.sampled_from(("0", "1", "1/2", "1/100", "2", "-1/2", "3/2"))
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv for every subcommand but bench, and whether it sums B0 over
+    a by-excess run of 2's near 1 with a budget of 10^9."""
+    cmd = draw(st.sampled_from(
+        ("expand", "brjuno", "b0", "dict", "sweep", "figure", "holder")))
+    out = draw(st.sampled_from(([], ["--out", "/nonexistent/dir/f"])))
+    if cmd in ("expand", "brjuno", "b0"):
+        x, huge, run = draw(literals())
+        argv = [cmd, "--x", x]
+        if cmd == "expand":
+            # 10^4 digits of size 2^1030 make convergents of 10^7 bits
+            n = draw(st.sampled_from(
+                (0, 1, 40) + (() if huge else (10 ** 4,))))
+            argv += ["--alpha", draw(ALPHA_TEXT),
+                     "--format", draw(st.sampled_from(("csv", "json")))]
+        else:
+            n = draw(st.sampled_from((0, 1, 10 ** 9)))
+            if draw(st.booleans()):
+                argv.append("--ledger")
+        if cmd == "brjuno":
+            argv += ["--alpha", draw(ALPHA_TEXT), "--u", draw(
+                st.sampled_from(("log", "inv_sqrt", "power", "other")))]
+            sigma = draw(st.sampled_from((None, "1", "inf", "nan", "1.01")))
+            argv += ["--sigma", sigma] if sigma else []
+        return argv + ["--n", str(n)] + out, (
+            cmd == "b0" and run and n == 10 ** 9)
+    if cmd == "dict":
+        digits = draw(st.lists(st.sampled_from(
+            ("0", "1", "2", "3", "-2", str(2 ** 1030), "tail2", "x")),
+            max_size=6))
+        return ["dict", "--to", draw(st.sampled_from(("regular", "minus"))),
+                "--digits", " ".join(digits)] + draw(
+            st.sampled_from(([], ["--prefix"]))) + out, False
+    if cmd == "sweep":
+        return ["sweep", "--kind", draw(st.sampled_from(
+            ("alpha_vs_1", "b0_vs_qseries", "b1_vs_b0even", "logq_vs_loga"))),
+            "--corpus-size", draw(st.sampled_from(("0", "3", "7", "-1"))),
+            "--qmax", draw(st.sampled_from(("1", "2", "50"))),
+            "--alpha", draw(ALPHA_TEXT), "--n", draw(
+                st.sampled_from(("0", "1", "30")))] + draw(st.sampled_from(
+                    ([], ["--threshold", "0"], ["--u", "inv_sqrt"]))) + out, \
+            False
+    if cmd == "figure":
+        ends = st.sampled_from(("0", "1", "-1/3", "1/2", f"1/{2 ** 1030}"))
+        return ["figure", "--which", draw(st.sampled_from("12345")),
+                "--lo", draw(ends), "--hi", draw(ends),
+                "--points", draw(st.sampled_from(("1", "2", "17"))),
+                "--n", draw(st.sampled_from(("0", "1", "200"))),
+                "--digits", draw(st.sampled_from(("0", "1", "200")))] + out, \
+            False
+    return ["holder", "--input", draw(st.sampled_from(
+        ("empty", "header", "text", "inf", "curve", "missing")))] + out, False
+
+
+HOLDER_FILES = {
+    "empty": "", "header": "x,value\n", "text": "x,value\n0,a\n",
+    "inf": "x,value\n0,1\n1,inf\n",
+    "curve": "x,value\n" + "".join(f"{k / 299},{abs(k - 150) ** 0.5}\n"
+                                   for k in range(300)),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=cli_argv())
+@example(case=(["brjuno", "--x", f"1/{2 ** 1030}"], False))
+@example(case=(["brjuno", "--x", "-5/7"], False))
+@example(case=(["sweep", "--kind", "logq_vs_loga", "--corpus-size", "3",
+                "--qmax", "1"], False))
+@example(case=(["dict", "--to", "minus", "--digits", f"1 {2 ** 1030}"],
+               False))
+def test_every_input_ends_in_a_documented_exit_code(case):
+    # each call runs in-process under a 10 s bound.  A B0 budget of 10^9
+    # over a by-excess run of 2's near 1 sums the run step by step (of the
+    # order of 10^9 steps), so that case is left out here
+    argv, long_run = case
+    assume(not long_run)
+    err = io.StringIO()
+    old = signal.signal(signal.SIGALRM, _alarm)
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "holder":
+            name, argv[2] = argv[2], os.path.join(tmp, argv[2] + ".csv")
+            if name in HOLDER_FILES:
+                with open(argv[2], "w") as fh:
+                    fh.write(HOLDER_FILES[name])
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+    assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv

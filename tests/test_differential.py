@@ -19,6 +19,7 @@ must give exactly what the Surd or Fraction it encloses gives, and the
 integer-rounded double of a Surd must be the double its enclosures certify.
 """
 
+import dataclasses
 import math
 import random
 from collections import deque
@@ -1190,6 +1191,57 @@ def test_golden_mean_gauss_sum_at_a_large_budget():
     assert [sum_fields(G, Fraction(1), log, 10 ** 6, True)] == want
 
 
+# An AdaptiveReal has no period.  Without a ledger and once rho**n_max is
+# 0.0, its sum stops on U = u(2**-1074), above every weight a sum can read,
+# at the first step n_u where beta_prev U and U/q_n are absorbed: it reads
+# x_0 .. x_{n_u - 1}.  (The golden mean at alpha = 1 under the log weight
+# keeps a q-series of 0.0, so with it n_u waits for 1/q_n = 0.0.)
+
+def bound_exit_step(x, alpha, u, with_q):
+    """n_u: the first step n >= 1 at which beta_prev U and, with the
+    q-series, U/q_n are absorbed."""
+    _n0, _eps0, m = _alpha_seed(x, alpha)
+    value, beta, qs, q_prev, q, eps_prev = 0.0, 1.0, 0.0, 0, 1, 1
+    for n, (xf, _one, a, eps, _k) in enumerate(_orbit(x, alpha, m)):
+        bound, bq = beta and beta * u.U, _inv(q) and u.U * _inv(q)
+        if n and bound < 1e-12 and (
+                not bound or bound < math.ulp(value) / 2) and (
+                not with_q or not bq or bq < math.ulp(qs) / 2):
+            return n
+        value += beta * u.eval(xf)
+        qs += u.eval(1.0 / a) * _inv(q)
+        q_prev, q, eps_prev = q, a * q + eps_prev * q_prev, eps
+        beta *= xf
+
+
+def adaptive_fields(x, alpha, u, n, with_q):
+    return sum_fields(AdaptiveReal.from_exact(x), alpha, u, n, with_q)
+
+
+# sqrt(37) - 6 = [0; 12, 12, ...]: each x_n < 1/11, so u(x_n) > M1 and a
+# tail with rho**n_max > 0.0 reads the weights of the last five steps
+TWELVES = Surd(-6, 1, 1, 37)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS, ids=str)
+def test_adaptive_sum_exits_match_the_full_walk(alpha):
+    for x in SURDS[:10] + [TWELVES]:
+        first = exit_steps(x, alpha)[0]
+        for name, u in WEIGHTS.items():
+            for with_q in (False, True):
+                n_u = bound_exit_step(x, alpha, u, with_q)
+                budgets = sorted({n + d for d in (-1, 0, 1)
+                                  for n in (first, n_u)})
+                want = full_walk(x, alpha, budgets, (u,))[name]
+                assert [adaptive_fields(x, alpha, u, n, with_q)
+                        for n in budgets] == [
+                    w[:3] + (w[3] if with_q else None,) for w in want], (
+                        x, name, with_q, n_u)
+                # and the Surd's fields far past the exit
+                assert adaptive_fields(x, alpha, u, 10 ** 7, with_q) == \
+                    sum_fields(x, alpha, u, 10 ** 7, with_q)
+
+
 def test_adaptive_sum_stops_where_beta_underflows():
     # beta_prev reaches 0.0 near n = 800; without the exit the lockstep
     # goes on to certify steps past the precision cap (NeedsPrecision)
@@ -1242,7 +1294,7 @@ def tie_weight(guess, hit):
     raise AssertionError("no weight meets the bound")
 
 
-@pytest.mark.parametrize("with_q, guess, hit", [
+TIES = pytest.mark.parametrize("with_q, guess, hit", [
     # value ~ 1.5 W at the tie
     (False, lambda beta, q, L, Lq: 2.0 ** -53 / beta / L,
      lambda v, qs, bound, bq: bound == odd_half_ulp(v)),
@@ -1254,6 +1306,9 @@ def tie_weight(guess, hit):
      lambda v, qs, bound, bq: bq == odd_half_ulp(qs)
      and bound < min(1e-12, math.ulp(v) / 2)),
 ], ids=["half_ulp", "1e-12", "q_half_ulp"])
+
+
+@TIES
 def test_a_term_at_a_bound_is_not_absorbed(with_q, guess, hit):
     alpha, u = Fraction(1), tie_weight(guess, hit)
     firsts, period = exit_steps(TIE_X, alpha), period_of(TIE_X, alpha)
@@ -1262,6 +1317,21 @@ def test_a_term_at_a_bound_is_not_absorbed(with_q, guess, hit):
     want = full_walk(TIE_X, alpha, budgets, (u,))[u.name]
     assert [sum_fields(TIE_X, alpha, u, n, with_q) for n in budgets] == \
         [w[:3] + (w[3] if with_q else None,) for w in want], u.name
+
+@TIES
+def test_a_term_at_the_bound_u_is_not_absorbed(with_q, guess, hit):
+    # the same weights on an AdaptiveReal, with U set to W, the weight of
+    # every x_n of TIE_X: from rho**n_max = 0.0 on its exit reads U, so
+    # the value's ties sit at U.  (U/q_n stays above the q-series' tie, as
+    # W > Wq: that tie is pinned on the Surd above, in the same test.)
+    alpha, u = Fraction(1), tie_weight(guess, hit)
+    u = dataclasses.replace(u, U=u.eval(oracle_float(TIE_X)))
+    firsts, period = exit_steps(TIE_X, alpha), period_of(TIE_X, alpha)
+    n_a = absorption_step(TIE_X, alpha, u, with_q, period)
+    budgets = sorted({n + d for d in (-1, 0, 1) for n in firsts + [n_a]})
+    want = full_walk(TIE_X, alpha, budgets, (u,))[u.name]
+    assert [adaptive_fields(TIE_X, alpha, u, n, with_q) for n in budgets] \
+        == [w[:3] + (w[3] if with_q else None,) for w in want], u.name
 
 # -- integer decisions of seeds, floors and enclosures ---------------------
 #

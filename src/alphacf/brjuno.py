@@ -435,11 +435,22 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
                         qs if with_q_series else None, istar)
 
 
+class _Log:
+    """_b0_terms' default logs: logs[k] is math.log(k) for every k."""
+    __getitem__ = staticmethod(math.log)
+
+
+_LOG = _Log()
+
+
 def _b0_terms(num: int, den: int, n_max: int, keep_terms: bool,
-              with_q_series: bool) -> tuple:
+              with_q_series: bool, logs=_LOG) -> tuple:
     """semi_brjuno's pass over the by-excess orbit of x_0 = num/den, in
     lowest terms: (value, istar, q*-series, beta*, terms, done), done where
-    the orbit reached 1 (0 at num = 0) within the budget n_max."""
+    the orbit reached 1 (0 at num = 0) within the budget n_max.  Every
+    state num/den has num < den <= the first den, and its logs are read as
+    logs[num] and logs[den]: math.log itself by default, or a figure
+    grid's _log_table, which holds the same doubles."""
     log = math.log
     value = istar = qs = 0.0
     beta = 1.0
@@ -448,7 +459,7 @@ def _b0_terms(num: int, den: int, n_max: int, keep_terms: bool,
     n = 0   # the terms summed
     # den_{n+1} = num_n: log(den) is the previous log(num).  The published
     # figures were computed with log(den) - log(num)
-    log_den = log(den)
+    log_den = logs[den]
     while 0 < num < den:
         c = den - num
         if num > c:   # x_n > 1/2: a run of 2's, which the budget may cut;
@@ -456,7 +467,7 @@ def _b0_terms(num: int, den: int, n_max: int, keep_terms: bool,
             k = min((num - 1) // c, n_max + 1 - n)
             for num in range(num, num - k * c, -c):
                 xf = num / (num + c)
-                log_num = log(num)
+                log_num = logs[num]
                 term = beta * (log_den - log_num)
                 log_den = log_num
                 value += term
@@ -471,7 +482,7 @@ def _b0_terms(num: int, den: int, n_max: int, keep_terms: bool,
         else:   # the digit b = den // num + 1 >= 3
             k, b = 1, den // num + 1
             xf = num / den
-            log_num = log(num)
+            log_num = logs[num]
             term = beta * (log_den - log_num)
             log_den = log_num
             value += term
@@ -501,6 +512,13 @@ def b0_even(x: RealValue, n_max: int) -> float:
 # -- figure grids ----------------------------------------------------------
 
 _NUDGE = 2 * 10 ** 9   # grid points on the integers move by 1/_NUDGE
+_TABLE = 2 ** 13   # the bound on a grid's log table, whatever its points
+
+
+def _log_table(top: int) -> list:
+    """[0.0, log 1, .., log top] for a grid whose denominators divide top,
+    and [] from top = _TABLE on, so that it holds at most 2**13 doubles."""
+    return [0.0, *map(math.log, range(1, top + 1))] if top < _TABLE else []
 
 
 def _figure_grid(lo: Fraction, hi: Fraction, points: int) -> Iterator:
@@ -524,7 +542,10 @@ def figure_rows(which: int, lo, hi, points: int, n: int,
     2 is B0, 3 the even part B0(x) + B0(-x) and B_{1,log}, 4 their difference.
     B_1 takes n terms and B0 ``digits``; the arguments are checked at once.
     Each point p/q runs the sums' integer loops, _b1_terms and _b0_terms,
-    on x_0 = (p % q)/q."""
+    on x_0 = (p % q)/q.  B0 reads its logs from the grid's _log_table where
+    q is inside it, and calls math.log elsewhere: at nudged points, and on
+    a grid whose top = lo.denominator hi.denominator (points - 1), which
+    every other q divides, is 2**13 or more."""
     if which not in (1, 2, 3, 4):
         raise ValueError(f"no figure {which!r}")
     lo, hi = Fraction(lo), Fraction(hi)
@@ -540,6 +561,9 @@ def _figure_rows(which, lo, hi, points, n, digits):
            if which == 3 else ["x", "diff"])
     f = make_u("inv_sqrt" if which == 1 else "log").eval
     xs, mirrored = _figure_grid(lo, hi, points), lo + hi == 1
+    # every point's q divides top, but for nudged points
+    logs = [] if which == 1 else _log_table(
+        lo.denominator * hi.denominator * (points - 1))
     cols, key = (array("d"), array("d"), array("d")), None
     # 512 points at a time: a block's points, then its B0 sums, then its
     # B1 sums run faster than the three interleaved point by point
@@ -547,7 +571,8 @@ def _figure_rows(which, lo, hi, points, n, digits):
         # p/q is the correctly rounded double of the point, as to_float
         xf = [p / q for p, q in block]
         if which != 1:
-            b0 = [_b0_terms(p % q, q, digits, False, False)[0]
+            b0 = [_b0_terms(p % q, q, digits, False, False,
+                            logs if q < len(logs) else _LOG)[0]
                   for p, q in block]
         if which != 2:
             b1 = [_b1_terms(p % q, q, 1, 1, f, n, False, False)[0]
@@ -568,7 +593,8 @@ def _figure_rows(which, lo, hi, points, n, digits):
             if not mirrored or q == _NUDGE:
                 if ((q - p) % q, q) != key:   # 1 - x mod 1, in lowest terms
                     key = (q - p) % q, q
-                    b0_key = _b0_terms(*key, digits, False, False)[0]
+                    b0_key = _b0_terms(*key, digits, False, False,
+                                       logs if q < len(logs) else _LOG)[0]
                 b0e[k] += b0_key
             elif 2 * k >= points - 1:
                 j = points - 1 - k

@@ -172,6 +172,20 @@ def regular_to_minus(a: Sequence[int],
     2's, reported as (digits, True).  Prefixes of infinite expansions map
     to the derivable by-excess prefix, reported as (digits, False).
     """
+    runs, big = _minus_runs(a, terminated)
+    b: list[int] = []
+    for i, n in enumerate(runs):
+        b.extend([2] * (n - 1))
+        if i < len(big):
+            b.append(big[i])
+    return b, terminated
+
+
+def _minus_runs(a: Sequence[int],
+                terminated: bool) -> tuple[list[int], list[int]]:
+    """(runs, big) of regular_to_minus: its by-excess stream is runs[i] - 1
+    digits 2, then big[i] where there is one, for each i in turn; a run's
+    length is a regular digit (plus 1), never written out here."""
     a = list(a)
     if not a:
         raise MalformedStream("empty regular stream")
@@ -201,13 +215,7 @@ def regular_to_minus(a: Sequence[int],
         else:
             runs.append(a[k])
         k += 1
-
-    b: list[int] = []
-    for i, n in enumerate(runs):
-        b.extend([2] * (n - 1))
-        if i < len(big):
-            b.append(big[i])
-    return b, terminated
+    return runs, big
 
 
 def complement_regular(a: Sequence[int]) -> list[int]:

@@ -19,12 +19,12 @@ import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from . import exact
 from .alpha import alpha_expand
 from .brjuno import brjuno_sum, diff_report, figure_rows, make_u, semi_brjuno
-from .byexcess import minus_expand, minus_to_regular, regular_to_minus
+from .byexcess import _minus_runs, minus_expand, minus_to_regular
 from .corpus import SILVER, mixed_corpus
 from .exact import AdaptiveReal, NeedsPrecision, _int_text, parse_real
 from .holder import estimate_holder
@@ -129,13 +129,34 @@ def cmd_dict(args) -> int:
         text = " ".join(str(d) for d in a)
         if not terminated:
             text += " ..."
+        _write_out(text + "\n", args.out)
     else:
-        b, tail_out = regular_to_minus(digits, terminated=not args.prefix)
-        text = " ".join(str(d) for d in b)
-        if tail_out:
-            text += " tail2"
-    _write_out(text + "\n", args.out)
+        runs, big = _minus_runs(digits, not args.prefix)
+        _write_out(_minus_chunks(runs, big, not args.prefix), args.out)
     return 0
+
+
+_RUN = 4096   # the most 2's of a run in one chunk of dict's text
+
+
+def _minus_chunks(runs, big, tail):
+    """The text of the by-excess stream (runs, big) of _minus_runs, a run of
+    2's in chunks of at most _RUN digits, so that no chunk grows with a
+    digit.  A run of more than sys.maxsize chunks (OverflowError from
+    repeat) or a digit past the int-to-str limit (ValueError) fails before
+    the first chunk is made."""
+    big = [str(b) for b in big]
+    plan = [chain(repeat(_RUN, q), [r] if r else [])
+            for q, r in (divmod(n - 1, _RUN) for n in runs)]
+    sep = ""   # before every digit but the first
+    for i, sizes in enumerate(plan):
+        for k in sizes:
+            yield sep + "2 " * (k - 1) + "2"
+            sep = " "
+        if i < len(big):
+            yield f"{sep}{big[i]}"
+            sep = " "
+    yield " tail2\n" if tail else "\n"
 
 
 def cmd_figure(args) -> int:

@@ -494,6 +494,14 @@ def _hexed(fields):
             term if term is None else term.hex())
 
 
+def _hexed_b0(fields):
+    """_b0_terms' fields (value, istar, q*-series, beta*, terms, done), each
+    float as its float.hex."""
+    value, istar, qs, beta, terms, done = fields
+    return (value.hex(), istar.hex(), qs.hex(), beta.hex(),
+            [(n, b.hex(), x.hex(), t.hex()) for n, b, x, t in terms], done)
+
+
 # the paper's 4096-point figure grid on [0, 1], plus seeded p/q, q <= 10^12
 _RATIONAL_POINTS = [Fraction(p, q) for p, q in brjuno._figure_grid(
     Fraction(0), Fraction(1), 4096)] + rational_corpus(300, 10 ** 12, seed=31)
@@ -540,6 +548,30 @@ class TestRationalLoops:
             assert [t[2].hex() for t in terms] == list(
                 map(float.hex, states)), x
             assert done == (len(states) <= n_max)
+
+    def test_b0_terms_read_the_same_logs_from_a_grid_table(self):
+        # every pair of the 4096-point grid but the two nudged ends, whose
+        # denominators divide 4095; 3 and 200 cut inside runs of 2's, and
+        # 10^4 reads whole orbits
+        logs = brjuno._log_table(4095)
+        grid = [(p, q) for p, q in brjuno._figure_grid(Fraction(0),
+                                                       Fraction(1), 4096)
+                if q < len(logs)]
+        assert len(grid) == 4094
+        for p, q in grid:
+            for n_max in (0, 1, 3, 200, 10 ** 4):
+                for keep, with_q in ((False, False), (False, True),
+                                     (True, False), (True, True)):
+                    args = (p % q, q, n_max, keep, with_q)
+                    got = brjuno._b0_terms(*args, logs)
+                    want = brjuno._b0_terms(*args)
+                    assert _hexed_b0(got) == _hexed_b0(want), (p, q, n_max,
+                                                               keep, with_q)
+
+    def test_log_table_is_bounded(self):
+        assert brjuno._log_table(brjuno._TABLE - 1)[1:] == [
+            math.log(k) for k in range(1, brjuno._TABLE)]
+        assert brjuno._log_table(brjuno._TABLE) == []
 
 
 def test_all_lists_supported_names():

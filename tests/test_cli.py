@@ -21,7 +21,7 @@ from alphacf import cli, exact
 from alphacf.alpha import alpha_expand
 from alphacf.brjuno import (_figure_grid, brjuno_sum, figure_rows, make_u,
                             semi_brjuno)
-from alphacf.byexcess import minus_expand
+from alphacf.byexcess import minus_expand, regular_to_minus
 from alphacf.cli import _csv_text, main
 from alphacf.corpus import GOLDEN, _reduced_count, rational_corpus
 
@@ -32,6 +32,21 @@ FIGURE_SHA256 = {
     2: "ff3e3da77391a85f43b09d695aeb0a73679b5ba405eec14380e7d00bf7956b4d",
     3: "a3e35b6a6d28d6d32602664fff031297e741aab6d4e4fa278fc99b14c334c22d",
     4: "fe715d38916151c0864ca168fa75e146c51e330b79264c404f72da15fd6aec75",
+}
+
+# sha256 of `figure` on grids other than the default.  -1..2 at 3001 points
+# (lo + hi = 1, nudged integers) and -1/2..3/2 at 2048 points read B0's
+# logs from a table of 3001 and 8189 doubles; 20000 points on [0, 1] need
+# 20000, past the table's bound, and call math.log
+GRID_SHA256 = {
+    "3 --lo=-1 --hi 2 --points 3001":
+        "047254121cfd96c6ecf1fce727340d1ed738df03a7d36b4b1b906a7623b80469",
+    "4 --lo=-1 --hi 2 --points 3001":
+        "9844d0a9f3208cddfb8cbad72425e1bd21559ddf0bfc2f28631b6b783d73ab01",
+    "2 --lo=-1/2 --hi 3/2 --points 2048":
+        "28143dbc52ced9c960ca28c8fb0eb6811d30fa346f25a5bef2c893504002233a",
+    "3 --points 20000 --digits 2000":
+        "572a826589759a3bc21989b53d1725160c5f4a0e431d56d00664674ec3265184",
 }
 
 # sha256 of the `sweep` JSON at the default flags (100 samples, qmax 10^6,
@@ -345,6 +360,44 @@ class TestScalarCommands:
         code, out = run(capsys, "dict", "--to", "regular", "--digits", "2 2 4")
         assert (code, out) == (0, "1 2 2 ...\n")
 
+    # runs of 2's of 0, 1, 4095, 4096 and 4097 digits and more: none, part
+    # of one chunk, whole chunks and a chunk plus a part.  The last two
+    # fail after their first digit: 4300 nines give the digit 10^4300 + 1,
+    # past the int-to-str limit, and 2^1030 a run past sys.maxsize chunks;
+    # such an error writes nothing
+    @pytest.mark.parametrize("digits", [
+        "2", "3 1 4 1 5", "1 4095", "1 4096", "5 4096 7 1 3", "4 8193 1 4097",
+        "1 1 1 1 1 1", "1 3 " + "9" * 4300, f"3 {2 ** 1030} 2"], ids=[
+            "2", "3_1_4_1_5", "1_4095", "1_4096", "5_4096_7_1_3",
+            "4_8193_1_4097", "1_1_1_1_1_1", "1_3_huge", "3_2_to_1030_2"])
+    @pytest.mark.parametrize("prefix", [[], ["--prefix"]], ids=["", "prefix"])
+    def test_dict_to_minus_writes_the_library_stream(self, capsys, digits,
+                                                     prefix):
+        a = [int(t) for t in digits.split()]
+        try:
+            b, tail = regular_to_minus(a, terminated=not prefix)
+            want = " ".join(map(str, b)) + (" tail2" if tail else "") + "\n"
+        except (ValueError, OverflowError):
+            assert run(capsys, "dict", "--to", "minus", "--digits", digits,
+                       *prefix) == (2, "")
+            return
+        assert run(capsys, "dict", "--to", "minus", "--digits", digits,
+                   *prefix) == (0, want)
+
+    def test_dict_long_run_in_bounded_memory(self, tmp_path):
+        # 10^7 digits 2 (20 MB of text): the run goes out in bounded chunks
+        out = tmp_path / "minus.txt"
+        tracemalloc.start()
+        try:
+            assert main(["dict", "--to", "minus", "--digits", "1 10000000",
+                         "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "55656725c97f7d5430360342ca417dbfe6fdb90d49bbc39a09d47cc09b003936")
+
 
 class TestSweep:
     def test_threshold_exceeded_exit_code(self, capsys, tmp_path):
@@ -450,6 +503,12 @@ class TestFigure:
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == FIGURE_SHA256[which]
 
+    @pytest.mark.parametrize("flags", sorted(GRID_SHA256))
+    def test_grid_bytes(self, capsys, flags):
+        code, out = run(capsys, "figure", "--which", *flags.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GRID_SHA256[flags]
+
     @given(ends=grid_ends(), points=st.sampled_from((2, 3, 17, 4096)))
     @settings(max_examples=60, deadline=None)
     @example(ends=(Fraction(0), Fraction(1)), points=4096)
@@ -547,6 +606,21 @@ class TestFigure:
         finally:
             tracemalloc.stop()
         assert peak <= 20000 * per_point + 2 ** 19
+
+    # the default grid, whose B0 reads a log table of 4096 doubles, under
+    # the per-point bounds above
+    @pytest.mark.parametrize("which, per_point", [(2, 0), (3, 24)])
+    def test_memory_per_grid_point_with_a_log_table(self, tmp_path, which,
+                                                    per_point):
+        out = tmp_path / "fig.csv"
+        tracemalloc.start()
+        try:
+            assert main(["figure", "--which", str(which),
+                         "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096 * per_point + 2 ** 19
 
 
 class TestHolderCommand:

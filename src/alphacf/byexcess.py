@@ -33,16 +33,27 @@ class MalformedStream(ValueError):
 @dataclass
 class MinusExpansion:
     """Finite prefix of a by-excess expansion, with a symbolic 2-tail;
-    betastars is built on first read (_betas) and cached, and assigning it
-    overrides it."""
+    pstar, qstar and betastars are built on first read (_convergents,
+    _betas) and cached, and assigning one overrides it."""
 
     x: RealValue
     x0: RealValue
     digits: list[int]       # b_1 .. b_D, all >= 2
     remainders: list        # x_0 .. x_D
-    pstar: list[int]        # p*_0 .. p*_D
-    qstar: list[int]        # q*_0 .. q*_D
     reached_one: bool       # remainder hit 1: all further digits are 2
+
+    @cached_property
+    def _star(self) -> tuple[list[int], list[int]]:
+        # every sign is -1, so from eps_0 = +1 this is the p* recurrence
+        return _convergents([(b, -1) for b in self.digits], 1)
+
+    @cached_property
+    def pstar(self) -> list[int]:   # p*_0 .. p*_D
+        return self._star[0]
+
+    @cached_property
+    def qstar(self) -> list[int]:   # q*_0 .. q*_D
+        return self._star[1]
 
     @cached_property
     def betastars(self) -> list:   # beta*_0 .. beta*_D (= x_0...x_n)
@@ -99,17 +110,16 @@ def minus_expand(x: RealValue, max_digits: int) -> MinusExpansion:
     Convergents satisfy p*_n = b_n p*_{n-1} - p*_{n-2} with seeds fixed by
     p*_1/q*_1 = 1/b_1 and unimodularity p*_n q*_{n-1} - p*_{n-1} q*_n = 1.
     Every carrier walks the orbit kernel of x_0 (see ``alpha_expand``);
-    betastars is built on first read, cached and can be overridden.
+    the convergents and betastars are built on first read, cached and can
+    be overridden.
     """
     if max_digits < 0:
         raise ValueError("max_digits must be >= 0")
     x0 = _reduce_mod1(x)
     steps, remainders, reached_one = _expansion(
         x0, Fraction(0), (1, 0, 0, 1), max_digits)
-    # every sign is -1, so from eps_0 = +1 this is the p* recurrence
-    pstar, qstar = _convergents(steps, 1)
     return MinusExpansion(x, x0, [b for b, _eps in steps], remainders,
-                          pstar, qstar, reached_one)
+                          reached_one)
 
 
 def _canonical_fixup(a: list[int]) -> list[int]:

@@ -87,6 +87,16 @@ class TestReduce:
         assert (n, x0) == (4, Fraction(9, 10))
         alpha_step(x0, Fraction(1, 10))  # must not raise
 
+    @pytest.mark.parametrize("alpha", [1, Fraction(1, 2), Fraction(1, 10), 0])
+    def test_adaptive_matches_the_exact_reduction(self, alpha):
+        for x in (G + 3, -G, Surd(1, 1, 3, 7), -Surd(1, 1, 3, 7) - 2):
+            n, exact = alpha_reduce(x, alpha)
+            got_n, got = alpha_reduce(AdaptiveReal.from_exact(x), alpha)
+            assert isinstance(got, AdaptiveReal) and got_n == n
+            lo, hi = got.enclosure(80)
+            assert hi - lo <= Fraction(2) ** -79
+            assert compare(lo, exact) <= 0 <= compare(hi, exact)
+
     def test_out_of_domain_step(self):
         with pytest.raises(DomainError):
             alpha_step(Fraction(0), 1)

@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alphacf.alpha import alpha_expand
+from alphacf.alpha import _convergents, _expansion, alpha_expand
+from alphacf.brjuno import semi_brjuno
 from alphacf.byexcess import (MalformedStream, complement_regular,
                               minus_expand, minus_step, minus_to_regular,
                               regular_to_minus)
-from alphacf.exact import DomainError, Surd, compare
+from alphacf.corpus import surd_corpus
+from alphacf.exact import AdaptiveReal, DomainError, Surd, compare
 
 G = Surd(-1, 1, 2, 5)
 
@@ -70,6 +72,51 @@ class TestMinusExpansion:
         t = [n for n, b in enumerate(exp.digits) if b > 2]
         for k, t_k in enumerate(t, start=1):
             assert exp.qstar[t_k] >= 2 ** k
+
+
+LAZY_INPUTS = ([Fraction(4999, 5000), Fraction(1, 3), 3, Fraction(-2)]
+               + surd_corpus()
+               + [AdaptiveReal.from_exact(s) for s in surd_corpus(6)[4:]])
+
+
+class TestLazyConvergents:
+    # p*/q* are built on first read, and equal the eager recurrence over
+    # the kernel's own steps (eps included), as minus_expand once built them
+    @pytest.mark.parametrize("budget", [0, 1, 200, 10 ** 4])
+    def test_match_the_eager_recurrence(self, budget):
+        for x in LAZY_INPUTS:
+            m = minus_expand(x, budget)
+            assert "pstar" not in vars(m) and "qstar" not in vars(m)
+            steps = _expansion(m.x0, Fraction(0), (1, 0, 0, 1), budget)[0]
+            eager = _convergents(steps, 1)
+            assert _convergents([(b, -1) for b in m.digits], 1) == eager
+            assert (m.pstar, m.qstar) == eager
+            assert len(m.qstar) == len(m.digits) + 1 == len(m.remainders)
+            # unimodularity on the first 200 indices and the last one; the
+            # products in between cost seconds at 10**4 digits
+            last = len(m.qstar) - 1
+            for n in range(1, last + 1):
+                if n <= 200 or n == last:
+                    assert (m.pstar[n] * m.qstar[n - 1]
+                            - m.pstar[n - 1] * m.qstar[n]) == 1
+            assert m.pstar is vars(m)["pstar"] and m.qstar is vars(m)["qstar"]
+
+    def test_only_the_csv_writer_builds_them(self):
+        for x in (Fraction(4999, 5000), Surd(2, -1, 4, 3)):
+            m = minus_expand(x, 200)
+            "".join(m.to_json_chunks())
+            semi_brjuno(m.x, 200, with_q_series=True)
+            assert not {"pstar", "qstar", "_star"} & set(vars(m))
+            rows = m.to_csv_rows()
+            assert "qstar" in vars(m)
+            assert [r[3] for r in rows[1:]] == m.qstar[:-1]
+            assert [r[2] for r in rows[1:]] == m.pstar[:-1]
+
+    def test_assignment_overrides(self):
+        m = minus_expand(Fraction(5, 7), 30)
+        m.pstar, m.qstar = [1], [2]
+        assert (m.pstar, m.qstar) == ([1], [2])
+        assert minus_expand(Fraction(5, 7), 30).qstar == [1, 2, 3, 10]
 
 
 class TestDictionary:

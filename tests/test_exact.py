@@ -64,6 +64,14 @@ class TestSurdArithmetic:
         assert s * s == Fraction(2)
         assert s - s == Fraction(0)
 
+    def test_divide_by_a_rational(self):
+        # (sqrt(5) - 1)/2 / (3/7) = 7 (sqrt(5) - 1)/6, and over 2 it is g/2
+        assert G / Fraction(3, 7) == Surd(-7, 7, 6, 5)
+        assert G / 2 == Surd(-1, 1, 4, 5)
+        assert (G / Fraction(-3, 7)) * Fraction(-3, 7) == G
+        with pytest.raises(ZeroDivisionError):
+            G / Fraction(0)
+
     def test_pow(self):
         assert G ** 2 == G * G
         assert G ** -1 == 1 + G
@@ -236,6 +244,17 @@ class TestAdaptive:
         y = (x + 1) - Fraction(1, 7)
         lo, hi = y.enclosure(80)
         assert lo <= Fraction(9, 7) <= hi
+
+    @pytest.mark.parametrize("value", [G, Surd(3, -1, 2, 5), Fraction(3, 7)],
+                             ids=["golden", "golden_sq", "rational"])
+    def test_neg_and_rsub_enclose_the_exact_result(self, value):
+        x = AdaptiveReal.from_exact(value)
+        for got, exact in [(-x, -value), (2 - x, 2 - value),
+                           (Fraction(5, 3) - x, Fraction(5, 3) - value)]:
+            assert isinstance(got, AdaptiveReal)
+            lo, hi = got.enclosure(80)
+            assert hi - lo <= Fraction(2) ** -79
+            assert compare(lo, exact) <= 0 <= compare(hi, exact)
 
 
 # beta_40 at alpha = 1/2 and beta*_60 of the golden mean are tiny surds

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterator, Optional, Sequence
 
-from .alpha import (_SurdWalk, _alpha_seed, _convergents, _orbit, _rho_power,
+from .alpha import (_SurdWalk, _alpha_seed, _orbit, _rho_power, alpha_expand,
                     alpha_step)
 from .byexcess import _reduce_mod1, minus_step
 from .exact import (DomainError, RealValue, Surd, _surd_double, compare,
@@ -27,6 +27,7 @@ from .exact import (DomainError, RealValue, Surd, _surd_double, compare,
 _DELTA = 0.1   # weights are checked on the scales _DELTA 2^-k near 0
 _LO = _DELTA / (1 + _DELTA)   # M1 is the sup of u on (_LO, 1)
 _HUGE = 2 ** 1024 - 2 ** 970   # the least int whose double overflows
+_GRID = 2000   # _grid_sup reads a custom weight at _GRID + 1 points
 
 
 class ConditionViolation(ValueError):
@@ -78,12 +79,11 @@ class SingularityU:
     U: float = math.inf
 
 
-def _grid_sup(f: Callable[[float], float], lo: float, hi: float,
-              points: int = 2000) -> float:
+def _grid_sup(f: Callable[[float], float], lo: float, hi: float) -> float:
     eps = (hi - lo) * 1e-12
     best = -math.inf
-    for i in range(points + 1):
-        t = lo + (hi - lo) * i / points
+    for i in range(_GRID + 1):
+        t = lo + (hi - lo) * i / _GRID
         t = min(max(t, lo + eps), hi - eps)
         v = f(t)
         if v > best:
@@ -147,17 +147,6 @@ class BrjunoResult:
 
     def to_csv_rows(self) -> list[list]:
         return [["n", "beta_prev", "x_n", "term"], *map(list, self.terms)]
-
-
-def _orbit_record(x: RealValue, alpha, n_max: int):
-    """(digits, q_seq) of the A_alpha orbit of x: the digit a_{k+1} of each
-    x_k (k <= n_max) and q_0 .. q_{n+1}."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    _n0, eps0, m = _alpha_seed(x, alpha)
-    steps = [(a, eps) for _num, _den, a, eps, _k
-             in islice(_orbit(x, alpha, m), n_max + 1)]
-    return [a for a, _eps in steps], _convergents(steps, eps0)[1]
 
 
 def brjuno_sum(x: RealValue, alpha, u: SingularityU, n_max: int,
@@ -679,17 +668,21 @@ class BoundReport:
 
 def log_denominator_sum(x: RealValue, n_max: int = 200) -> float:
     """sum log(q_n)/q_n over the regular (alpha=1) convergents of x."""
-    _digits, q_seq = _orbit_record(x, 1, n_max)
-    return sum(math.log(q) * _inv(q) for q in q_seq[1:n_max + 1] if q > 1)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    q_seq = alpha_expand(x, 1, n_max).q_seq
+    return sum(math.log(q) * _inv(q) for q in q_seq[1:] if q > 1)
 
 
 def _logq_vs_loga(x: RealValue, n_max: int) -> float:
-    digits, q_seq = _orbit_record(x, 1, n_max)
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    exp = alpha_expand(x, 1, n_max)
     s_q = 0.0
     s_a = 0.0
-    for n, a in enumerate(digits[:n_max]):
-        s_q += math.log(q_seq[n + 1]) * _inv(q_seq[n])
-        s_a += math.log(a) * _inv(q_seq[n])
+    for (a, _eps), q_prev, q in zip(exp.digits, exp.q_seq, exp.q_seq[1:]):
+        s_q += math.log(q) * _inv(q_prev)
+        s_a += math.log(a) * _inv(q_prev)
     return abs(s_q - s_a)
 
 

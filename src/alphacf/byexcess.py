@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterator, Sequence
 
 from .alpha import (_beta_float, _betas, _convergent_text, _convergents,
@@ -133,41 +134,31 @@ def minus_to_regular(digits: Sequence[int],
                      tail_of_twos: bool = False) -> tuple[list[int], bool]:
     """Translate by-excess digits into regular continued fraction digits.
 
-    A first digit 2 puts x above 1/2 (regular digits 1, run - 1, ...), a
-    first digit > 2 below it.  Returns (a_digits, terminated): a trailing
-    open run of 2's marks a rational input, whose regular expansion
-    terminates (in canonical form, last digit >= 2).  For a plain prefix
-    of an infinite stream, only digits derivable from complete runs are
-    emitted.
+    The stream is read as b_1, then each run of r 2's with the digit B > 2
+    that closes it: a_1 = b_1 - 1, then r + 1, B - 2 for each closed run.
+    Returns (a_digits, terminated): a trailing open run of 2's marks a
+    rational input, whose regular expansion terminates (in canonical form,
+    last digit >= 2).  For a plain prefix of an infinite stream, only
+    digits derivable from closed runs are emitted, and none from 2's alone.
     """
     digits = list(digits)
     if not digits:
         raise MalformedStream("empty by-excess stream")
-
-    # maximal runs of 2's: runs[j] - 1 digits 2, closed by the digit big[j]
-    runs, big, last_big = [], [], -1
-    for idx, b in enumerate(digits):
+    for b in digits:
         if b < 2:
             raise MalformedStream(f"by-excess digits must be >= 2, got {b}")
-        if b > 2:
-            runs.append(idx - last_big)
-            big.append(b)
-            last_big = idx
-    if not runs:
-        # all 2's: no complete information (or x = 1 if the tail is open)
+    if max(digits) == 2:
+        if tail_of_twos:
+            raise MalformedStream("by-excess stream of 2's alone does not "
+                                  "encode x in (0,1)")
         return [], False
-    out: list[int] = []
-    if digits[0] == 2:   # the first digit > 2 closes a run of length >= 2
-        out = [1, runs[0] - 1]
-        for j, bv in enumerate(big):
-            out.append(bv - 2)
-            if j + 1 < len(runs):
-                out.append(runs[j + 1])
-    else:
-        out = [big[0] - 1]
-        for j in range(1, len(runs)):
-            out.append(runs[j])
-            out.append(big[j] - 2)
+    out, run = [digits[0] - 1], 0
+    for b in digits[1:]:
+        if b == 2:
+            run += 1
+        else:
+            out += [run + 1, b - 2]
+            run = 0
     if tail_of_twos:
         return _canonical_fixup(out), True
     return out, False
@@ -182,20 +173,19 @@ def regular_to_minus(a: Sequence[int],
     2's, reported as (digits, True).  Prefixes of infinite expansions map
     to the derivable by-excess prefix, reported as (digits, False).
     """
-    runs, big = _minus_runs(a, terminated)
+    big, twos = _minus_runs(a, terminated)
     b: list[int] = []
-    for i, n in enumerate(runs):
-        b.extend([2] * (n - 1))
-        if i < len(big):
-            b.append(big[i])
+    for d, n in zip_longest(big, twos, fillvalue=0):
+        b += [d] + [2] * n
     return b, terminated
 
 
 def _minus_runs(a: Sequence[int],
                 terminated: bool) -> tuple[list[int], list[int]]:
-    """(runs, big) of regular_to_minus: its by-excess stream is runs[i] - 1
-    digits 2, then big[i] where there is one, for each i in turn; a run's
-    length is a regular digit (plus 1), never written out here."""
+    """(big, twos) of regular_to_minus: its by-excess stream is big[i],
+    then twos[i] digits 2 where there is one, for each i in turn.  From
+    [a_1, a_2, a_3, ...] that is a_1 + 1, a_2 - 1 2's, a_3 + 2, a_4 - 1
+    2's, a_5 + 2, ...; a run is a regular digit, never written out here."""
     a = list(a)
     if not a:
         raise MalformedStream("empty regular stream")
@@ -204,28 +194,12 @@ def _minus_runs(a: Sequence[int],
             raise MalformedStream(f"regular digits must be >= 1, got {d}")
     if terminated and len(a) > 1 and a[-1] == 1:
         raise MalformedStream("finite regular expansion must end with >= 2")
+    if a == [1]:
+        raise MalformedStream("regular stream [1] does not encode x in (0,1)")
     if terminated and len(a) % 2 == 0:
-        # undo canonical form so the stream ends on a big-digit slot
+        # undo canonical form so the stream ends on a big digit
         a = a[:-1] + [a[-1] - 1, 1]
-
-    runs: list[int] = []
-    big: list[int] = []
-    if a[0] == 1:
-        if len(a) == 1:
-            raise MalformedStream("regular stream [1] does not encode x in (0,1)")
-        runs.append(a[1] + 1)
-        k = 2
-    else:
-        runs.append(1)
-        big.append(a[0] + 1)
-        k = 1
-    while k < len(a):
-        if len(big) < len(runs):
-            big.append(a[k] + 2)
-        else:
-            runs.append(a[k])
-        k += 1
-    return runs, big
+    return [a[0] + 1] + [d + 2 for d in a[2::2]], [d - 1 for d in a[1::2]]
 
 
 def complement_regular(a: Sequence[int]) -> list[int]:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -19,7 +18,7 @@ import sys
 import time
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, islice, repeat, zip_longest
 
 from . import exact
 from .alpha import alpha_expand
@@ -60,16 +59,11 @@ class _Unwritable(Exception):
 
 
 def _csv_text(rows):
-    """The CSV text of rows, one line at a time."""
+    """The CSV text of rows, one line at a time; no cell the writers make
+    (numbers, constant headers, bench's alpha) needs quoting."""
     for row in rows:
-        cells = [f"{v:.15g}" if isinstance(v, float)
-                 else _int_text(v) if type(v) is int else v for v in row]
-        if any(isinstance(v, str) for v in row):
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerow(cells)
-            yield buf.getvalue()
-        else:   # numbers need no quoting, nor csv's pass over long digits
-            yield ",".join(map(str, cells)) + "\n"
+        yield ",".join(f"{v:.15g}" if isinstance(v, float) else _int_text(v)
+                       for v in row) + "\n"
 
 
 # -- subcommands -----------------------------------------------------------
@@ -126,36 +120,30 @@ def cmd_dict(args) -> int:
     digits = [int(t) for t in tokens]
     if args.to == "regular":
         a, terminated = minus_to_regular(digits, tail_of_twos=tail)
-        text = " ".join(str(d) for d in a)
-        if not terminated:
-            text += " ..."
-        _write_out(text + "\n", args.out)
+        words = [str(d) for d in a] + ([] if terminated else ["..."])
+        _write_out(" ".join(words) + "\n", args.out)
     else:
-        runs, big = _minus_runs(digits, not args.prefix)
-        _write_out(_minus_chunks(runs, big, not args.prefix), args.out)
+        big, twos = _minus_runs(digits, not args.prefix)
+        _write_out(_minus_chunks(big, twos, not args.prefix), args.out)
     return 0
 
 
 _RUN = 4096   # the most 2's of a run in one chunk of dict's text
 
 
-def _minus_chunks(runs, big, tail):
-    """The text of the by-excess stream (runs, big) of _minus_runs, a run of
-    2's in chunks of at most _RUN digits, so that no chunk grows with a
-    digit.  A run of more than sys.maxsize chunks (OverflowError from
-    repeat) or a digit past the int-to-str limit (ValueError) fails before
-    the first chunk is made."""
-    big = [str(b) for b in big]
+def _minus_chunks(big, twos, tail):
+    """The text of the by-excess stream (big, twos) of _minus_runs: each
+    big digit, then its run of 2's in chunks of at most _RUN digits, so
+    that no chunk grows with a digit.  A run of more than sys.maxsize
+    chunks (OverflowError from repeat) or a digit past the int-to-str
+    limit (ValueError) fails before the first chunk is made."""
+    big = [str(big[0])] + [f" {b}" for b in big[1:]]
     plan = [chain(repeat(_RUN, q), [r] if r else [])
-            for q, r in (divmod(n - 1, _RUN) for n in runs)]
-    sep = ""   # before every digit but the first
-    for i, sizes in enumerate(plan):
+            for q, r in (divmod(n, _RUN) for n in twos)]
+    for b, sizes in zip_longest(big, plan, fillvalue=()):
+        yield b
         for k in sizes:
-            yield sep + "2 " * (k - 1) + "2"
-            sep = " "
-        if i < len(big):
-            yield f"{sep}{big[i]}"
-            sep = " "
+            yield " 2" * k
     yield " tail2\n" if tail else "\n"
 
 

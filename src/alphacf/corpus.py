@@ -15,6 +15,7 @@ SILVER = Surd(-1, 1, 1, 2)          # sqrt(2)-1
 SQRT3_M1 = Surd(-1, 1, 1, 3)        # sqrt(3)-1
 
 
+_MIXED_SURDS = 5   # the surds at the end of mixed_corpus
 _SQUARE_FREE = [2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 22, 23, 26]
 
 
@@ -79,14 +80,14 @@ def _reduced_count(qmax: int) -> int:
     return sum(phi[2:])
 
 
-def mixed_corpus(size: int, qmax: int = 10 ** 6, seed: int = 0,
-                 surds: int = 5) -> list[RealValue]:
-    """Rationals plus `surds` corpus surds, deterministic in the seed."""
+def mixed_corpus(size: int, qmax: int = 10 ** 6,
+                 seed: int = 0) -> list[RealValue]:
+    """Rationals plus _MIXED_SURDS corpus surds, deterministic in the seed."""
     if size < 0 or qmax < 2:
         raise ValueError(f"need size >= 0 and qmax >= 2, got {size}, {qmax}")
-    out: list[RealValue] = list(rational_corpus(max(size - surds, 0),
-                                                qmax, seed))
-    out.extend(surd_corpus(surds))
+    out: list[RealValue] = list(rational_corpus(
+        max(size - _MIXED_SURDS, 0), qmax, seed))
+    out.extend(surd_corpus(_MIXED_SURDS))
     return out[:size]
 
 

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -163,6 +164,49 @@ class TestDictionary:
     def test_all_twos_prefix_carries_no_digit(self):
         a, terminated = minus_to_regular([2, 2, 2])
         assert a == [] and not terminated
+
+    def test_closed_twos_alone_are_one(self):
+        # [2, 2, ...] closed is x = 1, which regular_to_minus([1]) rejects
+        for digits in ([2], [2, 2, 2]):
+            with pytest.raises(MalformedStream, match="does not encode"):
+                minus_to_regular(digits, tail_of_twos=True)
+        with pytest.raises(MalformedStream, match="does not encode"):
+            regular_to_minus([1])
+
+
+def _fold(a: list[int]) -> Fraction:
+    # [0; a_1, ..., a_n] as an exact value, innermost digit first
+    x = Fraction(0)
+    for d in reversed(a):
+        x = 1 / (d + x)
+    return x
+
+
+class TestDictionaryOracle:
+    """The dictionary against exact values: minus_expand walks the orbit of
+    the folded fraction and shares no code with either direction."""
+
+    @pytest.mark.parametrize("length", range(1, 6))
+    def test_terminated_strings_match_the_expansion(self, length):
+        for a in itertools.product(range(1, 6), repeat=length):
+            a = list(a)
+            if a[-1] == 1:   # not canonical ([1] is x = 1)
+                continue
+            exp = minus_expand(_fold(a), 10 ** 4)
+            assert exp.reached_one
+            assert regular_to_minus(a) == (exp.digits, True)
+            assert minus_to_regular(exp.digits, tail_of_twos=True) == (a, True)
+
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_prefixes_come_back_as_prefixes(self, length):
+        for p in itertools.product(range(2, 6), repeat=length):
+            a, terminated = minus_to_regular(p)
+            assert not terminated
+            if max(p) == 2:   # 2's alone carry no regular digit yet
+                assert a == []
+                continue
+            b, tail2 = regular_to_minus(a, terminated=False)
+            assert not tail2 and list(p[:len(b)]) == b
 
 
 class TestComplement:

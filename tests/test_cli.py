@@ -360,16 +360,29 @@ class TestScalarCommands:
         code, out = run(capsys, "dict", "--to", "regular", "--digits", "2 2 4")
         assert (code, out) == (0, "1 2 2 ...\n")
 
+    def test_dict_twos_alone(self, capsys):
+        # an open run of 2's alone gives no regular digit yet; closed by
+        # tail2 it is x = 1, outside (0, 1), as regular_to_minus([1]) says
+        assert run(capsys, "dict", "--to", "regular",
+                   "--digits", "2 2 2") == (0, "...\n")
+        assert main(["dict", "--to", "regular", "--digits", "2 2 tail2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: by-excess stream of 2's alone does "
+                                "not encode x in (0,1)\n")
+
     # runs of 2's of 0, 1, 4095, 4096 and 4097 digits and more: none, part
-    # of one chunk, whole chunks and a chunk plus a part.  The last two
-    # fail after their first digit: 4300 nines give the digit 10^4300 + 1,
-    # past the int-to-str limit, and 2^1030 a run past sys.maxsize chunks;
-    # such an error writes nothing
+    # of one chunk, whole chunks and a chunk plus a part.  The last three
+    # fail after their first digits: 4300 nines give the digit 10^4300 + 1,
+    # past the int-to-str limit, and 2^1030 a run past sys.maxsize chunks
+    # (the second run in the last case); such an error writes nothing
     @pytest.mark.parametrize("digits", [
         "2", "3 1 4 1 5", "1 4095", "1 4096", "5 4096 7 1 3", "4 8193 1 4097",
-        "1 1 1 1 1 1", "1 3 " + "9" * 4300, f"3 {2 ** 1030} 2"], ids=[
+        "1 1 1 1 1 1", "1 3 " + "9" * 4300, f"3 {2 ** 1030} 2",
+        f"3 1 1 {2 ** 1030} 2"], ids=[
             "2", "3_1_4_1_5", "1_4095", "1_4096", "5_4096_7_1_3",
-            "4_8193_1_4097", "1_1_1_1_1_1", "1_3_huge", "3_2_to_1030_2"])
+            "4_8193_1_4097", "1_1_1_1_1_1", "1_3_huge", "3_2_to_1030_2",
+            "3_1_1_2_to_1030_2"])
     @pytest.mark.parametrize("prefix", [[], ["--prefix"]], ids=["", "prefix"])
     def test_dict_to_minus_writes_the_library_stream(self, capsys, digits,
                                                      prefix):

@@ -166,7 +166,8 @@ def _orbit(x: RealValue, alpha, m: tuple):
     on num/den = x_n itself, from [num; den] = m [p; q] (_rational_orbit,
     which _orbit returns), and ends at a remainder 0 (a terminating
     expansion) or 1 (the by-excess fixed point); the rational sums
-    (brjuno._b1_terms, _b0_terms) step the same integers inline, and each
+    (brjuno._b1_terms, _b0_terms) and the figure grid's value-only loops
+    (_b1_value, _b0_value) step the same integers inline, and each
     series' irrational loop reads a Surd's walk or the records below.  A
     Surd walks its exact (P, Q, D) states lazily (_SurdWalk) and yields the
     correctly rounded double of x_n over 1, taken once per distinct state;

@@ -424,22 +424,13 @@ def semi_brjuno(x: RealValue, n_max: int, keep_terms: bool = True,
                         qs if with_q_series else None, istar)
 
 
-class _Log:
-    """_b0_terms' default logs: logs[k] is math.log(k) for every k."""
-    __getitem__ = staticmethod(math.log)
-
-
-_LOG = _Log()
-
-
 def _b0_terms(num: int, den: int, n_max: int, keep_terms: bool,
-              with_q_series: bool, logs=_LOG) -> tuple:
+              with_q_series: bool) -> tuple:
     """semi_brjuno's pass over the by-excess orbit of x_0 = num/den, in
     lowest terms: (value, istar, q*-series, beta*, terms, done), done where
-    the orbit reached 1 (0 at num = 0) within the budget n_max.  Every
-    state num/den has num < den <= the first den, and its logs are read as
-    logs[num] and logs[den]: math.log itself by default, or a figure
-    grid's _log_table, which holds the same doubles."""
+    the orbit reached 1 (0 at num = 0) within the budget n_max.  It calls
+    math.log; a figure grid sums the value alone from its log table in
+    _b0_value, and reads [0] here where q is outside the table."""
     log = math.log
     value = istar = qs = 0.0
     beta = 1.0
@@ -448,7 +439,7 @@ def _b0_terms(num: int, den: int, n_max: int, keep_terms: bool,
     n = 0   # the terms summed
     # den_{n+1} = num_n: log(den) is the previous log(num).  The published
     # figures were computed with log(den) - log(num)
-    log_den = logs[den]
+    log_den = log(den)
     while 0 < num < den:
         c = den - num
         if num > c:   # x_n > 1/2: a run of 2's, which the budget may cut;
@@ -456,7 +447,7 @@ def _b0_terms(num: int, den: int, n_max: int, keep_terms: bool,
             k = min((num - 1) // c, n_max + 1 - n)
             for num in range(num, num - k * c, -c):
                 xf = num / (num + c)
-                log_num = logs[num]
+                log_num = log(num)
                 term = beta * (log_den - log_num)
                 log_den = log_num
                 value += term
@@ -471,7 +462,7 @@ def _b0_terms(num: int, den: int, n_max: int, keep_terms: bool,
         else:   # the digit b = den // num + 1 >= 3
             k, b = 1, den // num + 1
             xf = num / den
-            log_num = logs[num]
+            log_num = log(num)
             term = beta * (log_den - log_num)
             log_den = log_num
             value += term
@@ -510,6 +501,53 @@ def _log_table(top: int) -> list:
     return [0.0, *map(math.log, range(1, top + 1))] if top < _TABLE else []
 
 
+def _b1_value(num: int, den: int, f, n_max: int) -> float:
+    """_b1_terms(num, den, 1, 1, f, n_max, False, False)[0]: the same float
+    operations, at alpha = 1, where the next state is (den % num, num)."""
+    beta, value, xf = 1.0, 0.0, 1.0
+    try:
+        for n in range(n_max + 1):
+            if not num:
+                break
+            xf = num / den
+            value += beta * f(xf)
+            beta *= xf
+            num, den = den % num, num
+    except (ValueError, ZeroDivisionError):
+        if xf:
+            raise
+        raise DomainError(f"x_{n} is below 2**-1074, outside the double "
+                          "range") from None
+    return value
+
+
+def _b0_value(num: int, den: int, n_max: int, logs: list) -> float:
+    """_b0_terms(num, den, n_max, False, False)[0] with the logs read from a
+    grid's _log_table, math.log's doubles: the same float operations."""
+    value, beta, n = 0.0, 1.0, 0
+    log_den = logs[den]
+    while 0 < num < den:
+        c = den - num
+        if num > c:   # a run of 2's, which the budget may cut
+            k = min((num - 1) // c, n_max + 1 - n)
+            for num in range(num, num - k * c, -c):
+                log_num = logs[num]
+                value += beta * (log_den - log_num)
+                log_den = log_num
+                beta *= num / (num + c)
+            num, den = num - c, num
+        else:
+            k, log_num = 1, logs[num]
+            value += beta * (log_den - log_num)
+            log_den = log_num
+            beta *= num / den
+            num, den = (den // num + 1) * num - den, num
+        n += k
+        if n > n_max:
+            break
+    return value
+
+
 def _figure_grid(lo: Fraction, hi: Fraction, points: int) -> Iterator:
     """x_k = lo + (hi - lo) k / (points - 1) as a reduced pair (p, q), q > 0,
     an integer n moved to (n _NUDGE + 1, _NUDGE).  For lo = a/b and hi =
@@ -530,11 +568,11 @@ def figure_rows(which: int, lo, hi, points: int, n: int,
     header, then a tuple of floats per point.  1 is B_{1,u} for u = x^(-1/2),
     2 is B0, 3 the even part B0(x) + B0(-x) and B_{1,log}, 4 their difference.
     B_1 takes n terms and B0 ``digits``; the arguments are checked at once.
-    Each point p/q runs the sums' integer loops, _b1_terms and _b0_terms,
-    on x_0 = (p % q)/q.  B0 reads its logs from the grid's _log_table where
-    q is inside it, and calls math.log elsewhere: at nudged points, and on
-    a grid whose top = lo.denominator hi.denominator (points - 1), which
-    every other q divides, is 2**13 or more."""
+    Each point p/q runs value-only loops on x_0 = (p % q)/q: _b1_value, and
+    _b0_value, which reads its logs from the grid's _log_table, where q is
+    inside it.  Elsewhere B0 is _b0_terms' value, which calls math.log: at
+    nudged points, and on a grid whose top = lo.denominator hi.denominator
+    (points - 1), which every other q divides, is 2**13 or more."""
     if which not in (1, 2, 3, 4):
         raise ValueError(f"no figure {which!r}")
     lo, hi = Fraction(lo), Fraction(hi)
@@ -553,6 +591,10 @@ def _figure_rows(which, lo, hi, points, n, digits):
     # every point's q divides top, but for nudged points
     logs = [] if which == 1 else _log_table(
         lo.denominator * hi.denominator * (points - 1))
+
+    def b0_at(p, q):   # B0 at p/q mod 1, the same double either way
+        return (_b0_value(p % q, q, digits, logs) if q < len(logs)
+                else _b0_terms(p % q, q, digits, False, False)[0])
     cols, key = (array("d"), array("d"), array("d")), None
     # 512 points at a time: a block's points, then its B0 sums, then its
     # B1 sums run faster than the three interleaved point by point
@@ -560,12 +602,9 @@ def _figure_rows(which, lo, hi, points, n, digits):
         # p/q is the correctly rounded double of the point, as to_float
         xf = [p / q for p, q in block]
         if which != 1:
-            b0 = [_b0_terms(p % q, q, digits, False, False,
-                            logs if q < len(logs) else _LOG)[0]
-                  for p, q in block]
+            b0 = [b0_at(p, q) for p, q in block]
         if which != 2:
-            b1 = [_b1_terms(p % q, q, 1, 1, f, n, False, False)[0]
-                  for p, q in block]
+            b1 = [_b1_value(p % q, q, f, n) for p, q in block]
         if which < 3:
             yield from zip(xf, b1 if which == 1 else b0)
             continue
@@ -582,8 +621,7 @@ def _figure_rows(which, lo, hi, points, n, digits):
             if not mirrored or q == _NUDGE:
                 if ((q - p) % q, q) != key:   # 1 - x mod 1, in lowest terms
                     key = (q - p) % q, q
-                    b0_key = _b0_terms(*key, digits, False, False,
-                                       logs if q < len(logs) else _LOG)[0]
+                    b0_key = b0_at(*key)
                 b0e[k] += b0_key
             elif 2 * k >= points - 1:
                 j = points - 1 - k

@@ -507,10 +507,16 @@ _RATIONAL_POINTS = [Fraction(p, q) for p, q in brjuno._figure_grid(
     Fraction(0), Fraction(1), 4096)] + rational_corpus(300, 10 ** 12, seed=31)
 
 
+class _MathLogs:
+    """A log table without a bound: logs[k] is math.log(k) for every k."""
+    __getitem__ = staticmethod(math.log)
+
+
 class TestRationalLoops:
     """The rational sums, _b1_terms and _b0_terms, step the integers of
     x_n = num/den by _rational_orbit's rule themselves: each must read the
-    states the kernel walks."""
+    states the kernel walks.  The figure grid's value-only loops,
+    _b1_value and _b0_value, must give their values bit for bit."""
 
     @pytest.mark.parametrize("u_name", ["log", "inv_sqrt"])
     @pytest.mark.parametrize("a", ["1", "1/2", "1/5", "3/7", "1/100"])
@@ -549,7 +555,35 @@ class TestRationalLoops:
                 map(float.hex, states)), x
             assert done == (len(states) <= n_max)
 
-    def test_b0_terms_read_the_same_logs_from_a_grid_table(self):
+    @pytest.mark.parametrize("u_name", ["log", "inv_sqrt"])
+    def test_b1_value_is_the_b1_terms_value(self, u_name):
+        f = make_u(u_name).eval
+        for x in _RATIONAL_POINTS:
+            num, den = x.numerator % x.denominator, x.denominator
+            for n_max in (0, 1, 3, 200):
+                got = brjuno._b1_value(num, den, f, n_max)
+                want = brjuno._b1_terms(num, den, 1, 1, f, n_max, False,
+                                        False)[0]
+                assert got.hex() == want.hex(), (x, n_max)
+        # x_n below the doubles: x_0 = 2**-1100, and x_1 of 1 - x_0
+        for num, den, n in ((1, 2 ** 1100, 0), (2 ** 1100, 2 ** 1100 + 1, 1)):
+            for loop in (lambda: brjuno._b1_value(num, den, f, 3),
+                         lambda: brjuno._b1_terms(num, den, 1, 1, f, 3, False,
+                                                  False)):
+                with pytest.raises(DomainError,
+                                   match=rf"^x_{n} is below 2\*\*-1074"):
+                    loop()
+
+    @pytest.mark.parametrize("n_max", [0, 1, 3, 200, 10 ** 4])
+    def test_b0_value_is_the_b0_terms_value(self, n_max):
+        for x in _RATIONAL_POINTS + [Fraction(4999, 5000),
+                                     1 - Fraction(1, 2 * 10 ** 9)]:
+            num, den = x.numerator % x.denominator, x.denominator
+            got = brjuno._b0_value(num, den, n_max, _MathLogs())
+            want = brjuno._b0_terms(num, den, n_max, False, False)[0]
+            assert got.hex() == want.hex(), (x, n_max)
+
+    def test_b0_value_reads_the_same_logs_from_a_grid_table(self):
         # every pair of the 4096-point grid but the two nudged ends, whose
         # denominators divide 4095; 3 and 200 cut inside runs of 2's, and
         # 10^4 reads whole orbits
@@ -560,13 +594,9 @@ class TestRationalLoops:
         assert len(grid) == 4094
         for p, q in grid:
             for n_max in (0, 1, 3, 200, 10 ** 4):
-                for keep, with_q in ((False, False), (False, True),
-                                     (True, False), (True, True)):
-                    args = (p % q, q, n_max, keep, with_q)
-                    got = brjuno._b0_terms(*args, logs)
-                    want = brjuno._b0_terms(*args)
-                    assert _hexed_b0(got) == _hexed_b0(want), (p, q, n_max,
-                                                               keep, with_q)
+                got = brjuno._b0_value(p % q, q, n_max, logs)
+                want = brjuno._b0_terms(p % q, q, n_max, False, False)[0]
+                assert got.hex() == want.hex(), (p, q, n_max)
 
     def test_log_table_is_bounded(self):
         assert brjuno._log_table(brjuno._TABLE - 1)[1:] == [

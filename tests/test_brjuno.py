@@ -494,14 +494,6 @@ def _hexed(fields):
             term if term is None else term.hex())
 
 
-def _hexed_b0(fields):
-    """_b0_terms' fields (value, istar, q*-series, beta*, terms, done), each
-    float as its float.hex."""
-    value, istar, qs, beta, terms, done = fields
-    return (value.hex(), istar.hex(), qs.hex(), beta.hex(),
-            [(n, b.hex(), x.hex(), t.hex()) for n, b, x, t in terms], done)
-
-
 # the paper's 4096-point figure grid on [0, 1], plus seeded p/q, q <= 10^12
 _RATIONAL_POINTS = [Fraction(p, q) for p, q in brjuno._figure_grid(
     Fraction(0), Fraction(1), 4096)] + rational_corpus(300, 10 ** 12, seed=31)
